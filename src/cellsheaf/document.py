@@ -85,6 +85,7 @@ class RealizedDocument:
     opens: dict[str, OpenSet]
     morphisms: dict[str, SheafMorphism]
     field_names: dict[str, str]
+    morphism_ends: dict[str, tuple[str, str]]   # name -> (source, target) sheaf names
 
 
 def _strip(line: str) -> str:
@@ -321,8 +322,17 @@ def _realize_matrix(lit: MatrixLiteral, field, rows: int, cols: int,
             f"matrix for {edge_desc} is {got_rows}x{got_cols}, expected {rows}x{cols}",
             lit.line,
         )
-    return Matrix.build(field, [[field.coerce(tok) for tok in row] for row in data],
-                        cols=cols)
+    return Matrix.build(
+        field, [[_realize_entry(tok, field, lit.line) for tok in row] for row in data],
+        cols=cols)
+
+
+def _realize_entry(tok: str, field, line: int):
+    # a denominator of 0, or of a multiple of p under GF(p), has no value
+    try:
+        return field.coerce(tok)
+    except ZeroDivisionError:
+        raise DocumentError(f"entry {tok!r} divides by zero in {field!r}", line) from None
 
 
 def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDocument:
@@ -384,6 +394,7 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
             opens[name] = OpenSet(poset, frozenset(spec_o.members))
 
     morphisms: dict[str, SheafMorphism] = {}
+    morphism_ends: dict[str, tuple[str, str]] = {}
     for name, spec_m in doc.morphism_specs.items():
         if spec_m.source not in sheaves:
             raise DocumentError(
@@ -414,7 +425,8 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
             components[el] = _realize_matrix(
                 lit, src.field, tgt.dim(el), src.dim(el), f"morphism map at {el}")
         morphisms[name] = build_morphism(src, tgt, components)
-    return RealizedDocument(poset, sheaves, opens, morphisms, field_names)
+        morphism_ends[name] = (spec_m.source, spec_m.target)
+    return RealizedDocument(poset, sheaves, opens, morphisms, field_names, morphism_ends)
 
 
 def parse_text(text: str, field_override: str | None = None) -> RealizedDocument:
@@ -455,8 +467,7 @@ def render_document(realized: RealizedDocument) -> str:
         lines.append("members = " + " ".join(U.sorted_members))
     for name in sorted(realized.morphisms):
         mor = realized.morphisms[name]
-        src = next(k for k, v in realized.sheaves.items() if v == mor.source)
-        tgt = next(k for k, v in realized.sheaves.items() if v == mor.target)
+        src, tgt = realized.morphism_ends[name]
         lines.append("")
         lines.append(f"[morphism {name}]")
         lines.append(f"source = {src}")

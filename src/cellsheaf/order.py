@@ -26,7 +26,7 @@ class PreOrder:
         self._idx = {e: i for i, e in enumerate(self.elements)}
         if len(self._idx) != len(self.elements):
             raise ValidationError("duplicate element identifiers")
-        self._leq = tuple(tuple(bool(v) for v in row) for row in leq)
+        self._leq = tuple(tuple(map(bool, row)) for row in leq)
         n = len(self.elements)
         if len(self._leq) != n or any(len(row) != n for row in self._leq):
             raise ValidationError("relation table does not match carrier size")
@@ -99,12 +99,17 @@ class PreOrder:
 
 
 class Poset(PreOrder):
-    """A preorder that is additionally antisymmetric."""
+    """A preorder that is additionally antisymmetric.
 
-    __slots__ = ()
+    The Hasse reduction is computed at most once per instance and kept in
+    `_hasse` (see hasse_edges).
+    """
+
+    __slots__ = ("_hasse",)
 
     def __init__(self, elements: Sequence[str], leq: Sequence[Sequence[bool]]):
         super().__init__(elements, leq)
+        self._hasse = None
         n = len(self.elements)
         for i in range(n):
             for j in range(i + 1, n):
@@ -117,23 +122,34 @@ def build_preorder(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) ->
     elements = tuple(elements)
     idx = {e: i for i, e in enumerate(elements)}
     n = len(elements)
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    # row i is a bitmask of the j with i <= j
+    rows = [1 << i for i in range(n)]
     for x, y in pairs:
         if x not in idx:
             raise UnknownElementError(f"unknown element {x!r} in relation pair")
         if y not in idx:
             raise UnknownElementError(f"unknown element {y!r} in relation pair")
-        leq[idx[x]][idx[y]] = True
-    # Warshall closure; cubic is fine at desk scale.
+        rows[idx[x]] |= 1 << idx[y]
+    # Warshall closure: i <= k and k <= j give i <= j
     for k in range(n):
-        row_k = leq[k]
+        bit, row_k = 1 << k, rows[k]
         for i in range(n):
-            if leq[i][k]:
-                row_i = leq[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return PreOrder(elements, leq)
+            if rows[i] & bit:
+                rows[i] |= row_k
+    return PreOrder(elements, [_bits(row, n) for row in rows])
+
+
+def _bits(mask: int, n: int) -> tuple[bool, ...]:
+    """The n low bits of `mask`, least significant first."""
+    return tuple(map("1".__eq__, reversed(format(mask, f"0{n}b"))))
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _mask(row: tuple[bool, ...]) -> int:
+    """Bitmask with bit j set where row[j] holds; the inverse of _bits."""
+    return int(bytes(row[::-1]).translate(_DIGITS), 2)
 
 
 def build_poset(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Poset:
@@ -243,17 +259,31 @@ def factor_through_quotient(f: MonotoneMap, q: QuotientResult) -> MonotoneMap:
     return MonotoneMap(q.quotient, f.target, mapping)
 
 
-def hasse_edges(p: Poset) -> list[tuple[str, str]]:
-    """Covering pairs: x < y with nothing strictly between."""
-    if not p.is_poset():
-        raise ValidationError("Hasse reduction requires a poset")
-    edges = []
-    for x in p.elements:
-        for y in p.elements:
-            if not p.lt(x, y):
-                continue
-            if any(p.lt(x, z) and p.lt(z, y) for z in p.elements):
-                continue
-            edges.append((x, y))
-    edges.sort(key=lambda e: (p.index(e[0]), p.index(e[1])))
-    return edges
+def hasse_edges(p: PreOrder) -> list[tuple[str, str]]:
+    """Covering pairs: x < y with nothing strictly between.
+
+    Pairs are ordered by the index of x, then of y. The reduction is done
+    once per Poset instance; every call returns a fresh list. A preorder
+    that is not antisymmetric raises NotAntisymmetricError.
+    """
+    p = as_poset(p)
+    if p._hasse is None:
+        elements = p.elements
+        # above[i] is a bitmask of the j with i < j; the covers of i are
+        # the points above it that lie above nothing else above it
+        above = [_mask(row) & ~(1 << i) for i, row in enumerate(p._leq)]
+        edges = []
+        for i, up in enumerate(above):
+            through = 0
+            rest = up
+            while rest:
+                low = rest & -rest
+                through |= above[low.bit_length() - 1]
+                rest ^= low
+            covers = up & ~through
+            while covers:
+                low = covers & -covers
+                edges.append((elements[i], elements[low.bit_length() - 1]))
+                covers ^= low
+        p._hasse = tuple(edges)
+    return list(p._hasse)

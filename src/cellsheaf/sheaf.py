@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -132,16 +132,26 @@ def build_sheaf(base: Poset, dims: Mapping[str, int],
     # process points bottom-up; every chain from p to q ends in a covering
     # pair (z, q), so agreement of all such extensions at each q is
     # equivalent to agreement of all chain products
-    order = sorted(base.elements, key=lambda e: (len(base.down_set(e)), base.index(e)))
-    preds: dict[str, list[str]] = {e: [] for e in base.elements}
+    elements, leq = base.elements, base._leq
+    n = len(elements)
+    below: list[list[int]] = [[] for _ in range(n)]   # strict down-sets, by index
+    for i, row in enumerate(leq):
+        for j in compress(range(n), row):
+            if j != i:
+                below[j].append(i)
+
+    def bottom_up(j):  # visiting order of both q and p
+        return len(below[j]), j
+
+    preds: list[list[tuple[str, int]]] = [[] for _ in range(n)]
     for p, q in edges:
-        preds[q].append(p)
-    for q in order:
-        for p in order:
-            if not base.lt(p, q):
-                continue
+        preds[base.index(q)].append((p, base.index(p)))
+    for qi in sorted(range(n), key=bottom_up):
+        q = elements[qi]
+        for pi in sorted(below[qi], key=bottom_up):
+            p, row = elements[pi], leq[pi]
             candidates = [
-                maps[(z, q)] @ full[(p, z)] for z in preds[q] if base.leq(p, z)
+                maps[(z, q)] @ full[(p, z)] for z, zi in preds[qi] if row[zi]
             ]
             first = candidates[0]
             for other in candidates[1:]:

@@ -54,6 +54,26 @@ class TestCheck:
         assert code == 2
         assert "line 7" in out
 
+    @pytest.mark.parametrize("field, entry", [("fp:5", "1/5"), ("q", "1/0")])
+    def test_entry_dividing_by_zero_exits_two_with_line(self, capsys, tmp_path,
+                                                        field, entry):
+        bad = tmp_path / "zero.sheaf"
+        bad.write_text(
+            "[poset]\nelements = a b\nrelation = a<b\n\n[sheaf]\n"
+            f"field = {field}\ndim a = 1\ndim b = 1\nmap a->b = [[{entry}]]\n"
+        )
+        for argv in (["check"], ["sections", "--open", "star:a"],
+                     ["stalk", "--point", "a"]):
+            code, out = run(capsys, argv[0], str(bad), *argv[1:], "--json")
+            assert code == 2
+            assert json.loads(out)["error"].startswith("line 9: ")
+
+    def test_large_prime_field_finishes(self, capsys):
+        code, out = run(capsys, "check", fixture("square.sheaf"),
+                        "--field", "fp:1000000000000000003")
+        assert code == 0
+        assert "field fp:1000000000000000003" in out
+
     def test_missing_file_exits_two(self, capsys):
         code, _ = run(capsys, "check", "no-such-file.sheaf")
         assert code == 2
@@ -83,6 +103,19 @@ class TestCheck:
         assert code == 1
         assert "check poset-antisymmetry: fail" in out
         assert "not a poset" in out
+
+    def test_normalized_document_names_morphism_ends_as_written(self, capsys, tmp_path):
+        doc = tmp_path / "ends.sheaf"
+        doc.write_text(
+            "[poset]\nelements = a b\nrelation = a<b\n"
+            "[sheaf]\ndim a = 1\ndim b = 1\nmap a->b = [[2]]\n"
+            "[sheaf other]\ndim a = 1\ndim b = 1\nmap a->b = [[2]]\n"
+            "[morphism g]\nsource = other\ntarget = other\nmap a = [[3]]\nmap b = [[3]]\n"
+        )
+        code, out = run(capsys, "check", str(doc), "--json")
+        assert code == 0
+        text = json.loads(out)["data"]["normalized_document"]
+        assert "[morphism g]\nsource = other\ntarget = other\n" in text
 
     def test_check_includes_morphism_naturality(self, capsys, tmp_path):
         doc = tmp_path / "m.sheaf"

@@ -15,6 +15,8 @@ from cellsheaf import (
     render_document,
 )
 
+from cellsheaf.linalg import PRIME_BOUND
+
 from helpers import FIXTURES
 
 
@@ -161,6 +163,42 @@ class TestParseErrors:
         with pytest.raises(DocumentError):
             parse_text("[poset]\nelements = a\n[sheaf]\nfield = r\ndim a = 1\n")
 
+    @pytest.mark.parametrize("field, entry", [
+        ("fp:5", "1/5"), ("fp:5", "2/10"), ("fp:7", "-3/0"), ("q", "1/0"), ("q", "0/0"),
+    ])
+    def test_entry_dividing_by_zero_names_its_line(self, field, entry):
+        text = ("[poset]\nelements = a b\nrelation = a<b\n\n[sheaf]\n"
+                f"field = {field}\ndim a = 1\ndim b = 1\nmap a->b = [[{entry}]]\n")
+        with pytest.raises(DocumentError) as err:
+            parse_text(text)
+        assert err.value.line == 9
+        assert str(err.value).startswith(f"line 9: entry '{entry}' divides by zero")
+
+    def test_morphism_entry_dividing_by_zero_names_its_line(self):
+        text = ("[poset]\nelements = a\n[sheaf]\nfield = fp:3\ndim a = 1\n"
+                "[morphism f]\nmap a = [[2/6]]\n")
+        with pytest.raises(DocumentError) as err:
+            parse_text(text)
+        assert err.value.line == 7
+
+    def test_field_override_can_make_an_entry_divide_by_zero(self):
+        # 1/5 is a rational, but has no value in GF(5)
+        text = ("[poset]\nelements = a b\nrelation = a<b\n"
+                "[sheaf]\ndim a = 1\ndim b = 1\nmap a->b = [[1/5]]\n")
+        assert parse_text(text).sheaves["main"].restriction("a", "b") == Matrix.build(
+            QQ, [[Fraction(1, 5)]])
+        with pytest.raises(DocumentError):
+            parse_text(text, field_override="fp:5")
+
+    def test_large_prime_field_accepted(self):
+        realized = parse_text(load("square.sheaf"), field_override="fp:1000000000000000003")
+        assert realized.sheaves["main"].field == PrimeField(10**18 + 3)
+
+    def test_prime_above_the_exact_bound_rejected_with_the_bound(self):
+        with pytest.raises(DocumentError) as err:
+            parse_text(load("square.sheaf"), field_override=f"fp:{PRIME_BOUND + 2}")
+        assert str(PRIME_BOUND) in str(err.value)
+
 
 class TestSemanticFailures:
     def test_non_antisymmetric_relation_is_a_validation_error(self):
@@ -207,6 +245,20 @@ class TestRender:
         again = parse_text(render_document(realized))
         assert again.sheaves == realized.sheaves
         assert again.morphisms["f"].components == realized.morphisms["f"].components
+
+    def test_morphism_ends_keep_their_document_names(self):
+        # main and other are equal sheaves; the morphism lives on other
+        text = (
+            "[poset]\nelements = a b\nrelation = a<b\n"
+            "[sheaf]\ndim a = 1\ndim b = 1\nmap a->b = [[2]]\n"
+            "[sheaf other]\ndim a = 1\ndim b = 1\nmap a->b = [[2]]\n"
+            "[morphism g]\nsource = other\ntarget = other\nmap a = [[3]]\nmap b = [[3]]\n"
+        )
+        realized = parse_text(text)
+        assert realized.sheaves["main"] == realized.sheaves["other"]
+        rendered = render_document(realized)
+        assert "[morphism g]\nsource = other\ntarget = other\n" in rendered
+        assert render_document(parse_text(rendered)) == rendered
 
     def test_rendering_is_stable(self):
         realized = parse_text(load("square.sheaf"))

@@ -22,6 +22,8 @@ from cellsheaf import (
     subspace_from_rows,
 )
 
+from cellsheaf.linalg import PRIME_BOUND, _is_prime
+
 from helpers import random_matrix
 
 
@@ -204,6 +206,32 @@ class TestPrimeField:
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
             PrimeField(6)
+
+    def test_primality_agrees_with_trial_division_below_1e5(self):
+        limit = 10**5
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for d in range(2, int(limit ** 0.5) + 1):
+            if sieve[d]:
+                sieve[d * d::d] = bytes(len(range(d * d, limit, d)))
+        assert [n for n in range(limit) if _is_prime(n)] == [
+            n for n in range(limit) if sieve[n]]
+
+    def test_large_primes_accepted(self):
+        assert PrimeField(10**18 + 3).p == 10**18 + 3
+        assert _is_prime(PRIME_BOUND - 168)  # the largest prime below the bound
+
+    @pytest.mark.parametrize("n", [561, 41041, 3215031751, PRIME_BOUND - 2])
+    def test_pseudoprimes_rejected(self, n):
+        # Carmichael numbers, the smallest strong pseudoprime to bases
+        # 2, 3, 5 and 7, and an odd composite just below the bound
+        assert not _is_prime(n)
+        with pytest.raises(ValueError):
+            PrimeField(n)
+
+    def test_modulus_at_the_bound_rejected_with_the_bound(self):
+        with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+            PrimeField(PRIME_BOUND)
 
     def test_kernel_over_f5(self):
         f5 = PrimeField(5)

@@ -4,10 +4,12 @@ from itertools import combinations, product
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellsheaf import (
     MonotoneMap,
     NotAntisymmetricError,
+    Poset,
     UnknownElementError,
     ValidationError,
     as_poset,
@@ -22,6 +24,7 @@ from cellsheaf import (
 )
 
 from helpers import posets, random_monotone_map, random_poset, random_preorder
+from oracles import hasse_edges_by_scan
 
 
 def powerset_poset(ground):
@@ -39,6 +42,28 @@ def powerset_poset(ground):
     return build_preorder(names, pairs)
 
 
+@st.composite
+def shuffled_posets(draw, max_n: int = 30) -> Poset:
+    """Posets whose carrier order need not be a linear extension of the order."""
+    n = draw(st.integers(1, max_n))
+    height = draw(st.permutations(range(n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    names = [f"x{i}" for i in range(n)]
+    return build_poset(names, [(names[a], names[b]) for a, b in pairs
+                               if height[a] < height[b]])
+
+
+def graded_poset(ranks: int, width: int, seed: int) -> Poset:
+    """`ranks` levels of `width` points, each point below 1-3 points of the
+    next level, listed in a shuffled carrier order."""
+    rng = random.Random(seed)
+    levels = [[f"r{r}w{w}" for w in range(width)] for r in range(ranks)]
+    pairs = [(x, y) for lower, upper in zip(levels, levels[1:]) for x in lower
+             for y in rng.sample(upper, rng.randint(1, 3))]
+    names = [x for level in levels for x in level]
+    rng.shuffle(names)
+    return build_poset(names, pairs)
 
 
 class TestBuildPreorder:
@@ -58,6 +83,21 @@ class TestBuildPreorder:
         g = nx.DiGraph(p.related_pairs())
         sccs = {frozenset(c) for c in nx.strongly_connected_components(g)}
         assert sccs == {frozenset(["a", "b"])}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 25).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))))
+    def test_closure_is_digraph_reachability(self, case):
+        n, pairs = case
+        names = [f"x{i}" for i in range(n)]
+        p = build_preorder(names, [(names[a], names[b]) for a, b in pairs])
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(pairs)
+        for i in range(n):
+            reach = nx.descendants(g, i) | {i}
+            assert p.up_set(names[i]) == {names[j] for j in reach}
 
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(UnknownElementError):
@@ -260,6 +300,35 @@ class TestHasse:
         for x, y in hasse_edges(p):
             assert p.lt(x, y)
             assert not any(p.lt(x, z) and p.lt(z, y) for z in p.elements)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shuffled_posets())
+    def test_matches_cubic_scan(self, p):
+        assert hasse_edges(p) == hasse_edges_by_scan(p)
+
+    def test_matches_cubic_scan_on_graded_150_points(self):
+        p = graded_poset(10, 15, seed=4)
+        assert len(p) == 150
+        edges = hasse_edges(p)
+        assert edges == hasse_edges_by_scan(p)
+        assert len(edges) > 140
+
+    def test_result_is_a_fresh_list(self):
+        p = build_poset("abc", [("a", "b"), ("b", "c")])
+        edges = hasse_edges(p)
+        edges.append(("a", "c"))
+        edges[0] = ("c", "a")
+        assert hasse_edges(p) == [("a", "b"), ("b", "c")]
+        assert hasse_edges(p) is not hasse_edges(p)
+
+    def test_non_poset_preorder_rejected(self):
+        p = build_preorder("abc", [("a", "b"), ("b", "a"), ("b", "c")])
+        with pytest.raises(ValidationError):
+            hasse_edges(p)
+
+    def test_preorder_that_is_a_poset_accepted(self):
+        p = build_preorder("abc", [("a", "b"), ("b", "c")])
+        assert hasse_edges(p) == [("a", "b"), ("b", "c")]
 
 
 class TestWellKnownOrders:

@@ -95,6 +95,27 @@ class TestBuild:
             Matrix.build(QQ, [[2]]), Matrix.build(QQ, [[3]]),
         }
 
+    @pytest.mark.parametrize("d_top, pair, left, right", [
+        (3, ("d0", "d3"), 3, 1),
+        (1, ("u0", "u6"), 2, 1),
+    ])
+    def test_first_disagreement_in_visiting_order(self, d_top, pair, left, right):
+        # a stacked double diamond u (only its upper diamond disagrees) and
+        # a diamond d, listed top-first so that carrier order is not the
+        # visiting order; q runs by (|down-set|, index), p likewise
+        names = ["u3", "u6", "u5", "u4", "u2", "u1", "u0", "d3", "d2", "d1", "d0"]
+        pairs = [("u0", "u1"), ("u0", "u2"), ("u1", "u3"), ("u2", "u3"),
+                 ("u3", "u4"), ("u3", "u5"), ("u4", "u6"), ("u5", "u6"),
+                 ("d0", "d1"), ("d0", "d2"), ("d1", "d3"), ("d2", "d3")]
+        maps = {e: Matrix.build(QQ, [[1]]) for e in pairs}
+        maps[("u5", "u6")] = Matrix.build(QQ, [[2]])
+        maps[("d2", "d3")] = Matrix.build(QQ, [[d_top]])
+        with pytest.raises(FunctorialityError) as err:
+            build_sheaf(build_poset(names, pairs), dict.fromkeys(names, 1), maps)
+        assert (err.value.low, err.value.high) == pair
+        assert err.value.left == Matrix.build(QQ, [[left]])
+        assert err.value.right == Matrix.build(QQ, [[right]])
+
     def test_fan_accepts_arbitrary_maps(self):
         # no chains of length two, so nothing can disagree
         rng = random.Random(1)
