@@ -82,7 +82,6 @@ from .sheaf import (
     restriction_matrix,
     section_from_value,
     sections_over,
-    sections_over_all_pairs,
     stalk_at,
     stalk_direct_limit,
     verify_base_sheaf_axioms,

@@ -343,14 +343,22 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
     and DocumentError for structural ones (shapes, unknown names).
     """
     poset = as_poset(doc.preorder)
+    override = None
+    if field_override:
+        # the override comes from the command line, not from a document line
+        try:
+            override = field_from_name(field_override)
+        except ValueError as exc:
+            raise DocumentError(f"--field: {exc}") from None
     sheaves: dict[str, CellularSheaf] = {}
     field_names: dict[str, str] = {}
     for name, spec in doc.sheaf_specs.items():
-        field_name = field_override or spec.field_name or "q"
-        try:
-            field = field_from_name(field_name)
-        except ValueError as exc:
-            raise DocumentError(str(exc), spec.line) from None
+        field = override
+        if field is None:
+            try:
+                field = field_from_name(spec.field_name or "q")
+            except ValueError as exc:
+                raise DocumentError(str(exc), spec.line) from None
         dims = {}
         for el in poset.elements:
             if el not in spec.dims:

@@ -394,7 +394,8 @@ def _rank(field, rows, cols) -> int:
             for x in row:
                 d = x.denominator
                 den = den * d // gcd(den, d)
-            scaled.append([int(x * den) for x in row])
+            # den is a multiple of every denominator in the row
+            scaled.append([x.numerator * (den // x.denominator) for x in row])
         return _rank_bareiss(scaled, cols)
     if isinstance(field, PrimeField):
         return _rank_mod([[x.value for x in row] for row in rows], cols, field.p)

@@ -3,8 +3,9 @@
 A sheaf assigns a vector space dimension to every point and a matrix to
 every covering pair; matrices along comparable pairs are derived by
 composition and must agree across different chains. Sections over an open
-set are compatible families of point values, computed exactly as the kernel
-of a difference map. The stalk at a point is computed two independent ways:
+set are compatible families of point values, fixed by their values on the
+minimal points of the set and computed exactly as the kernel of an
+equalizer there. The stalk at a point is computed two independent ways:
 as the value space at the point (with the canonical comparison map), and
 literally as a quotient of the direct sum of section spaces over every
 neighbourhood. Verification routines check exactness of the gluing
@@ -32,6 +33,7 @@ from .linalg import (
     block_assemble,
     is_exact_at,
     kernel_basis,
+    subspace_from_rows,
     _rref,
 )
 from .order import Poset, as_poset, hasse_edges
@@ -256,71 +258,83 @@ class SectionSpace:
 
 
 def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
-    """Solve for all compatible families over U.
+    """Solve for all compatible families over U on the minimal points of U.
 
-    Families live in the product of the point spaces (points in carrier
-    order); one block of equations per covering pair inside U forces the
-    value at the top to be the image of the value at the bottom. Covering
-    pairs suffice: an open set is up-closed, so every comparable pair
-    inside U is joined by a chain of covering pairs inside U.
+    Every point of U lies above a minimal point of U, so a section is fixed
+    by its values there. The owner o(x) of a point x is the first minimal
+    point of U, in carrier order, below x; owners are found bottom-up from
+    the lower covers inside U. The unknowns are the values at the minimal
+    points, in carrier order. At each x with lower covers y1 ... yk inside
+    U, k >= 2, one block of equations map(o(y1), x) s_o(y1) =
+    map(o(yi), x) s_o(yi) is added for each owner not yet seen at x; by
+    induction from the bottom, every minimal point below x then gives x the
+    same value. The kernel is expanded to all of U by s_x = map(o(x), x)
+    s_o(x) and put in canonical form, so the basis is the reduced echelon
+    basis of the families (points in carrier order).
+
+    The expansion is right only for functorial data, so every basis family
+    is checked along each covering pair inside U: hand-built data whose
+    chains compose inconsistently raises ValidationError.
     """
     if U.space != sheaf.base:
         raise ValidationError("open set lives on a different carrier")
     cached = sheaf._section_cache.get(U.members)
     if cached is not None:
         return cached
-    pts = U.sorted_members
-    offs: dict[str, int] = {}
-    total = 0
-    for x in pts:
-        offs[x] = total
-        total += sheaf.dim(x)
-    zero, one = sheaf.field.zero, sheaf.field.one
-    rows = []
+    members, pts = U.members, U.sorted_members
+    lower: dict[str, list[str]] = {x: [] for x in pts}
+    upper: dict[str, list[str]] = {x: [] for x in pts}
     for p, q in sheaf.hasse:
-        if p not in U.members or q not in U.members:
-            continue
-        R = sheaf.restriction(p, q)
-        for i in range(R.rows):
-            row = [zero] * total
-            for j, v in enumerate(R.data[i]):
-                if v:
-                    row[offs[p] + j] = v
-            row[offs[q] + i] = -one
-            rows.append(row)
-    constraint = Matrix(sheaf.field, len(rows), total, rows)
-    space = SectionSpace(sheaf, U, kernel_basis(constraint))
-    sheaf._section_cache[U.members] = space
-    return space
-
-
-def sections_over_all_pairs(sheaf: CellularSheaf, U: OpenSet) -> SubspaceBasis:
-    """Same space computed from every comparable pair inside U.
-
-    This is the literal compatible-tuple description; it is kept as an
-    independent cross-check of the covering-pair assembly.
-    """
-    pts = U.sorted_members
+        if p in members and q in members:
+            lower[q].append(p)
+            upper[p].append(q)
+    minimal = [x for x in pts if not lower[x]]
+    position = {m: i for i, m in enumerate(minimal)}.__getitem__
     offs: dict[str, int] = {}
     total = 0
-    for x in pts:
-        offs[x] = total
-        total += sheaf.dim(x)
+    for m in minimal:
+        offs[m] = total
+        total += sheaf.dim(m)
     zero = sheaf.field.zero
     rows = []
-    for p in pts:
-        for q in pts:
-            if not sheaf.base.lt(p, q):
-                continue
-            R = sheaf.restriction(p, q)
-            for i in range(R.rows):
-                row = [zero] * total
-                for j, v in enumerate(R.data[i]):
-                    if v:
-                        row[offs[p] + j] = v
-                row[offs[q] + i] = row[offs[q] + i] - sheaf.field.one
-                rows.append(row)
-    return kernel_basis(Matrix(sheaf.field, len(rows), total, rows))
+    owner = {m: m for m in minimal}
+    waiting = {x: len(lower[x]) for x in pts}
+    order = list(minimal)
+    for x in order:  # grows so that each point follows its lower covers
+        owners = [owner[y] for y in lower[x]]
+        if owners:
+            owner[x] = min(owners, key=position)
+            first = owners[0]
+            A = sheaf.restriction(first, x)
+            seen = {first}
+            for o in owners[1:]:
+                if o in seen:
+                    continue
+                seen.add(o)
+                B = sheaf.restriction(o, x)
+                for a_row, b_row in zip(A.data, B.data):
+                    row = [zero] * total
+                    row[offs[first]: offs[first] + A.cols] = a_row
+                    row[offs[o]: offs[o] + B.cols] = [-v for v in b_row]
+                    rows.append(row)
+        for q in upper[x]:
+            waiting[q] -= 1
+            if not waiting[q]:
+                order.append(q)
+    kernel = kernel_basis(Matrix(sheaf.field, len(rows), total, rows))
+    families = []
+    for vec in kernel.rows:
+        family: list = []
+        for x in pts:
+            o = owner[x]
+            value = vec[offs[o]: offs[o] + sheaf.dim(o)]
+            family.extend(value if o == x else sheaf.restriction(o, x).mul_vec(value))
+        families.append(family)
+    width = sum(sheaf.dim(x) for x in pts)
+    space = SectionSpace(sheaf, U, subspace_from_rows(sheaf.field, width, families))
+    space.basis_sections()  # Section checks each covering pair inside U
+    sheaf._section_cache[U.members] = space
+    return space
 
 
 def restrict_section(section: Section, smaller: OpenSet) -> Section:

@@ -97,16 +97,16 @@ def random_monotone_map(rng: random.Random, source: PreOrder,
     return MonotoneMap(source, target, {x: value for x in source.elements})
 
 
-def _sample_kernel(rng: random.Random, basis) -> list[Fraction]:
-    out = [QQ.zero] * basis.ambient_dim
+def _sample_kernel(rng: random.Random, basis, field=QQ) -> list:
+    out = [field.zero] * basis.ambient_dim
     for row in basis.rows:
-        c = Fraction(rng.randint(-2, 2))
+        c = field.coerce(rng.randint(-2, 2))
         if c:
             out = [a + c * b for a, b in zip(out, row)]
     return out
 
 
-def random_sheaf(rng: random.Random, base: Poset, max_dim: int = 3):
+def random_sheaf(rng: random.Random, base: Poset, max_dim: int = 3, field=QQ):
     """Random dims plus covering-pair maps sampled from the space of maps
     whose chain products agree, built point by point up a linear extension."""
     dims = {e: rng.choice([0, 1, 1, 2, 2, max_dim]) for e in base.elements}
@@ -115,7 +115,7 @@ def random_sheaf(rng: random.Random, base: Poset, max_dim: int = 3):
     for p, q in edges:
         preds[q].append(p)
     order = sorted(base.elements, key=lambda e: (len(base.down_set(e)), base.index(e)))
-    full = {(e, e): Matrix.identity(QQ, dims[e]) for e in base.elements}
+    full = {(e, e): Matrix.identity(field, dims[e]) for e in base.elements}
     edge_maps: dict[tuple[str, str], Matrix] = {}
     for q in order:
         zs = preds[q]
@@ -138,27 +138,27 @@ def random_sheaf(rng: random.Random, base: Poset, max_dim: int = 3):
                     fj = full[(p, zs[j])]
                     for r in range(dims[q]):
                         for cc in range(dims[p]):
-                            row = [QQ.zero] * unknowns
+                            row = [field.zero] * unknowns
                             for c in range(widths[i]):
                                 row[offsets[i] + r * widths[i] + c] = fi.data[c][cc]
                             for c in range(widths[j]):
                                 row[offsets[j] + r * widths[j] + c] -= fj.data[c][cc]
                             rows.append(row)
         solution = _sample_kernel(
-            rng, kernel_basis(Matrix(QQ, len(rows), unknowns, rows)))
+            rng, kernel_basis(Matrix(field, len(rows), unknowns, rows)), field)
         for i, z in enumerate(zs):
             data = [
                 solution[offsets[i] + r * widths[i]: offsets[i] + (r + 1) * widths[i]]
                 for r in range(dims[q])
             ]
-            m = Matrix(QQ, dims[q], widths[i], data)
+            m = Matrix(field, dims[q], widths[i], data)
             edge_maps[(z, q)] = m
             full[(z, q)] = m
         for p in order:
             if base.lt(p, q):
                 z = next(z for z in zs if base.leq(p, z))
                 full[(p, q)] = edge_maps[(z, q)] @ full[(p, z)]
-    return build_sheaf(base, dims, edge_maps, QQ)
+    return build_sheaf(base, dims, edge_maps, field)
 
 
 def random_natural_components(rng: random.Random, src, tgt):

@@ -68,6 +68,26 @@ class TestCheck:
             assert code == 2
             assert json.loads(out)["error"].startswith("line 9: ")
 
+    @pytest.mark.parametrize("field, message", [
+        ("fp:4", "--field: 4 is not prime"),
+        ("banana", "--field: unknown field 'banana' (expected 'q' or 'fp:<prime>')"),
+    ])
+    def test_bad_field_override_names_the_flag_not_a_line(self, capsys, field, message):
+        code, out = run(capsys, "check", fixture("square.sheaf"), "--field", field,
+                        "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == message
+
+    def test_bad_field_in_document_keeps_its_line(self, capsys, tmp_path):
+        bad = tmp_path / "field.sheaf"
+        bad.write_text(
+            "[poset]\nelements = a b\nrelation = a<b\n\n[sheaf]\n"
+            "field = fp:4\ndim a = 1\ndim b = 1\nmap a->b = [[1]]\n"
+        )
+        code, out = run(capsys, "check", str(bad))
+        assert code == 2
+        assert "error: line 5: 4 is not prime" in out
+
     def test_large_prime_field_finishes(self, capsys):
         code, out = run(capsys, "check", fixture("square.sheaf"),
                         "--field", "fp:1000000000000000003")

@@ -22,7 +22,7 @@ from cellsheaf import (
     subspace_from_rows,
 )
 
-from cellsheaf.linalg import PRIME_BOUND, _is_prime
+from cellsheaf.linalg import PRIME_BOUND, _is_prime, _rref
 
 from helpers import random_matrix
 
@@ -32,6 +32,8 @@ def mat(rows, cols=None, field=QQ):
 
 
 fractions_st = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+mixed_fractions_st = st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from([1, 4, 6, 7, 10, 14, 15]))
 
 
 @st.composite
@@ -71,6 +73,31 @@ class TestRref:
         # the fraction-free int fast path must agree with field reduction
         nonzero = sum(1 for row in rref(m).data if any(row))
         assert m.rank() == nonzero
+
+    def test_rank_with_mixed_denominators_matches_pivot_count(self):
+        F = Fraction
+        m = Matrix(QQ, 4, 3, [
+            [F(1, 6), F(5, 4), F(7, 10)],
+            [F(1, 3), F(5, 2), F(7, 5)],   # twice the first row
+            [F(-3, 14), F(2, 9), F(11, 15)],
+            [F(-1, 21), F(53, 36), F(43, 30)],  # first row plus the third
+        ])
+        assert m.rank() == len(_rref(QQ, m.data, m.cols)[1]) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 3), st.integers(0, 3), st.data())
+    def test_rank_with_mixed_denominators_property(self, cols, free, combos, data):
+        # rows that are combinations of earlier rows make the rank depend on
+        # every entry being scaled exactly
+        entries = st.lists(mixed_fractions_st, min_size=cols, max_size=cols)
+        rows = data.draw(st.lists(entries, min_size=free, max_size=free))
+        for _ in range(combos if rows else 0):
+            coeffs = data.draw(st.lists(mixed_fractions_st, min_size=len(rows),
+                                        max_size=len(rows)))
+            rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                         for j in range(cols)])
+        m = Matrix(QQ, len(rows), cols, rows)
+        assert m.rank() == len(_rref(QQ, m.data, m.cols)[1])
 
 
 class TestKernel:

@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cellsheaf.sheaf
 from cellsheaf import (
     FunctorialityError,
     GlueConflictError,
     Matrix,
     OpenSet,
+    PrimeField,
     QQ,
     Section,
     ShapeError,
@@ -24,7 +28,6 @@ from cellsheaf import (
     restriction_matrix,
     section_from_value,
     sections_over,
-    sections_over_all_pairs,
     stalk_at,
     stalk_direct_limit,
     union_of_stars,
@@ -33,7 +36,8 @@ from cellsheaf import (
     whole_space,
 )
 
-from helpers import random_matrix, random_poset, random_sheaf
+from helpers import posets, random_matrix, random_poset, random_sheaf
+from oracles import sections_over_all_pairs, sections_over_by_covers
 
 
 def square_poset():
@@ -206,7 +210,9 @@ class TestSections:
         for _ in range(12):
             sheaf = random_sheaf(rng, random_poset(rng, rng.randint(1, 6)))
             for U in enumerate_opens(sheaf.base):
-                assert sections_over(sheaf, U).basis == sections_over_all_pairs(sheaf, U)
+                basis = sections_over(sheaf, U).basis
+                assert basis == sections_over_by_covers(sheaf, U)
+                assert basis == sections_over_all_pairs(sheaf, U)
 
     def test_star_sections_project_isomorphically_to_the_point(self):
         rng = random.Random(5)
@@ -237,6 +243,55 @@ class TestSections:
         other = build_poset("ab", [])
         with pytest.raises(ValidationError):
             sections_over(sheaf, whole_space(other))
+
+
+class TestMinimalPointSolve:
+    """sections_over solves on the minimal points of the open and expands;
+    both covering-pair and all-pairs systems are its oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(posets(max_n=7), st.sampled_from([QQ, PrimeField(2), PrimeField(3),
+                                             PrimeField(101)]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_both_oracles_on_a_smaller_system(self, base, field, seed):
+        sheaf = random_sheaf(random.Random(seed), base, field=field)
+        solved = []
+        production = cellsheaf.sheaf.kernel_basis
+
+        def recording(m):
+            solved.append(m)
+            return production(m)
+
+        cellsheaf.sheaf.kernel_basis = recording
+        try:
+            for U in enumerate_opens(base):
+                solved.clear()
+                basis = sections_over(sheaf, U).basis
+                assert basis == sections_over_by_covers(sheaf, U)
+                assert basis == sections_over_all_pairs(sheaf, U)
+                [m] = solved
+                minimal = [x for x in U.members
+                           if not any(base.lt(y, x) for y in U.members)]
+                assert m.cols == sum(sheaf.dim(x) for x in minimal)
+                cover_rows = sum(sheaf.dim(q) for p, q in sheaf.hasse
+                                 if p in U.members and q in U.members)
+                assert m.rows <= cover_rows
+        finally:
+            cellsheaf.sheaf.kernel_basis = production
+
+    def test_constant_sheaf_on_14x14_product_grid(self):
+        k, d = 14, 3
+        names = [f"{i}_{j}" for i in range(k) for j in range(k)]
+        pairs = [(f"{i}_{j}", f"{i + 1}_{j}") for i in range(k - 1) for j in range(k)]
+        pairs += [(f"{i}_{j}", f"{i}_{j + 1}") for i in range(k) for j in range(k - 1)]
+        sheaf = constant_sheaf(build_poset(names, pairs), d)
+        space = sections_over(sheaf, whole_space(sheaf.base))
+        constant = tuple(
+            tuple(QQ.one if c % d == i else QQ.zero for c in range(d * k * k))
+            for i in range(d)
+        )
+        assert space.dim == d
+        assert space.basis.rows == constant
 
 
 class TestRestrictAndGlue:
@@ -535,6 +590,13 @@ class TestNegativeControls:
         report = verify_base_sheaf_axioms(fake)
         assert not report.ok
         assert report.failures()
+
+    def test_sections_over_rejects_inconsistent_data(self):
+        # the solve on minimal points expands through map(p, r) = [[2]];
+        # the check along covering pairs sees that q2 -> r gives 3 instead
+        fake = self._fake_path_dependent_sheaf()
+        with pytest.raises(ValidationError, match="q2 <= r"):
+            sections_over(fake, whole_space(fake.base))
 
     def test_stalk_comparison_detects_inconsistent_data(self):
         # detection is either a failing report or a loud compatibility
