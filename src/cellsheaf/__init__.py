@@ -97,7 +97,6 @@ from .morphism import (
     section_map,
     section_maps_all_injective,
     section_maps_all_invertible,
-    stalk_map,
     stalk_map_direct_limit,
     zero_morphism,
 )

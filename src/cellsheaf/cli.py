@@ -15,6 +15,7 @@ import sys
 from .document import (
     MAIN_SHEAF,
     RealizedDocument,
+    SheafDocument,
     parse_document,
     realize,
     render_document,
@@ -123,11 +124,11 @@ def _failure_name(exc: ValidationError) -> str:
     return "document-valid"
 
 
-def _realize_into(report: Report, args) -> RealizedDocument | None:
+def _realize_into(report: Report, doc: SheafDocument,
+                  field: str | None) -> RealizedDocument | None:
     """Realize the document, recording semantic failures as failed checks."""
-    doc = parse_document(_load(args.file))
     try:
-        realized = realize(doc, args.field)
+        realized = realize(doc, field)
     except ValidationError as exc:
         report.check(_failure_name(exc), False, str(exc))
         return None
@@ -145,13 +146,9 @@ def _main_sheaf(realized: RealizedDocument):
 
 def cmd_check(args) -> Report:
     report = Report("check", args.seed)
-    doc = parse_document(_load(args.file))
-    try:
-        realized = realize(doc, args.field)
-    except ValidationError as exc:
-        report.check(_failure_name(exc), False, str(exc))
+    realized = _realize_into(report, parse_document(_load(args.file)), args.field)
+    if realized is None:
         return report
-    report.check("document-valid", True)
     report.check("poset-antisymmetry", True,
                  f"{len(realized.poset)} elements")
     for name in sorted(realized.sheaves):
@@ -207,7 +204,7 @@ def _resolve_open(realized: RealizedDocument, spec: str) -> OpenSet:
 
 def cmd_sections(args) -> Report:
     report = Report("sections", args.seed)
-    realized = _realize_into(report, args)
+    realized = _realize_into(report, parse_document(_load(args.file)), args.field)
     if realized is None:
         return report
     sheaf = _main_sheaf(realized)
@@ -233,7 +230,7 @@ def cmd_sections(args) -> Report:
 
 def cmd_stalk(args) -> Report:
     report = Report("stalk", args.seed)
-    realized = _realize_into(report, args)
+    realized = _realize_into(report, parse_document(_load(args.file)), args.field)
     if realized is None:
         return report
     sheaf = _main_sheaf(realized)
@@ -278,12 +275,9 @@ def cmd_morphism(args) -> Report:
         name = next(iter(doc.morphism_specs))
     if name not in doc.morphism_specs:
         raise DocumentError(f"document defines no morphism named {name!r}")
-    try:
-        realized = realize(doc, args.field)
-    except ValidationError as exc:
-        report.check(_failure_name(exc), False, str(exc))
+    realized = _realize_into(report, doc, args.field)
+    if realized is None:
         return report
-    report.check("document-valid", True)
     mor = realized.morphisms[name]
     report.check("naturality", True)
     flags = classify(mor)

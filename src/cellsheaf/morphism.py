@@ -125,11 +125,6 @@ def section_map(morphism: SheafMorphism, U: OpenSet) -> Matrix:
     return Matrix(field, tgt_space.dim, src_space.dim, data)
 
 
-def stalk_map(morphism: SheafMorphism, p: str) -> Matrix:
-    """Induced map on stalks, written in the canonical point coordinates."""
-    return morphism.component(p)
-
-
 def stalk_map_direct_limit(morphism: SheafMorphism, p: str,
                            max_elements: int = DEFAULT_MAX_ELEMENTS
                            ) -> tuple[Matrix, DirectLimitStalk, DirectLimitStalk]:
@@ -137,8 +132,8 @@ def stalk_map_direct_limit(morphism: SheafMorphism, p: str,
 
     Returns (induced matrix, source limit, target limit); the induced matrix
     acts on the limits' quotient coordinates. Composing with the limits'
-    witnesses recovers the point-coordinate description, which is what the
-    tests compare against stalk_map.
+    witnesses recovers the induced map in point coordinates, which is the
+    morphism's component at p.
     """
     src_limit = stalk_direct_limit(morphism.source, p, max_elements)
     tgt_limit = stalk_direct_limit(morphism.target, p, max_elements)

@@ -8,8 +8,10 @@ minimal points of the set and computed exactly as the kernel of an
 equalizer there. The stalk at a point is computed two independent ways:
 as the value space at the point (with the canonical comparison map), and
 literally as a quotient of the direct sum of section spaces over every
-neighbourhood. Verification routines check exactness of the gluing
-sequences for basic and general covers by finite enumeration.
+neighbourhood, eliminated along the lattice of neighbourhoods in the
+coordinates of the sections over the point's star. Verification routines
+check exactness of the gluing sequences for basic and general covers by
+finite enumeration.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .linalg import (
     is_exact_at,
     kernel_basis,
     subspace_from_rows,
-    _rref,
 )
 from .order import Poset, as_poset, hasse_edges
 from .topology import (
@@ -406,15 +407,6 @@ def section_from_value(sheaf: CellularSheaf, p: str, values: Sequence) -> Sectio
     return Section(sheaf, star, comps)
 
 
-def _quotient_coords(relation_rows, pivots, free_columns, big) -> tuple:
-    v = list(big)
-    for row, piv in zip(relation_rows, pivots):
-        f = v[piv]
-        if f:
-            v = [a - f * b for a, b in zip(v, row)]
-    return tuple(v[c] for c in free_columns)
-
-
 @dataclass
 class DirectLimitStalk:
     """The stalk at a point, computed literally as a direct-limit quotient.
@@ -422,7 +414,11 @@ class DirectLimitStalk:
     The carrier is the direct sum of the section spaces over every open
     neighbourhood of the point, modulo the span of (section, -restriction)
     differences along neighbourhood inclusions. Quotient coordinates are
-    the non-pivot coordinates after reduction by that span.
+    the free columns of the reduced echelon form of that span, so a vector
+    is written as the unique combination of free generators it is
+    congruent to. `images` sends the direct sum into star coordinates (the
+    sections over the star of the point) and `solve` reads the free
+    coordinates off an image, modulo the relations among star coordinates.
     """
 
     sheaf: CellularSheaf
@@ -430,8 +426,8 @@ class DirectLimitStalk:
     neighbourhoods: tuple[OpenSet, ...]
     offsets: dict
     total: int
-    relation_rows: tuple
-    relation_pivots: tuple[int, ...]
+    images: Matrix
+    solve: Matrix
     free_columns: tuple[int, ...]
     witness: Matrix
 
@@ -440,8 +436,8 @@ class DirectLimitStalk:
         return len(self.free_columns)
 
     def project(self, big: Sequence) -> tuple:
-        return _quotient_coords(
-            self.relation_rows, self.relation_pivots, self.free_columns, big)
+        """Quotient coordinates of a vector of the direct sum."""
+        return self.solve.mul_vec(self.images.mul_vec(big))
 
     def germ(self, section: Section) -> tuple:
         """Image of a section in the quotient; its open set must contain the point."""
@@ -458,52 +454,78 @@ class DirectLimitStalk:
 
 def stalk_direct_limit(sheaf: CellularSheaf, point: str,
                        max_elements: int = DEFAULT_MAX_ELEMENTS) -> DirectLimitStalk:
-    """Brute-force stalk: quotient of the sum over all neighbourhoods.
+    """The literal stalk: quotient of the sum over all neighbourhoods.
 
     Difference generators are taken along covering pairs of the
-    neighbourhood inclusion lattice; chains of inclusions telescope, so
-    these span the same subspace as the generators for all inclusions.
-    Nothing here uses the value space at the point, which is what makes the
-    result an independent check of the canonical description.
+    neighbourhood lattice; chains of inclusions telescope, so these span the
+    same subspace as the generators for all inclusions. Opens are up-sets,
+    so the lower covers of U among the neighbourhoods are the sets U - {x}
+    that are themselves neighbourhoods.
+
+    The quotient is eliminated along the lattice rather than densely.
+    Neighbourhoods are visited smallest first, starting from the star U_p.
+    The generators along the first lower cover V of U identify Γ(U) with
+    star coordinates M_U = M_V R(U->V); every other lower cover V' leaves
+    the residual M_V' R(U->V') - M_U, and the stalk is Γ(U_p) modulo the
+    span Rel of the residuals. This is the same quotient for any data. A
+    column is free in the reduced echelon form of the generators exactly
+    when its image is not in Rel plus the span of the images of the free
+    columns after it, so a backward greedy finds the same free columns.
+    Nothing here uses the value space at the point except the witness,
+    which is what makes the result an independent check of the canonical
+    description.
     """
-    base = sheaf.base
+    base, field = sheaf.base, sheaf.field
     nbhd = [U for U in enumerate_opens(base, max_elements) if point in U.members]
     spaces = {U.members: sections_over(sheaf, U) for U in nbhd}
+    position = {U.members: k for k, U in enumerate(nbhd)}
     offsets: dict = {}
     total = 0
     for U in nbhd:
         offsets[U.members] = total
         total += spaces[U.members].dim
-    member_sets = [U.members for U in nbhd]
-    cover_pairs = []
+    star_space = sections_over(sheaf, open_star(base, point))
+    d = star_space.dim
+    star_coords: dict = {}  # members of U -> M_U, d x dim Γ(U)
+    residuals = []
     for U in nbhd:
-        for V in nbhd:
-            if V.members < U.members and not any(
-                V.members < W < U.members for W in member_sets
-            ):
-                cover_pairs.append((U, V))
-    zero, one = sheaf.field.zero, sheaf.field.one
-    generators = []
-    for U, V in cover_pairs:
-        R = restriction_matrix(sheaf, U, V)
-        for i in range(spaces[U.members].dim):
-            row = [zero] * total
-            row[offsets[U.members] + i] = one
-            for j in range(R.rows):
-                v = R.data[j][i]
-                if v:
-                    row[offsets[V.members] + j] = row[offsets[V.members] + j] - v
-            generators.append(row)
-    reduced, pivots = _rref(sheaf.field, generators, total)
-    relation_rows = tuple(tuple(r) for r in reduced[: len(pivots)])
-    pivot_set = set(pivots)
-    free_columns = tuple(c for c in range(total) if c not in pivot_set)
+        covers = sorted(
+            position[V] for V in (U.members - {x} for x in U.members) if V in position
+        )
+        if not covers:  # the star, contained in every neighbourhood
+            star_coords[U.members] = Matrix.identity(field, d)
+            continue
+        through = [
+            star_coords[nbhd[k].members] @ restriction_matrix(sheaf, U, nbhd[k])
+            for k in covers
+        ]
+        star_coords[U.members] = through[0]
+        for M in through[1:]:
+            residuals.extend(zip(*(M - through[0]).data))
+    rows: list[list] = [[] for _ in range(d)]
+    for U in nbhd:
+        for row, part in zip(rows, star_coords[U.members].data):
+            row.extend(part)
+    images = Matrix(field, d, total, rows)
+    relations = subspace_from_rows(field, d, residuals)
+    r = relations.dim
+    # the pivot columns of [Rel | image of column total-1 | ... | of column 0]
+    greedy = subspace_from_rows(field, r + total, [
+        [rel[i] for rel in relations.rows] + row[::-1] for i, row in enumerate(rows)
+    ])
+    free_columns = tuple(sorted(total - 1 - (c - r) for c in greedy.pivots()[r:]))
+    # Γ(U_p) is the direct sum of Rel and the images of the free columns;
+    # solve reads off the coefficients on the latter
+    image_columns = list(zip(*rows))
+    frame = [*relations.rows, *(image_columns[f] for f in free_columns)]
+    inverse = Matrix(field, d, d, frame).inverse()
+    solve = Matrix(field, len(free_columns), d, list(zip(*inverse.data))[r:])
 
     def project(big):
-        return _quotient_coords(relation_rows, pivots, free_columns, big)
+        return solve.mul_vec(images.mul_vec(big))
 
-    star_space = sections_over(sheaf, open_star(base, point))
-    star_offset = offsets[frozenset(base.up_set(point))]
+    star_offset = offsets[star_space.open.members]
+    one, zero = field.one, field.zero
     columns = []
     for j in range(sheaf.dim(point)):
         unit = [one if i == j else zero for i in range(sheaf.dim(point))]
@@ -513,10 +535,9 @@ def stalk_direct_limit(sheaf: CellularSheaf, point: str,
             big[star_offset + i] = c
         columns.append(project(big))
     data = list(zip(*columns)) if columns else [[] for _ in range(len(free_columns))]
-    witness = Matrix(sheaf.field, len(free_columns), sheaf.dim(point), data)
+    witness = Matrix(field, len(free_columns), sheaf.dim(point), data)
     return DirectLimitStalk(
-        sheaf, point, tuple(nbhd), offsets, total,
-        relation_rows, tuple(pivots), free_columns, witness,
+        sheaf, point, tuple(nbhd), offsets, total, images, solve, free_columns, witness,
     )
 
 

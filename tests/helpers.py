@@ -162,8 +162,9 @@ def random_sheaf(rng: random.Random, base: Poset, max_dim: int = 3, field=QQ):
 
 
 def random_natural_components(rng: random.Random, src, tgt):
-    """Sample the solution space of the commutation equations."""
-    base = src.base
+    """Sample the solution space of the commutation equations, over the
+    sheaves' field."""
+    base, field = src.base, src.field
     offsets = {}
     total = 0
     for p in base.elements:
@@ -179,20 +180,21 @@ def random_natural_components(rng: random.Random, src, tgt):
         sigma = tgt.restriction(p, q)
         for r in range(tgt.dim(q)):
             for c in range(src.dim(p)):
-                row = [QQ.zero] * total
+                row = [field.zero] * total
                 for k in range(tgt.dim(p)):
                     row[var(p, k, c)] += sigma.data[r][k]
                 for k in range(src.dim(q)):
                     row[var(q, r, k)] -= rho.data[k][c]
                 rows.append(row)
-    solution = _sample_kernel(rng, kernel_basis(Matrix(QQ, len(rows), total, rows)))
+    solution = _sample_kernel(
+        rng, kernel_basis(Matrix(field, len(rows), total, rows)), field)
     components = {}
     for p in base.elements:
         data = [
             solution[var(p, r, 0): var(p, r, 0) + src.dim(p)]
             for r in range(tgt.dim(p))
         ]
-        components[p] = Matrix(QQ, tgt.dim(p), src.dim(p), data)
+        components[p] = Matrix(field, tgt.dim(p), src.dim(p), data)
     return components
 
 

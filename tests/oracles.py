@@ -6,7 +6,21 @@ and shares no code with the production path it cross-checks.
 
 from __future__ import annotations
 
-from cellsheaf import Matrix, OpenSet, PreOrder, ValidationError, kernel_basis
+from dataclasses import dataclass
+
+from cellsheaf import (
+    Matrix,
+    OpenSet,
+    PreOrder,
+    ValidationError,
+    enumerate_opens,
+    kernel_basis,
+    open_star,
+    restriction_matrix,
+    section_from_value,
+    sections_over,
+)
+from cellsheaf.linalg import _rref
 
 
 def hasse_edges_by_scan(p: PreOrder) -> list[tuple[str, str]]:
@@ -62,3 +76,94 @@ def sections_over_all_pairs(sheaf, U: OpenSet):
     pts = U.sorted_members
     return _sections_from_pairs(
         sheaf, U, [(p, q) for p in pts for q in pts if sheaf.base.lt(p, q)])
+
+
+def _quotient_coords(relation_rows, pivots, free_columns, big) -> tuple:
+    v = list(big)
+    for row, piv in zip(relation_rows, pivots):
+        f = v[piv]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return tuple(v[c] for c in free_columns)
+
+
+@dataclass
+class DenseDirectLimit:
+    """The direct-limit quotient with its relations in reduced echelon form."""
+
+    sheaf: object
+    point: str
+    neighbourhoods: tuple
+    offsets: dict
+    total: int
+    relation_rows: tuple
+    relation_pivots: tuple
+    free_columns: tuple
+    witness: Matrix
+
+    @property
+    def dim(self) -> int:
+        return len(self.free_columns)
+
+    def project(self, big) -> tuple:
+        return _quotient_coords(
+            self.relation_rows, self.relation_pivots, self.free_columns, big)
+
+
+def stalk_direct_limit_dense(sheaf, point: str, max_elements: int = 20) -> DenseDirectLimit:
+    """The stalk as the quotient of the sum of Γ(U) over all neighbourhoods U
+    of the point, by one Gauss-Jordan elimination of every difference
+    generator along the covering pairs of the neighbourhood lattice, which
+    are found by scanning for a neighbourhood strictly between."""
+    base = sheaf.base
+    nbhd = [U for U in enumerate_opens(base, max_elements) if point in U.members]
+    spaces = {U.members: sections_over(sheaf, U) for U in nbhd}
+    offsets: dict = {}
+    total = 0
+    for U in nbhd:
+        offsets[U.members] = total
+        total += spaces[U.members].dim
+    member_sets = [U.members for U in nbhd]
+    cover_pairs = []
+    for U in nbhd:
+        for V in nbhd:
+            if V.members < U.members and not any(
+                V.members < W < U.members for W in member_sets
+            ):
+                cover_pairs.append((U, V))
+    zero, one = sheaf.field.zero, sheaf.field.one
+    generators = []
+    for U, V in cover_pairs:
+        R = restriction_matrix(sheaf, U, V)
+        for i in range(spaces[U.members].dim):
+            row = [zero] * total
+            row[offsets[U.members] + i] = one
+            for j in range(R.rows):
+                v = R.data[j][i]
+                if v:
+                    row[offsets[V.members] + j] = row[offsets[V.members] + j] - v
+            generators.append(row)
+    reduced, pivots = _rref(sheaf.field, generators, total)
+    relation_rows = tuple(tuple(r) for r in reduced[: len(pivots)])
+    pivot_set = set(pivots)
+    free_columns = tuple(c for c in range(total) if c not in pivot_set)
+
+    def project(big):
+        return _quotient_coords(relation_rows, pivots, free_columns, big)
+
+    star_space = sections_over(sheaf, open_star(base, point))
+    star_offset = offsets[frozenset(base.up_set(point))]
+    columns = []
+    for j in range(sheaf.dim(point)):
+        unit = [one if i == j else zero for i in range(sheaf.dim(point))]
+        coords = star_space.coordinates_of(section_from_value(sheaf, point, unit))
+        big = [zero] * total
+        for i, c in enumerate(coords):
+            big[star_offset + i] = c
+        columns.append(project(big))
+    data = list(zip(*columns)) if columns else [[] for _ in range(len(free_columns))]
+    witness = Matrix(sheaf.field, len(free_columns), sheaf.dim(point), data)
+    return DenseDirectLimit(
+        sheaf, point, tuple(nbhd), offsets, total,
+        relation_rows, tuple(pivots), free_columns, witness,
+    )

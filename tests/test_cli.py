@@ -267,6 +267,20 @@ class TestMorphism:
         assert code == 2
 
 
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = str(Path(cellsheaf.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cellsheaf", "stalk", fixture("fan.sheaf"),
+             "--point", "q"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "result: PASS" in proc.stdout
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("check", "square.sheaf", "--json", "--seed", "9"),

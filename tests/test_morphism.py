@@ -22,7 +22,6 @@ from cellsheaf import (
     section_maps_all_injective,
     section_maps_all_invertible,
     sections_over,
-    stalk_map,
     stalk_map_direct_limit,
     zero_morphism,
 )
@@ -123,15 +122,15 @@ class TestSectionMap:
 class TestStalkMaps:
     def test_identity_and_zero(self):
         sheaf = two_chain()
-        assert stalk_map(identity_morphism(sheaf), "a") == Matrix.identity(QQ, 1)
-        assert stalk_map(zero_morphism(sheaf, sheaf), "b") == Matrix.zeros(QQ, 1, 1)
+        assert identity_morphism(sheaf).component("a") == Matrix.identity(QQ, 1)
+        assert zero_morphism(sheaf, sheaf).component("b") == Matrix.zeros(QQ, 1, 1)
 
     def test_direct_limit_square_commutes(self):
         rng = random.Random(3)
         for mor in random_morphisms(rng, 10):
             for p in mor.source.base.elements:
                 induced, src_limit, tgt_limit = stalk_map_direct_limit(mor, p)
-                assert induced @ src_limit.witness == tgt_limit.witness @ stalk_map(mor, p)
+                assert induced @ src_limit.witness == tgt_limit.witness @ mor.component(p)
 
 
 class TestClassify:

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cellsheaf.morphism
 import cellsheaf.sheaf
 from cellsheaf import (
     FunctorialityError,
@@ -16,6 +18,7 @@ from cellsheaf import (
     Section,
     ShapeError,
     ValidationError,
+    build_morphism,
     build_poset,
     build_sheaf,
     constant_sheaf,
@@ -30,14 +33,26 @@ from cellsheaf import (
     sections_over,
     stalk_at,
     stalk_direct_limit,
+    stalk_map_direct_limit,
     union_of_stars,
     verify_base_sheaf_axioms,
     verify_sheaf_axioms_extended,
     whole_space,
 )
 
-from helpers import posets, random_matrix, random_poset, random_sheaf
-from oracles import sections_over_all_pairs, sections_over_by_covers
+from helpers import (
+    posets,
+    random_matrix,
+    random_natural_components,
+    random_poset,
+    random_sheaf,
+)
+import oracles
+from oracles import (
+    sections_over_all_pairs,
+    sections_over_by_covers,
+    stalk_direct_limit_dense,
+)
 
 
 def square_poset():
@@ -433,6 +448,109 @@ class TestStalks:
         s = section_from_value(sheaf, "p", [Fraction(1), Fraction(0)])
         assert s.components["q1"] == (Fraction(3),)
         assert s.components["r"] == (Fraction(6),)
+
+
+def isolated_points_sheaf(k):
+    """x < y plus k isolated points, every point of dimension 1."""
+    names = ["x", "y"] + [f"i{j}" for j in range(k)]
+    base = build_poset(names, [("x", "y")])
+    return build_sheaf(base, {e: 1 for e in names},
+                       {("x", "y"): Matrix.build(QQ, [[1]])})
+
+
+class TestDirectLimitElimination:
+    """stalk_direct_limit eliminates along the neighbourhood lattice in star
+    coordinates; the dense elimination of every generator is its oracle."""
+
+    # the dense oracle's cost grows steeply with the number of columns, so
+    # larger limits are compared only in the isolated-point tests below
+    MAX_DENSE_COLUMNS = 64
+
+    @settings(max_examples=40, deadline=None)
+    @given(posets(max_n=7), st.sampled_from([QQ, PrimeField(2), PrimeField(3),
+                                             PrimeField(101)]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_elimination(self, base, field, seed):
+        rng = random.Random(seed)
+        source = random_sheaf(rng, base, field=field)
+        target = random_sheaf(rng, base, field=field)
+        mor = build_morphism(source, target,
+                             random_natural_components(rng, source, target))
+        dense = {}
+        for sheaf in (source, target):
+            for p in base.elements:
+                limit = stalk_direct_limit(sheaf, p)
+                if limit.total > self.MAX_DENSE_COLUMNS:
+                    continue
+                oracle = stalk_direct_limit_dense(sheaf, p)
+                dense[(sheaf is source, p)] = oracle
+                assert limit.neighbourhoods == oracle.neighbourhoods
+                assert limit.offsets == oracle.offsets
+                assert limit.total == oracle.total
+                assert limit.free_columns == oracle.free_columns
+                assert limit.witness == oracle.witness
+                for _ in range(3):
+                    big = [field.coerce(rng.randint(-3, 3)) for _ in range(limit.total)]
+                    assert limit.project(big) == oracle.project(big)
+
+        def by_oracle(sheaf, p, max_elements=20):
+            return dense[(sheaf is source, p)]
+
+        for p in base.elements:
+            if (True, p) in dense and (False, p) in dense:
+                induced = stalk_map_direct_limit(mor, p)[0]
+                with mock.patch.object(cellsheaf.morphism, "stalk_direct_limit",
+                                       by_oracle):
+                    assert stalk_map_direct_limit(mor, p)[0] == induced
+
+    def test_matches_the_dense_elimination_on_a_non_functorial_presentation(self):
+        # noise on some restriction matrices makes the presentation
+        # non-functorial, so relations among star coordinates appear; the
+        # quotient must still be the one of the dense elimination
+        rng = random.Random(11)
+        real = cellsheaf.sheaf.restriction_matrix
+        noise: dict = {}
+
+        def noisy(sheaf, U, V):
+            R = real(sheaf, U, V)
+            key = (U.members, V.members)
+            if key not in noise:
+                noise[key] = random_matrix(rng, R.rows, R.cols) if rng.random() < 0.3 else None
+            return R if noise[key] is None else R + noise[key]
+
+        relations = 0
+        with mock.patch.object(cellsheaf.sheaf, "restriction_matrix", noisy), \
+                mock.patch.object(oracles, "restriction_matrix", noisy):
+            for _ in range(12):
+                sheaf = random_sheaf(rng, random_poset(rng, rng.randint(2, 5)))
+                noise.clear()
+                for p in sheaf.base.elements:
+                    limit = stalk_direct_limit(sheaf, p)
+                    oracle = stalk_direct_limit_dense(sheaf, p)
+                    relations += limit.images.rows - limit.dim
+                    assert limit.free_columns == oracle.free_columns
+                    assert limit.witness == oracle.witness
+                    big = [QQ.coerce(rng.randint(-3, 3)) for _ in range(limit.total)]
+                    assert limit.project(big) == oracle.project(big)
+        assert relations > 0
+
+    def test_isolated_points_match_the_oracle_and_the_recorded_values(self):
+        # free column 106 of 112 and the witness [[1]] at k = 5 were
+        # recorded from the dense elimination before this path replaced it
+        sheaf = isolated_points_sheaf(5)
+        limit = stalk_direct_limit(sheaf, "x")
+        oracle = stalk_direct_limit_dense(sheaf, "x")
+        assert len(limit.neighbourhoods) == 32 and limit.total == 112
+        assert limit.free_columns == oracle.free_columns == (106,)
+        assert limit.witness == oracle.witness == Matrix.identity(QQ, 1)
+        report = stalk_at(sheaf, "x")
+        assert report.oracle_dim == oracle.dim == 1
+        assert report.iso_witness == oracle.witness
+
+    def test_eight_isolated_points(self):
+        report = stalk_at(isolated_points_sheaf(8), "x")
+        assert report.oracle_dim == 1
+        assert report.passed
 
 
 class TestAxiomReports:
