@@ -92,7 +92,6 @@ from .morphism import (
     SheafMorphism,
     build_morphism,
     classify,
-    extend_from_basis,
     identity_morphism,
     section_map,
     section_maps_all_injective,

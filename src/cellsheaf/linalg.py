@@ -9,7 +9,7 @@ in and out of the zero space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
@@ -460,30 +460,35 @@ class SubspaceBasis:
     """A subspace stored as a canonical reduced-echelon basis.
 
     Canonical form makes equality of values equivalent to equality of the
-    subspaces they describe.
+    subspaces they describe. The pivot of each row is found once, when the
+    basis is made.
     """
 
     field: object
     ambient_dim: int
     rows: tuple
+    _pivots: tuple = dataclass_field(init=False, repr=False, compare=False)
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def pivots(self) -> tuple[int, ...]:
+    def __post_init__(self):
         out = []
         for row in self.rows:
             for j, v in enumerate(row):
                 if v:
                     out.append(j)
                     break
-        return tuple(out)
+        object.__setattr__(self, "_pivots", tuple(out))
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def pivots(self) -> tuple[int, ...]:
+        return self._pivots
 
     def reduce(self, vec: Sequence) -> tuple:
         """Subtract the projection onto the subspace along pivot coordinates."""
         v = list(vec)
-        for row, p in zip(self.rows, self.pivots()):
+        for row, p in zip(self.rows, self._pivots):
             f = v[p]
             if f:
                 v = [a - f * b for a, b in zip(v, row)]
@@ -494,7 +499,7 @@ class SubspaceBasis:
 
     def coordinates(self, vec: Sequence) -> tuple:
         """Coordinates of `vec` in this basis; ValueError if outside."""
-        coords = tuple(vec[p] for p in self.pivots())
+        coords = tuple(vec[p] for p in self._pivots)
         residue = self.reduce(vec)
         if any(residue):
             raise ValueError("vector does not lie in the subspace")

@@ -81,17 +81,6 @@ def build_morphism(source: CellularSheaf, target: CellularSheaf,
     return SheafMorphism(source, target, components)
 
 
-def extend_from_basis(source: CellularSheaf, target: CellularSheaf,
-                      basis_components: Mapping[str, Matrix]) -> SheafMorphism:
-    """Extend per-star matrices to the whole morphism.
-
-    Star-level data compatible with restrictions determines the morphism on
-    every open set uniquely; the extension is realised by section_map, so
-    the returned object simply carries the validated star components.
-    """
-    return build_morphism(source, target, basis_components)
-
-
 def identity_morphism(sheaf: CellularSheaf) -> SheafMorphism:
     return build_morphism(sheaf, sheaf, {
         p: Matrix.identity(sheaf.field, sheaf.dim(p)) for p in sheaf.base.elements

@@ -1,11 +1,13 @@
 """Cellular sheaves of vector spaces on finite posets.
 
 A sheaf assigns a vector space dimension to every point and a matrix to
-every covering pair; matrices along comparable pairs are derived by
-composition and must agree across different chains. Sections over an open
-set are compatible families of point values, fixed by their values on the
-minimal points of the set and computed exactly as the kernel of an
-equalizer there. The stalk at a point is computed two independent ways:
+every covering pair. The matrix of any other pair p <= q is the product
+along a chain of covering pairs, derived when first asked for. All chains
+must agree; that is checked once, where two lower covers of a point meet,
+at the maximal points below both. Sections over an open set are
+compatible families of point values, fixed by their values on the minimal
+points of the set and computed exactly as the kernel of an equalizer
+there. The stalk at a point is computed two independent ways:
 as the value space at the point (with the canonical comparison map), and
 literally as a quotient of the direct sum of section spaces over every
 neighbourhood, eliminated along the lattice of neighbourhoods in the
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -47,20 +49,30 @@ from .topology import (
 
 
 class CellularSheaf:
-    """Point dimensions plus functorial restriction matrices on a poset.
+    """Point dimensions plus one restriction matrix per covering pair.
 
     Instances are immutable after construction; build with build_sheaf,
-    which derives the maps for all comparable pairs and rejects data whose
-    chains compose inconsistently. Section spaces and restriction matrices
-    are memoised per instance.
+    which rejects data whose chains compose inconsistently. The matrix for
+    any other pair p <= q is derived when first asked for and memoised, as
+    are section spaces and restriction matrices.
     """
 
     def __init__(self, base: Poset, field, dims, maps, hasse):
+        """`maps` holds a matrix for every covering pair in `hasse`, and may
+        hold matrices for other pairs p <= q, which are then used as given."""
         self.base = base
         self.field = field
         self.dims = dict(dims)
-        self._maps = dict(maps)
         self.hasse = tuple(hasse)
+        # the memo of restriction: identities, then every pair given
+        identity = {d: Matrix.identity(field, d) for d in set(self.dims.values())}
+        self._maps = {(e, e): identity[self.dims[e]] for e in base.elements}
+        self._maps.update(maps)
+        # lower covers of each point, by index, in the order of `hasse`
+        index = base._idx
+        self._lower: list[list[int]] = [[] for _ in base.elements]
+        for p, q in self.hasse:
+            self._lower[index[q]].append(index[p])
         self._section_cache: dict = {}
         self._restriction_cache: dict = {}
 
@@ -69,11 +81,35 @@ class CellularSheaf:
         return self.dims[p]
 
     def restriction(self, p: str, q: str) -> Matrix:
-        """The derived matrix for p <= q (identity when p = q)."""
+        """The matrix for p <= q (identity when p = q).
+
+        A pair not yet memoised is derived through the first lower cover z
+        of q above p, F(p->q) = F(z->q) F(p->z), and F(p->z) the same way,
+        down to a memoised pair; each step's result is memoised.
+        """
         try:
             return self._maps[(p, q)]
         except KeyError:
-            raise ValidationError(f"{p} <= {q} does not hold in the base") from None
+            return self._derive(p, q)
+
+    def _derive(self, p: str, q: str) -> Matrix:
+        base, maps = self.base, self._maps
+        pi, qi = base._idx.get(p), base._idx.get(q)
+        if pi is None or qi is None or not base._leq[pi][qi]:
+            raise ValidationError(f"{p} <= {q} does not hold in the base")
+        elements, lower, row = base.elements, self._lower, base._leq[pi]
+        path = []  # a chain down from q, walked without recursion
+        z, zi = q, qi
+        while (p, z) not in maps:
+            path.append(z)
+            zi = next(y for y in lower[zi] if row[y])
+            z = elements[zi]
+        m = maps[(p, z)]
+        for y in reversed(path):
+            m = maps[(z, y)] @ m
+            maps[(p, y)] = m
+            z = y
+        return m
 
     def __eq__(self, other):
         return (
@@ -81,7 +117,7 @@ class CellularSheaf:
             and other.base == self.base
             and other.field == self.field
             and other.dims == self.dims
-            and other._maps == self._maps
+            and all(other._maps[e] == self._maps[e] for e in self.hasse)
         )
 
     def __repr__(self):
@@ -92,12 +128,36 @@ class CellularSheaf:
 def build_sheaf(base: Poset, dims: Mapping[str, int],
                 edge_maps: Mapping[tuple[str, str], Matrix],
                 field=QQ) -> CellularSheaf:
-    """Validate covering-pair data and derive all restriction matrices.
+    """Validate covering-pair data and check that all chains agree.
 
     `edge_maps` gives one matrix per covering pair (shape dim(q) x dim(p)
     for p covered by q); pairs touching a zero-dimensional point may be
     omitted. Construction fails if two chains between the same pair of
     points compose to different matrices, reporting the offending pair.
+
+    Points q are visited bottom-up, by (|down-set of q|, index), and at
+    each q with two or more lower covers this lemma is checked.
+
+    Lemma. Suppose all chains between points strictly below q agree, so
+    F(x->y) is well defined for x <= y < q. Then all chains into q agree if
+    and only if, for every two lower covers z1, z2 of q and every maximal
+    point m of D = down(z1) & down(z2), F(z1->q) F(m->z1) = F(z2->q) F(m->z2).
+
+    Proof. Every chain from p to q ends in a covering pair (z, q) with
+    p <= z, and by hypothesis its product is F(z->q) F(p->z). So all chains
+    into q agree iff F(z1->q) F(p->z1) = F(z2->q) F(p->z2) for all lower
+    covers z1, z2 of q and all p in D. The condition is necessary, since
+    each maximal point m of D is such a p. It is sufficient: D is finite,
+    so any p in D lies below a maximal point m of D, and then
+    F(p->zi) = F(m->zi) F(p->m) for i = 1, 2 by the hypothesis, so both
+    sides at p are the two sides at m followed by F(p->m). By induction
+    along the visiting order, every chain agrees when no check fails.
+
+    A point below both z1 and z2 is never z1 or z2 (lower covers of q are
+    incomparable), so each check compares two genuine chains. At the first
+    q whose check fails, every p < q is scanned bottom-up, and the first
+    p with two disagreeing lower-cover products is reported, with the
+    product through the first lower cover and the first that differs.
     """
     base = as_poset(base)
     for e in base.elements:
@@ -128,40 +188,60 @@ def build_sheaf(base: Poset, dims: Mapping[str, int],
                 f"matrix for {p}->{q} is {m.rows}x{m.cols}, expected {dims[q]}x{dims[p]}"
             )
         maps[(p, q)] = m
+    sheaf = CellularSheaf(base, field, dims, maps, edges)
 
-    full: dict[tuple[str, str], Matrix] = {
-        (e, e): Matrix.identity(field, dims[e]) for e in base.elements
-    }
-    # process points bottom-up; every chain from p to q ends in a covering
-    # pair (z, q), so agreement of all such extensions at each q is
-    # equivalent to agreement of all chain products
-    elements, leq = base.elements, base._leq
-    n = len(elements)
-    below: list[list[int]] = [[] for _ in range(n)]   # strict down-sets, by index
-    for i, row in enumerate(leq):
-        for j in compress(range(n), row):
-            if j != i:
-                below[j].append(i)
-
-    def bottom_up(j):  # visiting order of both q and p
-        return len(below[j]), j
-
-    preds: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    for p, q in edges:
-        preds[base.index(q)].append((p, base.index(p)))
-    for qi in sorted(range(n), key=bottom_up):
+    elements, lower = base.elements, sheaf._lower
+    sizes = [sum(column) for column in zip(*base._leq)]  # |down-set|
+    order = sorted(range(len(elements)), key=lambda j: (sizes[j], j))
+    # down[j]: the down-set of j as a bitmask over positions in `order`; the
+    # order is a linear extension, so the highest position in a set is a
+    # maximal point of it
+    down = [0] * len(elements)
+    for position, qi in enumerate(order):
+        mask = 1 << position
+        for zi in lower[qi]:
+            mask |= down[zi]
+        down[qi] = mask
+    restriction = sheaf.restriction
+    for qi in order:
+        zs = lower[qi]
+        if len(zs) < 2:
+            continue
         q = elements[qi]
-        for pi in sorted(below[qi], key=bottom_up):
-            p, row = elements[pi], leq[pi]
-            candidates = [
-                maps[(z, q)] @ full[(p, z)] for z, zi in preds[qi] if row[zi]
-            ]
-            first = candidates[0]
-            for other in candidates[1:]:
-                if other != first:
-                    raise FunctorialityError(p, q, first, other)
-            full[(p, q)] = first
-    return CellularSheaf(base, field, dims, full, edges)
+        for k, z1 in enumerate(zs):
+            y1 = elements[z1]
+            for z2 in zs[k + 1:]:
+                y2 = elements[z2]
+                meet = down[z1] & down[z2]
+                while meet:  # take a maximal point, then drop its down-set
+                    mi = order[meet.bit_length() - 1]
+                    meet &= ~down[mi]
+                    m = elements[mi]
+                    left = maps[(y1, q)] @ restriction(m, y1)
+                    if left != maps[(y2, q)] @ restriction(m, y2):
+                        _raise_first_disagreement(sheaf, qi, order, down)
+    return sheaf
+
+
+def _raise_first_disagreement(sheaf: CellularSheaf, qi: int, order: list[int],
+                              down: list[int]):
+    """Scan every p < q bottom-up for two lower covers whose chains differ."""
+    elements, leq = sheaf.base.elements, sheaf.base._leq
+    q = elements[qi]
+    for position, pi in enumerate(order):
+        if pi == qi:
+            break
+        if not down[qi] >> position & 1:
+            continue
+        p, row = elements[pi], leq[pi]
+        candidates = [
+            sheaf._maps[(elements[zi], q)] @ sheaf.restriction(p, elements[zi])
+            for zi in sheaf._lower[qi] if row[zi]
+        ]
+        first = candidates[0]
+        for other in candidates[1:]:
+            if other != first:
+                raise FunctorialityError(p, q, first, other)
 
 
 def constant_sheaf(base: Poset, dim: int, field=QQ) -> CellularSheaf:

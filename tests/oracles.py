@@ -9,11 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from cellsheaf import (
+    FunctorialityError,
     Matrix,
     OpenSet,
     PreOrder,
+    QQ,
     ValidationError,
     enumerate_opens,
+    hasse_edges,
     kernel_basis,
     open_star,
     restriction_matrix,
@@ -37,6 +40,46 @@ def hasse_edges_by_scan(p: PreOrder) -> list[tuple[str, str]]:
             edges.append((x, y))
     edges.sort(key=lambda e: (p.index(e[0]), p.index(e[1])))
     return edges
+
+
+def build_sheaf_eager(base, dims, edge_maps, field=QQ, check: bool = True) -> dict:
+    """The matrix of every pair p <= q, from one product per lower cover.
+
+    Points are visited bottom-up by (|strict down-set|, index), q first and
+    then each p < q, and every chain from p to q ends in a covering pair
+    (z, q). F(p->q) is the product through the first lower cover z of q
+    above p, in the order of the Hasse edges. With `check`, every other
+    lower cover's product must agree with it, and the first disagreement
+    raises FunctorialityError(p, q, first, other); without it, the first
+    products are returned for any data. Covering pairs touching a
+    zero-dimensional point may be left out of `edge_maps`.
+    """
+    edges = hasse_edges(base)
+    maps = {}
+    for p, q in edges:
+        m = edge_maps.get((p, q))
+        maps[(p, q)] = Matrix.zeros(field, dims[q], dims[p]) if m is None else m
+    full = {(e, e): Matrix.identity(field, dims[e]) for e in base.elements}
+    elements = base.elements
+    below = {q: [p for p in elements if base.lt(p, q)] for q in elements}
+
+    def bottom_up(x):
+        return len(below[x]), base.index(x)
+
+    preds: dict[str, list[str]] = {q: [] for q in elements}
+    for p, q in edges:
+        preds[q].append(p)
+    for q in sorted(elements, key=bottom_up):
+        for p in sorted(below[q], key=bottom_up):
+            candidates = [
+                maps[(z, q)] @ full[(p, z)] for z in preds[q] if base.leq(p, z)
+            ]
+            first = candidates[0]
+            for other in candidates[1:] if check else ():
+                if other != first:
+                    raise FunctorialityError(p, q, first, other)
+            full[(p, q)] = first
+    return full
 
 
 def _sections_from_pairs(sheaf, U: OpenSet, pairs):

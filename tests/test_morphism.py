@@ -13,7 +13,6 @@ from cellsheaf import (
     classify,
     constant_sheaf,
     enumerate_opens,
-    extend_from_basis,
     identity_morphism,
     open_star,
     restriction_matrix,
@@ -200,23 +199,23 @@ class TestExtendFromBasis:
     def test_identity_family_extends_to_identity(self):
         sheaf = two_chain()
         ident = identity_morphism(sheaf)
-        assert extend_from_basis(sheaf, sheaf, ident.components) == ident
+        assert build_morphism(sheaf, sheaf, ident.components) == ident
 
     def test_zero_family_extends_to_zero(self):
         sheaf = two_chain()
         zero = zero_morphism(sheaf, sheaf)
-        assert extend_from_basis(sheaf, sheaf, zero.components) == zero
+        assert build_morphism(sheaf, sheaf, zero.components) == zero
 
     def test_roundtrip_on_random_morphisms(self):
         rng = random.Random(7)
         for mor in random_morphisms(rng, 10):
-            again = extend_from_basis(mor.source, mor.target, mor.components)
+            again = build_morphism(mor.source, mor.target, mor.components)
             assert again == mor
 
     def test_naturality_violation_on_a_star_inclusion_rejected(self):
         sheaf = two_chain()
         with pytest.raises(NaturalityError):
-            extend_from_basis(sheaf, sheaf, {
+            build_morphism(sheaf, sheaf, {
                 "a": Matrix.build(QQ, [[1]]), "b": Matrix.build(QQ, [[2]])
             })
 
@@ -225,7 +224,7 @@ class TestExtendFromBasis:
         line = constant_sheaf(base, 1)
         plane = constant_sheaf(base, 2)
         include = Matrix.build(QQ, [[1], [0]])
-        mor = extend_from_basis(line, plane, {"a": include, "b": include})
+        mor = build_morphism(line, plane, {"a": include, "b": include})
         assert classify(mor).injective
         assert section_maps_all_injective(mor)
 
@@ -234,7 +233,7 @@ class TestExtendFromBasis:
         plane = constant_sheaf(base, 2)
         line = constant_sheaf(base, 1)
         project = Matrix.build(QQ, [[0, 1]])
-        mor = extend_from_basis(plane, line, {"a": project, "b": project})
+        mor = build_morphism(plane, line, {"a": project, "b": project})
         assert classify(mor).surjective
         for x in base.elements:
             assert section_map(mor, open_star(base, x)).is_surjective()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import cellsheaf.morphism
 import cellsheaf.sheaf
 from cellsheaf import (
+    CellularSheaf,
     FunctorialityError,
     GlueConflictError,
     Matrix,
@@ -184,6 +185,102 @@ class TestBuild:
                             assert sheaf.restriction(p, r) == (
                                 sheaf.restriction(q, r) @ sheaf.restriction(p, q)
                             )
+
+
+def diamond_poset(rng: random.Random):
+    """A graded poset of three or four layers of two or three points, each
+    point above one or more points of the layer below, plus up to two
+    generating pairs that skip a layer. Two points of a layer that share a
+    point below and a point above make a diamond. The carrier is shuffled,
+    so index order is not the visiting order."""
+    layers = [[f"x{k}_{i}" for i in range(rng.randint(2, 3))]
+              for k in range(rng.randint(3, 4))]
+    pairs = []
+    for lower, upper in zip(layers, layers[1:]):
+        for x in upper:
+            chosen = [y for y in lower if rng.random() < 0.6] or [rng.choice(lower)]
+            pairs += [(y, x) for y in chosen]
+    skips = [(a, b) for k, layer in enumerate(layers) for higher in layers[k + 2:]
+             for a in layer for b in higher]
+    pairs += rng.sample(skips, min(len(skips), rng.randint(0, 2)))
+    names = [x for layer in layers for x in layer]
+    rng.shuffle(names)
+    return build_poset(names, pairs)
+
+
+class TestMeetCheck:
+    """build_sheaf checks chains only at the maximal points of the meets of
+    lower covers, and restriction derives the other maps on demand; the
+    eager builder in tests/oracles.py is the reference for both."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(101)]),
+           st.integers(0, 2**32 - 1))
+    def test_agrees_with_the_eager_builder(self, field, seed):
+        rng = random.Random(seed)
+        base = diamond_poset(rng)
+        valid = random_sheaf(rng, base, field=field)
+        dims = valid.dims
+        edge_maps = {(p, q): valid.restriction(p, q) for p, q in valid.hasse}
+        # covering pairs (z, q) at which two chains into q meet
+        covers = {q: [z for z, y in valid.hasse if y == q] for q in base.elements}
+        targets = [(z, q) for z, q in valid.hasse if dims[z] and dims[q] and any(
+            y != z and base.down_set(y) & base.down_set(z) for y in covers[q])]
+        # about half of the cases end up not functorial
+        if targets and rng.random() < 0.9:
+            p, q = rng.choice(targets)
+            data = [list(row) for row in edge_maps[(p, q)].data]
+            data[rng.randrange(dims[q])][rng.randrange(dims[p])] += field.one
+            edge_maps[(p, q)] = Matrix(field, dims[q], dims[p], data)
+        try:
+            expected = oracles.build_sheaf_eager(base, dims, edge_maps, field)
+        except FunctorialityError as oracle_error:
+            with pytest.raises(FunctorialityError) as err:
+                build_sheaf(base, dims, edge_maps, field)
+            got, want = err.value, oracle_error
+            assert (got.low, got.high) == (want.low, want.high)
+            assert (got.left, got.right) == (want.left, want.right)
+            # on data that is not functorial, restriction still derives
+            # through the first lower cover, as the unchecked oracle does
+            first = oracles.build_sheaf_eager(base, dims, edge_maps, field, check=False)
+            hand = CellularSheaf(base, field, dims, edge_maps, valid.hasse)
+            for (p, q), m in reversed(list(first.items())):
+                assert hand.restriction(p, q) == m
+        else:
+            sheaf = build_sheaf(base, dims, edge_maps, field)
+            assert len(expected) == len(base.related_pairs())
+            for (p, q), m in reversed(list(expected.items())):
+                assert sheaf.restriction(p, q) == m
+
+    def test_deep_chain_is_derived_without_recursion(self):
+        n, field = 1500, PrimeField(101)
+        names = [f"c{i}" for i in range(n)]
+        base = build_poset(names, list(zip(names, names[1:])))
+        two = Matrix.build(field, [[2]])
+        sheaf = build_sheaf(base, dict.fromkeys(names, 1),
+                            dict.fromkeys(zip(names, names[1:]), two), field)
+        assert sheaf.restriction(names[0], names[-1]) == Matrix.build(
+            field, [[pow(2, n - 1, 101)]])
+
+    def test_non_comparable_and_unknown_points_keep_the_message(self):
+        sheaf = square_sheaf()
+        for p, q in [("q1", "q2"), ("r", "p"), ("p", "nowhere"), ("nowhere", "p")]:
+            with pytest.raises(ValidationError) as err:
+                sheaf.restriction(p, q)
+            assert str(err.value) == f"{p} <= {q} does not hold in the base"
+
+    def test_equality_compares_the_covering_data(self):
+        sheaf, again = square_sheaf(), square_sheaf()
+        assert sheaf.restriction("p", "r") == Matrix.build(QQ, [[6, 6]])
+        assert sheaf == again  # one has derived a map, the other has not
+        twisted = build_sheaf(
+            square_poset(), sheaf.dims,
+            {**{e: sheaf.restriction(*e) for e in sheaf.hasse},
+             ("q1", "r"): Matrix.build(QQ, [[4]]),
+             ("p", "q1"): Matrix.build(QQ, [[Fraction(3, 2), Fraction(3, 2)]])},
+        )
+        assert twisted.restriction("p", "r") == sheaf.restriction("p", "r")
+        assert twisted != sheaf
 
 
 class TestSections:
