@@ -110,6 +110,8 @@ def _load(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise DocumentError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _failure_name(exc: ValidationError) -> str:

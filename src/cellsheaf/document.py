@@ -211,7 +211,7 @@ def parse_document(text: str) -> SheafDocument:
                 raise DocumentError(f"duplicate sheaf {name!r}", header_line)
             spec = SheafSpec(name, header_line)
             for key, value, lineno in entries:
-                parts = key.split()
+                parts = key.split() or [""]
                 if parts[0] == "field" and len(parts) == 1:
                     spec.field_name = value
                 elif parts[0] == "dim" and len(parts) == 2:
@@ -265,7 +265,7 @@ def parse_document(text: str) -> SheafDocument:
                 raise DocumentError(f"duplicate morphism {name!r}", header_line)
             spec_m = MorphismSpec(name, header_line)
             for key, value, lineno in entries:
-                parts = key.split()
+                parts = key.split() or [""]
                 if parts[0] == "source" and len(parts) == 1:
                     spec_m.source = _check_ident(value, lineno)
                 elif parts[0] == "target" and len(parts) == 1:

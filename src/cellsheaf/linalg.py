@@ -5,13 +5,28 @@ elements, and subspaces are stored as canonical reduced row echelon bases,
 so two subspaces are equal exactly when their stored bases are equal.
 Matrices with zero rows or zero columns are first-class; they are the maps
 in and out of the zero space.
+
+Every elimination and product runs on a matrix's lowered form, of ints only.
+Over GF(p) it is the residues in [0, p), and a row operation or a dot
+product takes one `% p` per entry. Over Q it is one integer row and one
+denominator per row, the lcm of the row's denominators, in lowest terms.
+Elimination over Q is fraction-free: a row operation cross-multiplies by
+the pivot and divides out the gcd of the row, and pivot rows are divided by
+their pivots only at the end. The reduced echelon form is unique, so it is
+the one `Fraction` arithmetic gives. Both forms are canonical, so matrices
+are equal exactly when their lowered forms are. A matrix lowers its entries
+once and keeps them, and its rank. Field values are lifted back only at the
+interface: `Matrix.data` (read by `mul_vec`, `+`, `-`, `repr` and the
+reports) and `SubspaceBasis.rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate, repeat
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ShapeError
@@ -21,6 +36,7 @@ class RationalField:
     """The field of rational numbers with Fraction entries."""
 
     name = "q"
+    characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -33,6 +49,31 @@ class RationalField:
 
     def format(self, value) -> str:
         return str(value)
+
+    def lower(self, data) -> tuple:
+        """(integer rows, row denominators) of rows of rationals."""
+        rows, dens = [], []
+        for row in data:
+            den = lcm(*[x.denominator for x in row])
+            rows.append(tuple([x.numerator * (den // x.denominator) for x in row]))
+            dens.append(den)
+        return tuple(rows), tuple(dens)
+
+    def canonical(self, rows, dens) -> tuple:
+        """The lowered form of the rows rows[i] / dens[i], with dens positive."""
+        out, out_dens = [], []
+        for row, den in zip(rows, dens):
+            g = gcd(den, *row)
+            out.append(tuple(row) if g == 1 else tuple([x // g for x in row]))
+            out_dens.append(den // g)
+        return tuple(out), tuple(out_dens)
+
+    def lift(self, low) -> tuple:
+        """Rows of Fractions from (integer rows, row denominators)."""
+        return tuple(
+            tuple(map(Fraction, row)) if den == 1 else tuple([Fraction(x, den) for x in row])
+            for row, den in zip(*low)
+        )
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -147,7 +188,7 @@ class PrimeField:
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.p = p
+        self.p = self.characteristic = p
         self.zero = FpElement(0, p)
         self.one = FpElement(1, p)
 
@@ -176,6 +217,20 @@ class PrimeField:
     def format(self, value) -> str:
         return str(value.value)
 
+    def lower(self, data) -> tuple:
+        """(rows of residues, None) of rows of GF(p) elements."""
+        return tuple(tuple([x.value for x in row]) for row in data), None
+
+    def canonical(self, rows, dens=None) -> tuple:
+        """The lowered form of rows of ints."""
+        p = self.p
+        return tuple(tuple([x % p for x in row]) for row in rows), None
+
+    def lift(self, low) -> tuple:
+        """Rows of GF(p) elements from (rows of residues, None)."""
+        p = self.p
+        return tuple(tuple([FpElement(x, p) for x in row]) for row in low[0])
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -197,9 +252,13 @@ def field_from_name(name: str):
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field, acting on column vectors."""
+    """Immutable dense matrix over an exact field, acting on column vectors.
 
-    __slots__ = ("field", "rows", "cols", "data")
+    It holds its field values, its lowered form or both, makes the missing
+    one on first use and keeps it.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_data", "_low", "_rank")
 
     def __init__(self, field, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
@@ -210,7 +269,21 @@ class Matrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self._data = data
+        self._low = None
+        self._rank = None
+
+    @classmethod
+    def _make(cls, field, rows: int, cols: int, data=None, low=None) -> "Matrix":
+        """A result whose shape is right by construction: no copy, no check."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m._data = data
+        m._low = low
+        m._rank = None
+        return m
 
     @classmethod
     def build(cls, field, rows_of_values: Sequence[Sequence], cols: int | None = None):
@@ -223,14 +296,36 @@ class Matrix:
     @classmethod
     def identity(cls, field, n: int):
         one, zero = field.one, field.zero
-        return cls(
-            field, n, n, [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
+        return cls._make(field, n, n, tuple(
+            tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int):
-        zero = field.zero
-        return cls(field, rows, cols, [[zero] * cols for _ in range(rows)])
+        return cls._make(field, rows, cols, ((field.zero,) * cols,) * rows)
+
+    @property
+    def data(self) -> tuple:
+        """The entries as field values, row by row."""
+        if self._data is None:
+            self._data = self.field.lift(self._low)
+        return self._data
+
+    def _lowered(self) -> tuple:
+        if self._low is None:
+            self._low = self.field.lower(self._data)
+        return self._low
+
+    def _columns(self) -> tuple:
+        """(int columns, common denominator): column j is columns[j] / common,
+        with common = 1 over GF(p)."""
+        rows, dens = self._lowered()
+        common = 1
+        if dens is not None:
+            common = lcm(*dens)
+            if common != 1:
+                rows = [row if d == common else tuple([x * (common // d) for x in row])
+                        for row, d in zip(rows, dens)]
+        return (list(zip(*rows)) if rows else [()] * self.cols), common
 
     def __eq__(self, other):
         return (
@@ -238,11 +333,11 @@ class Matrix:
             and other.field == self.field
             and other.rows == self.rows
             and other.cols == self.cols
-            and other.data == self.data
+            and other._lowered() == self._lowered()
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.data))
+        return hash((self.field, self.rows, self.cols, self._lowered()))
 
     def __repr__(self):
         body = ", ".join(
@@ -258,50 +353,33 @@ class Matrix:
             raise ShapeError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        zero = self.field.zero
-        ot = list(zip(*other.data)) if other.data else [()] * other.cols
-        out = []
-        for row in self.data:
-            new = []
-            for col in ot:
-                acc = zero
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                new.append(acc)
-            out.append(new)
-        return Matrix(self.field, self.rows, other.cols, out)
+        rows, dens = self._lowered()
+        columns, common = other._columns()
+        out = [[sum(map(mul, row, col)) for col in columns] for row in rows]
+        return Matrix._make(self.field, self.rows, other.cols, low=self.field.canonical(
+            out, dens and [d * common for d in dens]))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError("shape mismatch in addition")
-        return Matrix(
-            self.field,
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
+        return Matrix._make(self.field, self.rows, self.cols, tuple(
+            tuple([a + b for a, b in zip(r1, r2)]) for r1, r2 in zip(self.data, other.data)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError("shape mismatch in subtraction")
-        return Matrix(
-            self.field,
-            self.rows,
-            self.cols,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
+        return Matrix._make(self.field, self.rows, self.cols, tuple(
+            tuple([a - b for a, b in zip(r1, r2)]) for r1, r2 in zip(self.data, other.data)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(
-            self.field, self.rows, self.cols, [[-a for a in row] for row in self.data]
-        )
+        rows, dens = self._lowered()
+        return Matrix._make(self.field, self.rows, self.cols, low=self.field.canonical(
+            [[-x for x in row] for row in rows], dens))
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        return Matrix(
-            self.field, self.rows, self.cols, [[c * a for a in row] for row in self.data]
-        )
+        return Matrix._make(self.field, self.rows, self.cols, tuple(
+            tuple([c * a for a in row]) for row in self.data))
 
     def mul_vec(self, vec: Sequence) -> tuple:
         if len(vec) != self.cols:
@@ -317,18 +395,23 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows, list(zip(*self.data)) or
-                      [[] for _ in range(self.cols)])
+        return Matrix._make(self.field, self.cols, self.rows,
+                            tuple(zip(*self.data)) or ((),) * self.cols)
 
     def is_zero(self) -> bool:
-        return all(not v for row in self.data for v in row)
+        return not any(map(any, self.data if self._low is None else self._low[0]))
 
     def rank(self) -> int:
-        return _rank(self.field, self.data, self.cols)
+        if self._rank is None:
+            self._rank = len(_rref(self.field, list(self._lowered()[0]), self.cols, False))
+        return self._rank
 
     def rref(self) -> "Matrix":
-        reduced, _ = _rref(self.field, self.data, self.cols)
-        return Matrix(self.field, self.rows, self.cols, reduced)
+        rows = list(self._lowered()[0])
+        pivots = _rref(self.field, rows, self.cols)
+        dens = [row[c] for row, c in zip(rows, pivots)] + [1] * (self.rows - len(pivots))
+        return Matrix._make(self.field, self.rows, self.cols,
+                            low=self.field.canonical(rows, dens))
 
     def is_injective(self) -> bool:
         return self.rank() == self.cols
@@ -344,115 +427,73 @@ class Matrix:
             raise ShapeError("only square matrices can be inverted")
         n = self.rows
         field = self.field
-        aug = [
-            list(row) + [field.one if i == j else field.zero for j in range(n)]
-            for i, row in enumerate(self.data)
-        ]
-        reduced, pivots = _rref(field, aug, 2 * n)
-        if pivots != list(range(n)):
+        rows, dens = self._lowered()
+        # [A_int | diag(dens)] reduces to [I | A^-1], as A = diag(dens)^-1 A_int
+        aug = [list(row) + [0] * n for row in rows]
+        for i, row in enumerate(aug):
+            row[n + i] = dens[i] if dens else 1
+        if _rref(field, aug, 2 * n) != list(range(n)):
             raise ShapeError("matrix is not invertible")
-        return Matrix(field, n, n, [row[n:] for row in reduced[:n]])
+        return Matrix._make(field, n, n, low=field.canonical(
+            [row[n:] for row in aug], [row[i] for i, row in enumerate(aug)]))
 
 
-def _rref(field, rows, cols):
-    """Gauss-Jordan reduction; returns (reduced rows, pivot column list)."""
-    m = [list(r) for r in rows]
+def _rref(field, rows: list, cols: int, full: bool = True) -> list[int]:
+    """Gauss-Jordan reduction of lowered rows; returns the pivot columns.
+
+    `rows` is a list of int rows (lists or tuples). Rows are replaced, never
+    changed in place, and the list ends in echelon order: row r of the
+    reduced echelon form is rows[r] / rows[r][pivots[r]], and the rows past
+    the last pivot row are zero. Over GF(p) each pivot row is scaled to a
+    leading 1. Over Q every row is kept primitive, and each pivot is
+    positive. With `full` false only the rows below each pivot are cleared,
+    which finds the pivots (and so the rank) but not the reduced form.
+    """
+    p = field.characteristic
+    n = len(rows)
+    if not p:
+        for i, row in enumerate(rows):
+            g = gcd(*row)
+            if g > 1:
+                rows[i] = [x // g for x in row]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot_row = i
+        if r == n:
+            break
+        for i in range(r, n):
+            if rows[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        if inv != field.one:
-            m[r] = [x / inv for x in m[r]]
-        lead = m[r]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], lead)]
+        lead = rows[i]
+        rows[i] = rows[r]
+        pv = lead[c]
+        if p:
+            if pv != 1:
+                inv = pow(pv, p - 2, p)
+                lead = [x * inv % p for x in lead]
+                pv = 1
+        elif pv < 0:
+            lead = [-x for x in lead]
+            pv = -pv
+        rows[r] = lead
+        for i in range(0 if full else r + 1, n):
+            row = rows[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            if p:
+                rows[i] = [(a - f * b) % p for a, b in zip(row, lead)]
+                continue
+            g = gcd(pv, f)
+            s, t = pv // g, f // g
+            new = [s * a - t * b for a, b in zip(row, lead)]
+            g = gcd(*new)
+            rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def _rank(field, rows, cols) -> int:
-    # Rank only needs forward elimination; over the rationals we clear
-    # denominators and run fraction-free (Bareiss) elimination on ints,
-    # which keeps intermediate growth polynomial and avoids Fraction churn.
-    if isinstance(field, RationalField):
-        scaled = []
-        for row in rows:
-            den = 1
-            for x in row:
-                d = x.denominator
-                den = den * d // gcd(den, d)
-            # den is a multiple of every denominator in the row
-            scaled.append([x.numerator * (den // x.denominator) for x in row])
-        return _rank_bareiss(scaled, cols)
-    if isinstance(field, PrimeField):
-        return _rank_mod([[x.value for x in row] for row in rows], cols, field.p)
-    return len(_rref(field, rows, cols)[1])
-
-
-def _rank_bareiss(m: list[list[int]], cols: int) -> int:
-    rank = 0
-    prev = 1
-    nrows = len(m)
-    for c in range(cols):
-        pivot_row = None
-        for i in range(rank, nrows):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pv = m[rank][c]
-        lead = m[rank]
-        for i in range(rank + 1, nrows):
-            row = m[i]
-            f = row[c]
-            for j in range(c + 1, cols):
-                row[j] = (row[j] * pv - f * lead[j]) // prev
-            row[c] = 0
-        prev = pv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank_mod(m: list[list[int]], cols: int, p: int) -> int:
-    rank = 0
-    nrows = len(m)
-    for c in range(cols):
-        pivot_row = None
-        for i in range(rank, nrows):
-            if m[i][c] % p:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = pow(m[rank][c], p - 2, p)
-        lead = [(x * inv) % p for x in m[rank]]
-        m[rank] = lead
-        for i in range(rank + 1, nrows):
-            f = m[i][c] % p
-            if f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], lead)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -515,9 +556,16 @@ class SubspaceBasis:
         return tuple(out)
 
 
+def _basis(field, ambient_dim: int, rows: list) -> SubspaceBasis:
+    """The canonical basis of the span of lowered rows, lifted."""
+    pivots = _rref(field, rows, ambient_dim)
+    rows = rows[: len(pivots)]
+    return SubspaceBasis(field, ambient_dim, field.lift(
+        (rows, [row[c] for row, c in zip(rows, pivots)])))
+
+
 def subspace_from_rows(field, ambient_dim: int, rows: Iterable[Sequence]) -> SubspaceBasis:
-    reduced, pivots = _rref(field, [list(r) for r in rows], ambient_dim)
-    return SubspaceBasis(field, ambient_dim, tuple(tuple(r) for r in reduced[: len(pivots)]))
+    return _basis(field, ambient_dim, list(field.lower(rows)[0]))
 
 
 def rref(m: Matrix) -> Matrix:
@@ -538,23 +586,31 @@ def is_surjective(m: Matrix) -> bool:
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
     """Canonical basis of the right kernel {v : m v = 0}."""
-    reduced, pivots = _rref(m.field, m.data, m.cols)
+    field = m.field
+    rows = list(m._lowered()[0])
+    pivots = _rref(field, rows, m.cols)
+    dens = [row[c] for row, c in zip(rows, pivots)]
+    common = lcm(*dens)
+    p = field.characteristic
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    zero, one = m.field.zero, m.field.one
     vectors = []
-    for fc in free:
-        v = [zero] * m.cols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
+    for fc in range(m.cols):
+        if fc in pivot_set:
+            continue
+        # x[fc] = common, and each pivot unknown solves its reduced row
+        v = [0] * m.cols
+        v[fc] = common
+        for row, pc, den in zip(rows, pivots, dens):
+            if row[fc]:
+                x = -row[fc] * (common // den)
+                v[pc] = x % p if p else x
         vectors.append(v)
-    return subspace_from_rows(m.field, m.cols, vectors)
+    return _basis(field, m.cols, vectors)
 
 
 def image_basis(m: Matrix) -> SubspaceBasis:
     """Canonical basis of the column space, as vectors in the target."""
-    return subspace_from_rows(m.field, m.rows, zip(*m.data) if m.data else [])
+    return _basis(m.field, m.rows, m._columns()[0])
 
 
 def is_exact_at(f: Matrix, g: Matrix) -> bool:
@@ -562,41 +618,59 @@ def is_exact_at(f: Matrix, g: Matrix) -> bool:
 
     Implemented as g.f = 0 together with rank(f) + rank(g) = dim B, which
     is equivalent: the product vanishing gives image(f) inside kernel(g),
-    and the rank condition forces equality of dimensions.
+    and the rank condition forces equality of dimensions. The product is
+    only tested for zero, on the lowered forms, and never made.
     """
     if g.cols != f.rows:
         raise ShapeError(
             f"maps are not composable: f lands in dim {f.rows}, g starts at {g.cols}"
         )
-    if not (g @ f).is_zero():
-        return False
+    columns, _ = f._columns()
+    p = g.field.characteristic
+    for row in g._lowered()[0]:
+        for col in columns:
+            dot = sum(map(mul, row, col))
+            if dot % p if p else dot:
+                return False
     return f.rank() + g.rank() == g.cols
 
 
 def block_assemble(field, row_dims: Sequence[int], col_dims: Sequence[int],
-                   blocks: Mapping[tuple[int, int], Matrix]) -> Matrix:
+                   blocks: Mapping[tuple[int, int], Matrix],
+                   negated: Mapping[tuple[int, int], Matrix] | None = None) -> Matrix:
     """Assemble a matrix from a sparse grid of labeled blocks.
 
-    `blocks[(i, j)]` occupies row band i and column band j; missing blocks
-    are zero. Every supplied block must match the band dimensions.
+    `blocks[(i, j)]` occupies row band i and column band j, and
+    `negated[(i, j)]` does so with its sign flipped; missing blocks are
+    zero. Every supplied block must match the band dimensions. The result
+    is assembled in lowered form, from the blocks' lowered rows.
     """
-    row_off = [0]
-    for d in row_dims:
-        row_off.append(row_off[-1] + d)
-    col_off = [0]
-    for d in col_dims:
-        col_off.append(col_off[-1] + d)
+    row_off = [0, *accumulate(row_dims)]
+    col_off = [0, *accumulate(col_dims)]
     total_r, total_c = row_off[-1], col_off[-1]
-    grid = [[field.zero] * total_c for _ in range(total_r)]
-    for (i, j), blk in blocks.items():
-        if blk.rows != row_dims[i] or blk.cols != col_dims[j]:
-            raise ShapeError(
-                f"block ({i},{j}) is {blk.rows}x{blk.cols}, "
-                f"band expects {row_dims[i]}x{col_dims[j]}"
-            )
-        r0, c0 = row_off[i], col_off[j]
-        for r, row in enumerate(blk.data):
-            target = grid[r0 + r]
-            for c, v in enumerate(row):
-                target[c0 + c] = v
-    return Matrix(field, total_r, total_c, grid)
+    p = field.characteristic
+    grid = [[0] * total_c for _ in range(total_r)]
+    dens = [1] * total_r
+    for sign, group in ((1, blocks), (-1, negated or {})):
+        for (i, j), blk in group.items():
+            if blk.rows != row_dims[i] or blk.cols != col_dims[j]:
+                raise ShapeError(
+                    f"block ({i},{j}) is {blk.rows}x{blk.cols}, "
+                    f"band expects {row_dims[i]}x{col_dims[j]}"
+                )
+            rows, blk_dens = blk._lowered()
+            c0, c1 = col_off[j], col_off[j + 1]
+            for r, row, d in zip(range(row_off[i], row_off[i + 1]), rows,
+                                 blk_dens or repeat(1)):
+                if d != dens[r]:  # over Q: bring the row to a common denominator
+                    common = lcm(d, dens[r])
+                    if common != dens[r]:
+                        grid[r] = [x * (common // dens[r]) for x in grid[r]]
+                        dens[r] = common
+                    if common != d:
+                        row = [x * (common // d) for x in row]
+                if sign < 0:
+                    row = [-x % p for x in row] if p else [-x for x in row]
+                grid[r][c0:c1] = row
+    low = (tuple(map(tuple, grid)), None if p else tuple(dens))
+    return Matrix._make(field, total_r, total_c, low=low)

@@ -712,7 +712,7 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
                     {(i, 0): sheaf.restriction(p, x) for i, x in enumerate(centers)},
                 )
                 band_dims = []
-                blocks = {}
+                blocks, negated = {}, {}
                 # unordered pairs suffice: swapping a pair negates its rows
                 # and equal indices give zero rows, neither changes the kernel
                 for i, x in enumerate(centers):
@@ -725,9 +725,9 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
                             band = len(band_dims)
                             band_dims.append(sheaf.dim(w))
                             blocks[(band, j)] = sheaf.restriction(y, w)
-                            blocks[(band, i)] = -sheaf.restriction(x, w)
+                            negated[(band, i)] = sheaf.restriction(x, w)
                 psi = block_assemble(
-                    field, band_dims, [sheaf.dim(x) for x in centers], blocks
+                    field, band_dims, [sheaf.dim(x) for x in centers], blocks, negated
                 )
                 checks.append(CoverCheck(
                     star.sorted_members,
@@ -791,16 +791,17 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
                 {(i, 0): restriction_matrix(sheaf, U, Ui) for i, Ui in enumerate(cover)},
             )
             band_dims = []
-            blocks = {}
+            blocks, negated = {}, {}
             for i in range(len(cover)):
                 for j in range(i + 1, len(cover)):
                     inter = cover[i].intersection(cover[j])
                     band = len(band_dims)
                     band_dims.append(sections_over(sheaf, inter).dim)
                     blocks[(band, j)] = restriction_matrix(sheaf, cover[j], inter)
-                    blocks[(band, i)] = -restriction_matrix(sheaf, cover[i], inter)
+                    negated[(band, i)] = restriction_matrix(sheaf, cover[i], inter)
             psi = block_assemble(
-                field, band_dims, [sections_over(sheaf, Ui).dim for Ui in cover], blocks
+                field, band_dims, [sections_over(sheaf, Ui).dim for Ui in cover],
+                blocks, negated,
             )
             checks.append(CoverCheck(
                 U.sorted_members,

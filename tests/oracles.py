@@ -23,7 +23,73 @@ from cellsheaf import (
     section_from_value,
     sections_over,
 )
-from cellsheaf.linalg import _rref
+
+def gauss_jordan(field, rows, cols):
+    """Gauss-Jordan reduction with the field's own arithmetic; returns
+    (reduced rows, pivot column list)."""
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, len(m)):
+            if m[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][c]
+        if inv != field.one:
+            m[r] = [x / inv for x in m[r]]
+        lead = m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], lead)]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def span_by_field_ops(field, rows, cols) -> tuple:
+    """The reduced echelon basis of the span of `rows`."""
+    reduced, pivots = gauss_jordan(field, rows, cols)
+    return tuple(tuple(r) for r in reduced[: len(pivots)])
+
+
+def kernel_by_field_ops(field, rows, cols) -> tuple:
+    """The reduced echelon basis of {v : rows v = 0}, from the free columns."""
+    reduced, pivots = gauss_jordan(field, rows, cols)
+    vectors = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [field.zero] * cols
+        v[fc] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        vectors.append(v)
+    return span_by_field_ops(field, vectors, cols)
+
+
+def product_by_field_ops(field, a, b, cols) -> tuple:
+    """The rows of the product of row lists `a` and `b`, `b` having `cols`
+    columns."""
+    return tuple(
+        tuple(sum((x * b[k][j] for k, x in enumerate(row)), field.zero) for j in range(cols))
+        for row in a
+    )
+
+
+def inverse_by_field_ops(field, rows, n):
+    """The rows of the inverse of a square matrix, None if it is singular."""
+    aug = [list(row) + [field.one if i == j else field.zero for j in range(n)]
+           for i, row in enumerate(rows)]
+    reduced, pivots = gauss_jordan(field, aug, 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in reduced)
 
 
 def hasse_edges_by_scan(p: PreOrder) -> list[tuple[str, str]]:
@@ -186,7 +252,7 @@ def stalk_direct_limit_dense(sheaf, point: str, max_elements: int = 20) -> Dense
                 if v:
                     row[offsets[V.members] + j] = row[offsets[V.members] + j] - v
             generators.append(row)
-    reduced, pivots = _rref(sheaf.field, generators, total)
+    reduced, pivots = gauss_jordan(sheaf.field, generators, total)
     relation_rows = tuple(tuple(r) for r in reduced[: len(pivots)])
     pivot_set = set(pivots)
     free_columns = tuple(c for c in range(total) if c not in pivot_set)

@@ -98,6 +98,13 @@ class TestCheck:
         code, _ = run(capsys, "check", "no-such-file.sheaf")
         assert code == 2
 
+    def test_non_utf8_file_exits_two_naming_the_path(self, capsys, tmp_path):
+        bad = tmp_path / "bad.sheaf"
+        bad.write_bytes(b"\xff\xfe[poset]\n")
+        code, out = run(capsys, "check", str(bad))
+        assert code == 2
+        assert f"error: cannot read {bad}: not UTF-8 text" in out
+
     def test_normalized_document_reparses_to_equal_sheaf(self, capsys):
         code, out = run(capsys, "check", fixture("square.sheaf"), "--json")
         assert code == 0

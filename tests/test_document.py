@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,14 @@ class TestParseErrors:
         with pytest.raises(DocumentError) as err:
             parse_document(text)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("block, where", [
+        ("[sheaf other]", "[sheaf]"), ("[morphism f]", "[morphism]")])
+    def test_empty_key_carries_line(self, block, where):
+        text = f"[poset]\nelements = a\n[sheaf]\ndim a = 1\n{block}\n= 5\n"
+        with pytest.raises(DocumentError, match=re.escape(f"unknown key '' in {where}")) as err:
+            parse_document(text)
+        assert err.value.line == 6
 
     def test_content_before_block(self):
         with pytest.raises(DocumentError):

@@ -22,9 +22,16 @@ from cellsheaf import (
     subspace_from_rows,
 )
 
-from cellsheaf.linalg import PRIME_BOUND, _is_prime, _rref
+from cellsheaf.linalg import PRIME_BOUND, _is_prime
 
 from helpers import random_matrix
+from oracles import (
+    gauss_jordan,
+    inverse_by_field_ops,
+    kernel_by_field_ops,
+    product_by_field_ops,
+    span_by_field_ops,
+)
 
 
 def mat(rows, cols=None, field=QQ):
@@ -82,7 +89,7 @@ class TestRref:
             [F(-3, 14), F(2, 9), F(11, 15)],
             [F(-1, 21), F(53, 36), F(43, 30)],  # first row plus the third
         ])
-        assert m.rank() == len(_rref(QQ, m.data, m.cols)[1]) == 2
+        assert m.rank() == len(gauss_jordan(QQ, m.data, m.cols)[1]) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 3), st.integers(0, 3), st.data())
@@ -97,7 +104,80 @@ class TestRref:
             rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
                          for j in range(cols)])
         m = Matrix(QQ, len(rows), cols, rows)
-        assert m.rank() == len(_rref(QQ, m.data, m.cols)[1])
+        assert m.rank() == len(gauss_jordan(QQ, m.data, m.cols)[1])
+
+
+CORE_FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(101),
+               PrimeField(1000000000000000003)]
+
+
+def field_entries(field):
+    if field == QQ:
+        return mixed_fractions_st
+    return st.one_of(st.integers(0, 3), st.integers(0, field.p - 1)).map(field.coerce)
+
+
+@st.composite
+def field_rows(draw, field, rows, cols):
+    """rows x cols entries, some rows combinations of the others, shuffled,
+    so that ranks drop and pivots move."""
+    data = draw(st.lists(st.lists(field_entries(field), min_size=cols, max_size=cols),
+                         max_size=rows))
+    while len(data) < rows:
+        coeffs = draw(st.lists(field_entries(field), min_size=len(data),
+                               max_size=len(data)))
+        data.append([sum((c * r[j] for c, r in zip(coeffs, data)), field.zero)
+                     for j in range(cols)])
+    return draw(st.permutations(data))
+
+
+class TestIntegerCore:
+    """Elimination, products and block assembly on lowered forms, against
+    field arithmetic."""
+
+    @pytest.mark.parametrize("field", CORE_FIELDS, ids=lambda f: f.name)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_core_agrees_with_field_arithmetic(self, field, data):
+        a, b, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+        F = data.draw(field_rows(field, b, a))
+        f = Matrix(field, b, a, F)
+        reduced, pivots = gauss_jordan(field, F, a)
+        assert f.rank() == len(pivots)
+        assert f.rref().data == tuple(map(tuple, reduced))
+        assert f.rref() == Matrix(field, b, a, reduced)
+        assert hash(f.rref()) == hash(Matrix(field, b, a, reduced))
+        assert kernel_basis(f).rows == kernel_by_field_ops(field, F, a)
+        columns = [list(col) for col in zip(*F)] if F else [[] for _ in range(a)]
+        assert image_basis(f).rows == span_by_field_ops(field, columns, b)
+        if a == b:
+            expected = inverse_by_field_ops(field, F, a)
+            if expected is None:
+                with pytest.raises(ShapeError):
+                    f.inverse()
+            else:
+                assert f.inverse().data == expected
+        # g either annihilates f (its rows from the left kernel of f) or not
+        if data.draw(st.booleans()):
+            left = kernel_by_field_ops(field, columns, b)
+            G = [[sum((x * v[j] for x, v in zip(coeffs, left)), field.zero)
+                  for j in range(b)]
+                 for coeffs in data.draw(st.lists(
+                     st.lists(field_entries(field), min_size=len(left),
+                              max_size=len(left)), min_size=c, max_size=c))]
+        else:
+            G = data.draw(field_rows(field, c, b))
+        g = Matrix(field, c, b, G)
+        product = product_by_field_ops(field, G, F, a)
+        assert (g @ f).data == product
+        assert g @ f == Matrix(field, c, a, product)
+        assert (-g).data == tuple(tuple(-x for x in row) for row in G)
+        # rows of two blocks with different denominators
+        pair = block_assemble(field, [c], [a, b], {(0, 0): g @ f}, {(0, 1): g})
+        assert pair.data == tuple(
+            tuple(p) + tuple(-x for x in row) for p, row in zip(product, G))
+        assert is_exact_at(f, g) == (
+            span_by_field_ops(field, columns, b) == kernel_by_field_ops(field, G, b))
 
 
 class TestKernel:
