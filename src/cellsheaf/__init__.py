@@ -26,14 +26,10 @@ from .linalg import (
     QQ,
     SubspaceBasis,
     block_assemble,
-    compose,
     field_from_name,
     image_basis,
     is_exact_at,
-    is_injective,
-    is_surjective,
     kernel_basis,
-    rref,
     subspace_from_rows,
 )
 from .order import (
@@ -47,20 +43,12 @@ from .order import (
     factor_through_quotient,
     hasse_edges,
     identity_map,
-    is_monotone,
-    is_poset,
     quotient_to_poset,
 )
 from .topology import (
-    BasisIndex,
     OpenSet,
-    basis_index,
-    basis_index_by_scan,
-    check_index_lemma,
-    closure_of_point,
     empty_open,
     enumerate_opens,
-    is_continuous,
     is_open,
     open_star,
     open_violation,
@@ -94,8 +82,6 @@ from .morphism import (
     classify,
     identity_morphism,
     section_map,
-    section_maps_all_injective,
-    section_maps_all_invertible,
     stalk_map_direct_limit,
     zero_morphism,
 )

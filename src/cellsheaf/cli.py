@@ -39,7 +39,7 @@ from .sheaf import (
     verify_base_sheaf_axioms,
     verify_sheaf_axioms_extended,
 )
-from .topology import OpenSet
+from .topology import OpenSet, union_of_stars
 
 
 class Report:
@@ -157,21 +157,18 @@ def cmd_check(args) -> Report:
         sheaf = realized.sheaves[name]
         report.check(f"functoriality:{name}", True,
                      f"field {sheaf.field.name}")
-        base_report = verify_base_sheaf_axioms(sheaf, args.max_elements)
-        detail = base_report.summary()
-        failures = base_report.failures()
-        if failures:
-            detail += "; first: " + failures[0].describe()
-        report.check(f"basic-cover-exactness:{name}", base_report.ok, detail)
-        ext_report = verify_sheaf_axioms_extended(
-            sheaf, covers_per_open=50, seed=args.seed,
-            max_elements=args.max_elements,
-        )
-        detail = ext_report.summary()
-        failures = ext_report.failures()
-        if failures:
-            detail += "; first: " + failures[0].describe()
-        report.check(f"open-cover-exactness:{name}", ext_report.ok, detail)
+        for axioms in (
+            verify_base_sheaf_axioms(sheaf, args.max_elements),
+            verify_sheaf_axioms_extended(
+                sheaf, covers_per_open=50, seed=args.seed,
+                max_elements=args.max_elements,
+            ),
+        ):
+            detail = axioms.summary()
+            failures = axioms.failures()
+            if failures:
+                detail += "; first: " + failures[0].describe()
+            report.check(f"{axioms.name}:{name}", axioms.ok, detail)
     for name in sorted(realized.morphisms):
         report.check(f"naturality:{name}", True)
     report.data["normalized_document"] = render_document(realized)
@@ -193,10 +190,7 @@ def _resolve_open(realized: RealizedDocument, spec: str) -> OpenSet:
         for x in plain:
             poset.index(x)
         return OpenSet(poset, frozenset(plain))
-    members: frozenset = frozenset()
-    for x in stars:
-        poset.index(x)
-        members |= poset.up_set(x)
+    members = union_of_stars(poset, stars).members
     for name in named:
         if name not in realized.opens:
             raise DocumentError(f"document defines no open named {name!r}")

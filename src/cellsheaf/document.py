@@ -322,17 +322,21 @@ def _realize_matrix(lit: MatrixLiteral, field, rows: int, cols: int,
             f"matrix for {edge_desc} is {got_rows}x{got_cols}, expected {rows}x{cols}",
             lit.line,
         )
-    return Matrix.build(
-        field, [[_realize_entry(tok, field, lit.line) for tok in row] for row in data],
-        cols=cols)
+    return Matrix(field, rows, cols, [
+        [_realize_entry(tok, field, lit.line) for tok in row] for row in data])
 
 
 def _realize_entry(tok: str, field, line: int):
-    # a denominator of 0, or of a multiple of p under GF(p), has no value
     try:
         return field.coerce(tok)
     except ZeroDivisionError:
+        # a denominator of 0, or of a multiple of p under GF(p), has no value
         raise DocumentError(f"entry {tok!r} divides by zero in {field!r}", line) from None
+    except ValueError:
+        # an integer past the interpreter's digit limit for str -> int
+        raise DocumentError(
+            f"entry {tok[:12]}... has too many digits ({len(tok)} characters)", line,
+        ) from None
 
 
 def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDocument:
@@ -441,13 +445,6 @@ def parse_text(text: str, field_override: str | None = None) -> RealizedDocument
     return realize(parse_document(text), field_override)
 
 
-def _format_matrix(m: Matrix) -> str:
-    rows = ", ".join(
-        "[" + ", ".join(m.field.format(v) for v in row) + "]" for row in m.data
-    )
-    return f"[{rows}]"
-
-
 def render_document(realized: RealizedDocument) -> str:
     """Canonical text for a realized document; reparsing gives equal objects."""
     poset = realized.poset
@@ -467,7 +464,7 @@ def render_document(realized: RealizedDocument) -> str:
             m = sheaf.restriction(p, q)
             if m.rows == 0 or m.cols == 0:
                 continue
-            lines.append(f"map {p}->{q} = {_format_matrix(m)}")
+            lines.append(f"map {p}->{q} = {m!r}")
     for name in sorted(realized.opens):
         U = realized.opens[name]
         lines.append("")
@@ -484,5 +481,5 @@ def render_document(realized: RealizedDocument) -> str:
             m = mor.components[el]
             if m.rows == 0 or m.cols == 0:
                 continue
-            lines.append(f"map {el} = {_format_matrix(m)}")
+            lines.append(f"map {el} = {m!r}")
     return "\n".join(lines) + "\n"

@@ -568,22 +568,6 @@ def subspace_from_rows(field, ambient_dim: int, rows: Iterable[Sequence]) -> Sub
     return _basis(field, ambient_dim, list(field.lower(rows)[0]))
 
 
-def rref(m: Matrix) -> Matrix:
-    return m.rref()
-
-
-def compose(g: Matrix, f: Matrix) -> Matrix:
-    return g @ f
-
-
-def is_injective(m: Matrix) -> bool:
-    return m.is_injective()
-
-
-def is_surjective(m: Matrix) -> bool:
-    return m.is_surjective()
-
-
 def kernel_basis(m: Matrix) -> SubspaceBasis:
     """Canonical basis of the right kernel {v : m v = 0}."""
     field = m.field

@@ -20,7 +20,7 @@ from .sheaf import (
     sections_over,
     stalk_direct_limit,
 )
-from .topology import DEFAULT_MAX_ELEMENTS, OpenSet, enumerate_opens
+from .topology import DEFAULT_MAX_ELEMENTS, OpenSet
 
 
 class SheafMorphism:
@@ -110,8 +110,7 @@ def section_map(morphism: SheafMorphism, U: OpenSet) -> Matrix:
     for row in src_space.basis.rows:
         image = pointwise.mul_vec(row)
         columns.append(tgt_space.basis.coordinates(image))
-    data = list(zip(*columns)) if columns else [[] for _ in range(tgt_space.dim)]
-    return Matrix(field, tgt_space.dim, src_space.dim, data)
+    return Matrix(field, len(columns), tgt_space.dim, columns).transpose()
 
 
 def stalk_map_direct_limit(morphism: SheafMorphism, p: str,
@@ -143,8 +142,7 @@ def stalk_map_direct_limit(morphism: SheafMorphism, p: str,
             for j, v in enumerate(image):
                 big_tgt[off_tgt + j] = big_tgt[off_tgt + j] + v
         columns.append(tgt_limit.project(big_tgt))
-    data = list(zip(*columns)) if columns else [[] for _ in range(tgt_limit.dim)]
-    induced = Matrix(field, tgt_limit.dim, src_limit.dim, data)
+    induced = Matrix(field, len(columns), tgt_limit.dim, columns).transpose()
     return induced, src_limit, tgt_limit
 
 
@@ -162,24 +160,3 @@ def classify(morphism: SheafMorphism) -> MorphismFlags:
     surjective = all(m.is_surjective() for m in morphism.components.values())
     return MorphismFlags(injective, surjective, injective and surjective)
 
-
-def section_maps_all_invertible(morphism: SheafMorphism,
-                                max_elements: int = DEFAULT_MAX_ELEMENTS) -> bool:
-    """Whether the induced map is invertible over every open set.
-
-    Equivalent to classify(...).isomorphism; kept as the enumerating side of
-    that equivalence so both can be compared on the same input.
-    """
-    return all(
-        section_map(morphism, U).is_invertible()
-        for U in enumerate_opens(morphism.source.base, max_elements)
-    )
-
-
-def section_maps_all_injective(morphism: SheafMorphism,
-                               max_elements: int = DEFAULT_MAX_ELEMENTS) -> bool:
-    """Whether the induced map is injective over every open set."""
-    return all(
-        section_map(morphism, U).is_injective()
-        for U in enumerate_opens(morphism.source.base, max_elements)
-    )

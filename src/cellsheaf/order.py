@@ -164,10 +164,6 @@ def as_poset(p: PreOrder) -> Poset:
     return Poset(p.elements, p._leq)
 
 
-def is_poset(p: PreOrder) -> bool:
-    return p.is_poset()
-
-
 @dataclass(frozen=True)
 class MonotoneMap:
     """A carrier map between preorders; monotonicity is checked, not assumed."""
@@ -193,10 +189,6 @@ class MonotoneMap:
             self.target.leq(self.mapping[x], self.mapping[y])
             for x, y in self.source.related_pairs(strict=True)
         )
-
-
-def is_monotone(f: MonotoneMap) -> bool:
-    return f.is_monotone()
 
 
 def identity_map(p: PreOrder) -> MonotoneMap:

@@ -444,8 +444,7 @@ def restriction_matrix(sheaf: CellularSheaf, U: OpenSet, V: OpenSet) -> Matrix:
         for x in V.sorted_members:
             restricted.extend(row[offs[x]: offs[x] + sheaf.dim(x)])
         columns.append(SV.basis.coordinates(restricted))
-    data = list(zip(*columns)) if columns else [[] for _ in range(SV.dim)]
-    result = Matrix(sheaf.field, SV.dim, SU.dim, data)
+    result = Matrix(sheaf.field, len(columns), SV.dim, columns).transpose()
     sheaf._restriction_cache[key] = result
     return result
 
@@ -600,10 +599,9 @@ def stalk_direct_limit(sheaf: CellularSheaf, point: str,
     frame = [*relations.rows, *(image_columns[f] for f in free_columns)]
     inverse = Matrix(field, d, d, frame).inverse()
     solve = Matrix(field, len(free_columns), d, list(zip(*inverse.data))[r:])
-
-    def project(big):
-        return solve.mul_vec(images.mul_vec(big))
-
+    limit = DirectLimitStalk(
+        sheaf, point, tuple(nbhd), offsets, total, images, solve, free_columns, None,
+    )
     star_offset = offsets[star_space.open.members]
     one, zero = field.one, field.zero
     columns = []
@@ -613,12 +611,9 @@ def stalk_direct_limit(sheaf: CellularSheaf, point: str,
         big = [zero] * total
         for i, c in enumerate(coords):
             big[star_offset + i] = c
-        columns.append(project(big))
-    data = list(zip(*columns)) if columns else [[] for _ in range(len(free_columns))]
-    witness = Matrix(field, len(free_columns), sheaf.dim(point), data)
-    return DirectLimitStalk(
-        sheaf, point, tuple(nbhd), offsets, total, images, solve, free_columns, witness,
-    )
+        columns.append(limit.project(big))
+    limit.witness = Matrix(field, len(columns), limit.dim, columns).transpose()
+    return limit
 
 
 @dataclass(frozen=True)
@@ -685,6 +680,30 @@ class AxiomReport:
         )
 
 
+def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], ...],
+                 dim: int, part_dims: Sequence[int], maps: Sequence[Matrix],
+                 overlaps: Iterable[tuple]) -> CoverCheck:
+    """Exactness of 0 -> F(U) --phi--> prod F(U_i) --psi--> prod F(U_i & U_j).
+
+    `maps[i]` sends F(U), of dimension `dim`, to part i. Each overlap
+    (band dim, i, j, from part i, from part j), with i < j, is one row band
+    of psi: the map from part j minus the map from part i. Unordered pairs
+    suffice: swapping a pair negates its rows and equal indices give zero
+    rows, neither changes the kernel.
+    """
+    band_dims, blocks, negated = [], {}, {}
+    for band, (band_dim, i, j, from_i, from_j) in enumerate(overlaps):
+        band_dims.append(band_dim)
+        blocks[(band, j)] = from_j
+        negated[(band, i)] = from_i
+    grids = (  # row bands, column bands, blocks, negated blocks
+        (part_dims, [dim], {(i, 0): m for i, m in enumerate(maps)}, None),
+        (band_dims, part_dims, blocks, negated),
+    )
+    phi, psi = (block_assemble(field, *grid) for grid in grids)
+    return CoverCheck(target, cover, phi.is_injective(), is_exact_at(phi, psi))
+
+
 def verify_base_sheaf_axioms(sheaf: CellularSheaf,
                              max_elements: int = DEFAULT_MAX_ELEMENTS) -> AxiomReport:
     """Exactness of the gluing sequence for every basic cover of every star.
@@ -699,7 +718,6 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
     base = sheaf.base
     if len(base) > max_elements:
         raise EnumerationLimitError(len(base), max_elements)
-    field = sheaf.field
     checks = []
     for p in base.elements:
         star = open_star(base, p)
@@ -707,33 +725,16 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
         for size in range(len(others) + 1):
             for combo in combinations(others, size):
                 centers = tuple(sorted((p,) + combo, key=base.index))
-                phi = block_assemble(
-                    field, [sheaf.dim(x) for x in centers], [sheaf.dim(p)],
-                    {(i, 0): sheaf.restriction(p, x) for i, x in enumerate(centers)},
-                )
-                band_dims = []
-                blocks, negated = {}, {}
-                # unordered pairs suffice: swapping a pair negates its rows
-                # and equal indices give zero rows, neither changes the kernel
-                for i, x in enumerate(centers):
-                    for j in range(i + 1, len(centers)):
-                        y = centers[j]
-                        overlap = sorted(
-                            base.up_set(x) & base.up_set(y), key=base.index
-                        )
-                        for w in overlap:
-                            band = len(band_dims)
-                            band_dims.append(sheaf.dim(w))
-                            blocks[(band, j)] = sheaf.restriction(y, w)
-                            negated[(band, i)] = sheaf.restriction(x, w)
-                psi = block_assemble(
-                    field, band_dims, [sheaf.dim(x) for x in centers], blocks, negated
-                )
-                checks.append(CoverCheck(
-                    star.sorted_members,
+                overlaps = [
+                    (sheaf.dim(w), i, j, sheaf.restriction(x, w), sheaf.restriction(y, w))
+                    for (i, x), (j, y) in combinations(enumerate(centers), 2)
+                    for w in sorted(base.up_set(x) & base.up_set(y), key=base.index)
+                ]
+                checks.append(_check_cover(
+                    sheaf.field, star.sorted_members,
                     tuple(open_star(base, x).sorted_members for x in centers),
-                    phi.is_injective(),
-                    is_exact_at(phi, psi),
+                    sheaf.dim(p), [sheaf.dim(x) for x in centers],
+                    [sheaf.restriction(p, x) for x in centers], overlaps,
                 ))
     return AxiomReport("basic-cover-exactness", checks)
 
@@ -749,7 +750,6 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
     sampled. Deterministic for a fixed seed.
     """
     base = sheaf.base
-    field = sheaf.field
     opens = enumerate_opens(base, max_elements)
     rng = random.Random(seed)
     considered = opens
@@ -782,31 +782,19 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
                 open_star(base, x) for x in U.sorted_members if x not in covered
             )
             add_cover(picked)
-        space_U = sections_over(sheaf, U)
+        dim_U = sections_over(sheaf, U).dim
         for cover in covers:
-            phi = block_assemble(
-                field,
-                [sections_over(sheaf, Ui).dim for Ui in cover],
-                [space_U.dim],
-                {(i, 0): restriction_matrix(sheaf, U, Ui) for i, Ui in enumerate(cover)},
-            )
-            band_dims = []
-            blocks, negated = {}, {}
-            for i in range(len(cover)):
-                for j in range(i + 1, len(cover)):
-                    inter = cover[i].intersection(cover[j])
-                    band = len(band_dims)
-                    band_dims.append(sections_over(sheaf, inter).dim)
-                    blocks[(band, j)] = restriction_matrix(sheaf, cover[j], inter)
-                    negated[(band, i)] = restriction_matrix(sheaf, cover[i], inter)
-            psi = block_assemble(
-                field, band_dims, [sections_over(sheaf, Ui).dim for Ui in cover],
-                blocks, negated,
-            )
-            checks.append(CoverCheck(
-                U.sorted_members,
-                tuple(o.sorted_members for o in cover),
-                phi.is_injective(),
-                is_exact_at(phi, psi),
+            part_dims = [sections_over(sheaf, Ui).dim for Ui in cover]
+            maps = [restriction_matrix(sheaf, U, Ui) for Ui in cover]
+            overlaps = []
+            for (i, Ui), (j, Uj) in combinations(enumerate(cover), 2):
+                inter = Ui.intersection(Uj)
+                overlaps.append((
+                    sections_over(sheaf, inter).dim, i, j,
+                    restriction_matrix(sheaf, Ui, inter), restriction_matrix(sheaf, Uj, inter),
+                ))
+            checks.append(_check_cover(
+                sheaf.field, U.sorted_members, tuple(o.sorted_members for o in cover),
+                dim_U, part_dims, maps, overlaps,
             ))
     return AxiomReport("open-cover-exactness", checks)

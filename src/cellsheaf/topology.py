@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import EnumerationLimitError, NotOpenError
-from .order import MonotoneMap, PreOrder, quotient_to_poset
+from .order import PreOrder, quotient_to_poset
 
 DEFAULT_MAX_ELEMENTS = 20
 
@@ -72,11 +72,6 @@ def open_star(space: PreOrder, x: str) -> OpenSet:
     return OpenSet(space, space.up_set(x))
 
 
-def closure_of_point(space: PreOrder, x: str) -> frozenset:
-    """The closure of {x}: everything below x."""
-    return space.down_set(x)
-
-
 def empty_open(space: PreOrder) -> OpenSet:
     return OpenSet(space, frozenset())
 
@@ -90,49 +85,6 @@ def union_of_stars(space: PreOrder, points: Iterable[str]) -> OpenSet:
     for x in points:
         members |= space.up_set(x)
     return OpenSet(space, members)
-
-
-@dataclass(frozen=True)
-class BasisIndex:
-    """The star centers x whose basic open U_x sits inside a given open."""
-
-    open: OpenSet
-    stars: tuple[str, ...]
-
-
-def basis_index(U: OpenSet) -> BasisIndex:
-    # In an Alexandrov space U_x is contained in the open U exactly when
-    # x is a member, so no star containment scan is needed; the naive scan
-    # is kept below as basis_index_by_scan for cross-checking.
-    return BasisIndex(U, U.sorted_members)
-
-
-def basis_index_by_scan(U: OpenSet) -> BasisIndex:
-    space = U.space
-    stars = tuple(
-        x for x in space.elements if space.up_set(x) <= U.members
-    )
-    return BasisIndex(U, stars)
-
-
-def check_index_lemma(U1: OpenSet, U2: OpenSet) -> tuple[bool, bool, bool]:
-    """Truth of the three index-set laws for a pair of opens.
-
-    Writing I(U) for the star centers x with star(x) contained in U,
-    computed by the literal containment scan:
-    (i)   U1 contained in U2   iff   I(U1) contained in I(U2)
-    (ii)  U1 equals U2         iff   I(U1) equals I(U2)
-    (iii) I(intersection) equals the intersection of the index sets
-    """
-    space = U1.space
-    i1 = set(basis_index_by_scan(U1).stars)
-    i2 = set(basis_index_by_scan(U2).stars)
-    inter = OpenSet(space, U1.members & U2.members)
-    i_inter = set(basis_index_by_scan(inter).stars)
-    law_i = (U1.members <= U2.members) == (i1 <= i2)
-    law_ii = (U1.members == U2.members) == (i1 == i2)
-    law_iii = i_inter == (i1 & i2)
-    return (law_i, law_ii, law_iii)
 
 
 def enumerate_opens(space: PreOrder, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[OpenSet]:
@@ -176,11 +128,3 @@ def enumerate_opens(space: PreOrder, max_elements: int = DEFAULT_MAX_ELEMENTS) -
     opens.sort(key=OpenSet.sort_key)
     return opens
 
-
-def is_continuous(f: MonotoneMap, max_elements: int = DEFAULT_MAX_ELEMENTS) -> bool:
-    """Whether preimages of opens are open; true for every monotone map."""
-    for V in enumerate_opens(f.target, max_elements):
-        preimage = frozenset(x for x in f.source.elements if f.mapping[x] in V.members)
-        if not is_open(f.source, preimage):
-            return False
-    return True

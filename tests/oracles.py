@@ -11,16 +11,19 @@ from dataclasses import dataclass
 from cellsheaf import (
     FunctorialityError,
     Matrix,
+    MonotoneMap,
     OpenSet,
     PreOrder,
     QQ,
     ValidationError,
     enumerate_opens,
     hasse_edges,
+    is_open,
     kernel_basis,
     open_star,
     restriction_matrix,
     section_from_value,
+    section_map,
     sections_over,
 )
 
@@ -90,6 +93,40 @@ def inverse_by_field_ops(field, rows, n):
     if pivots != list(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in reduced)
+
+
+def basis_index_by_scan(U: OpenSet) -> tuple[str, ...]:
+    """The star centers x whose basic open U_x sits inside U, by a literal
+    containment scan. In an Alexandrov space they are the members of U."""
+    space = U.space
+    return tuple(x for x in space.elements if space.up_set(x) <= U.members)
+
+
+def check_index_lemma(U1: OpenSet, U2: OpenSet) -> tuple[bool, bool, bool]:
+    """Truth of the three index-set laws for a pair of opens.
+
+    Writing I(U) for the star centers x with star(x) contained in U,
+    computed by the literal containment scan:
+    (i)   U1 contained in U2   iff   I(U1) contained in I(U2)
+    (ii)  U1 equals U2         iff   I(U1) equals I(U2)
+    (iii) I(intersection) equals the intersection of the index sets
+    """
+    i1 = set(basis_index_by_scan(U1))
+    i2 = set(basis_index_by_scan(U2))
+    i_inter = set(basis_index_by_scan(OpenSet(U1.space, U1.members & U2.members)))
+    law_i = (U1.members <= U2.members) == (i1 <= i2)
+    law_ii = (U1.members == U2.members) == (i1 == i2)
+    law_iii = i_inter == (i1 & i2)
+    return (law_i, law_ii, law_iii)
+
+
+def is_continuous(f: MonotoneMap) -> bool:
+    """Whether preimages of opens are open; true for every monotone map."""
+    for V in enumerate_opens(f.target):
+        preimage = frozenset(x for x in f.source.elements if f.mapping[x] in V.members)
+        if not is_open(f.source, preimage):
+            return False
+    return True
 
 
 def hasse_edges_by_scan(p: PreOrder) -> list[tuple[str, str]]:
@@ -275,4 +312,22 @@ def stalk_direct_limit_dense(sheaf, point: str, max_elements: int = 20) -> Dense
     return DenseDirectLimit(
         sheaf, point, tuple(nbhd), offsets, total,
         relation_rows, tuple(pivots), free_columns, witness,
+    )
+
+
+def section_maps_all_invertible(morphism) -> bool:
+    """Whether the induced map is invertible over every open set: the
+    enumerating side of classify(...).isomorphism."""
+    return all(
+        section_map(morphism, U).is_invertible()
+        for U in enumerate_opens(morphism.source.base)
+    )
+
+
+def section_maps_all_injective(morphism) -> bool:
+    """Whether the induced map is injective over every open set: the
+    enumerating side of classify(...).injective."""
+    return all(
+        section_map(morphism, U).is_injective()
+        for U in enumerate_opens(morphism.source.base)
     )

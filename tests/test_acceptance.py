@@ -31,8 +31,6 @@ from cellsheaf import (
     open_star,
     parse_text,
     quotient_to_poset,
-    section_maps_all_injective,
-    section_maps_all_invertible,
     sections_over,
     stalk_at,
     subspace_from_rows,
@@ -50,6 +48,7 @@ from helpers import (
     random_preorder,
     random_sheaf,
 )
+from oracles import section_maps_all_injective, section_maps_all_invertible
 
 FIXTURE_NAMES = ["square", "span", "double_target", "fan"]
 

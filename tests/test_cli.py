@@ -68,6 +68,23 @@ class TestCheck:
             assert code == 2
             assert json.loads(out)["error"].startswith("line 9: ")
 
+    @pytest.mark.parametrize("field, entry", [
+        ("q", "7" * 5000), ("fp:5", "1/" + "7" * 5000),
+    ])
+    def test_entry_past_the_digit_limit_exits_two_with_line(self, capsys, tmp_path,
+                                                            field, entry):
+        big = tmp_path / "big.sheaf"
+        big.write_text(
+            "[poset]\nelements = a b\nrelation = a<b\n\n[sheaf]\n"
+            f"field = {field}\ndim a = 1\ndim b = 1\nmap a->b = [[{entry}]]\n"
+        )
+        code, out = run(capsys, "check", str(big), "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == (
+            f"line 9: entry {entry[:12]}... has too many digits ({len(entry)} characters)"
+        )
+        assert len(out) < 300
+
     @pytest.mark.parametrize("field, message", [
         ("fp:4", "--field: 4 is not prime"),
         ("banana", "--field: unknown field 'banana' (expected 'q' or 'fp:<prime>')"),

@@ -18,14 +18,13 @@ from cellsheaf import (
     restriction_matrix,
     section_from_value,
     section_map,
-    section_maps_all_injective,
-    section_maps_all_invertible,
     sections_over,
     stalk_map_direct_limit,
     zero_morphism,
 )
 
 from helpers import random_morphisms
+from oracles import section_maps_all_injective, section_maps_all_invertible
 
 
 def two_chain(entry=2):

@@ -18,8 +18,6 @@ from cellsheaf import (
     factor_through_quotient,
     hasse_edges,
     identity_map,
-    is_monotone,
-    is_poset,
     quotient_to_poset,
 )
 
@@ -78,7 +76,7 @@ class TestBuildPreorder:
     def test_two_cycle_closure(self):
         p = build_preorder(["a", "b"], [("a", "b"), ("b", "a")])
         assert p.leq("a", "b") and p.leq("b", "a")
-        assert not is_poset(p)
+        assert not p.is_poset()
         # strongly connected components of the relation digraph agree
         g = nx.DiGraph(p.related_pairs())
         sccs = {frozenset(c) for c in nx.strongly_connected_components(g)}
@@ -110,13 +108,13 @@ class TestBuildPreorder:
 
 class TestIsPoset:
     def test_chain(self):
-        assert is_poset(build_preorder("abc", [("a", "b"), ("b", "c")]))
+        assert build_preorder("abc", [("a", "b"), ("b", "c")]).is_poset()
 
     def test_two_cycle_is_not(self):
-        assert not is_poset(build_preorder("ab", [("a", "b"), ("b", "a")]))
+        assert not build_preorder("ab", [("a", "b"), ("b", "a")]).is_poset()
 
     def test_powerset_inclusion(self):
-        assert is_poset(powerset_poset("12"))
+        assert powerset_poset("12").is_poset()
 
     def test_as_poset_witness(self):
         pre = build_preorder("ab", [("a", "b"), ("b", "a")])
@@ -240,16 +238,16 @@ class TestFactorThroughQuotient:
 class TestMonotone:
     def test_identity(self):
         p = build_poset("ab", [("a", "b")])
-        assert is_monotone(identity_map(p))
+        assert identity_map(p).is_monotone()
 
     def test_collapse_chain(self):
         p = build_poset("abc", [("a", "b"), ("b", "c")])
         t = build_poset(["x"], [])
-        assert is_monotone(MonotoneMap(p, t, {"a": "x", "b": "x", "c": "x"}))
+        assert MonotoneMap(p, t, {"a": "x", "b": "x", "c": "x"}).is_monotone()
 
     def test_swap_two_chain(self):
         p = build_poset("ab", [("a", "b")])
-        assert not is_monotone(MonotoneMap(p, p, {"a": "b", "b": "a"}))
+        assert not MonotoneMap(p, p, {"a": "b", "b": "a"}).is_monotone()
 
     def test_map_must_cover_source(self):
         p = build_poset("ab", [("a", "b")])
@@ -345,7 +343,7 @@ class TestWellKnownOrders:
             if i != j and (f[0], g[0]) in chain_leq and (f[1], g[1]) in chain_leq
         ]
         p = build_preorder(names, pairs)
-        assert is_poset(p)
+        assert p.is_poset()
         assert len(hasse_edges(as_poset(p))) == 4  # the 2x2 grid
 
     def test_simplicial_complex_face_order(self):
@@ -358,7 +356,7 @@ class TestWellKnownOrders:
             if a != b and set(a) <= set(b)
         ]
         p = build_poset(simplices, pairs)
-        assert is_poset(p)
+        assert p.is_poset()
         # each vertex is covered by exactly its two edges
         assert [e for e in hasse_edges(p) if e[0] == "1"] == [("1", "12"), ("1", "13")]
         # the up-set of a vertex collects every simplex containing it

@@ -805,6 +805,13 @@ class TestNegativeControls:
         report = verify_base_sheaf_axioms(fake)
         assert not report.ok
         assert report.failures()
+        assert report.summary() == "basic-cover-exactness: 13 covers checked, 4 failures"
+        assert [c.describe() for c in report.failures()] == [
+            "{p q1 q2 r} covered by [{p q1 q2 r}, {q2 r}]: gluing failed",
+            "{p q1 q2 r} covered by [{p q1 q2 r}, {q1 r}, {q2 r}]: gluing failed",
+            "{p q1 q2 r} covered by [{p q1 q2 r}, {q2 r}, {r}]: gluing failed",
+            "{p q1 q2 r} covered by [{p q1 q2 r}, {q1 r}, {q2 r}, {r}]: gluing failed",
+        ]
 
     def test_sections_over_rejects_inconsistent_data(self):
         # the solve on minimal points expands through map(p, r) = [[2]];
