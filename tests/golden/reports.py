@@ -5,7 +5,7 @@
 
 Each entry maps one argv to the exit code and the stdout of
 `cellsheaf.cli.main`, run in-process from the repository root with `src/`
-on the path. The argvs cover, for all six fixtures, in text and `--json`
+on the path. The argvs cover, for every shipped fixture, in text and `--json`
 form, under the document field, `fp:5` and `fp:7`: `check` with seeds 0
 and 3, `sections` on each star, each named open and the whole carrier,
 `stalk` at every point, `quotient` and `morphism` (with `--name` for each
