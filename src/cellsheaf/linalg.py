@@ -32,6 +32,28 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ShapeError
 
 
+# Digits per chunk when an int is too long for str(): below 640, the
+# smallest int->str digit limit an interpreter can be given.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """The exact decimal form of n, also past the interpreter's int->str
+    digit limit, which is left unchanged."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(r)
+    head = str(chunks.pop())
+    return sign + head + "".join(f"{r:0{_CHUNK_DIGITS}d}" for r in reversed(chunks))
+
+
 class RationalField:
     """The field of rational numbers with Fraction entries."""
 
@@ -48,7 +70,9 @@ class RationalField:
         raise TypeError(f"cannot interpret {value!r} as a rational")
 
     def format(self, value) -> str:
-        return str(value)
+        if value.denominator == 1:
+            return _decimal(value.numerator)
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
     def lower(self, data) -> tuple:
         """(integer rows, row denominators) of rows of rationals."""

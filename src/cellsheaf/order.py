@@ -1,39 +1,61 @@
 """Finite preorders and posets, monotone maps, and the poset quotient.
 
-Relations are stored as dense boolean tables over an ordered carrier of
-opaque string identifiers. The carrier order fixes all tie-breaking, so
-every derived object (quotient representatives, Hasse edge lists, open
-set listings) is deterministic.
+A relation is stored once, as one int bitmask row per element of an
+ordered carrier of opaque string identifiers (see PreOrder); every query
+here and in `topology` and `sheaf` reads those rows. The carrier order
+fixes all tie-breaking, so every derived object (quotient
+representatives, Hasse edge lists, open set listings) is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotAntisymmetricError, UnknownElementError, ValidationError
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class PreOrder:
-    """A reflexive, transitive relation on a finite ordered carrier."""
+    """A reflexive, transitive relation on a finite ordered carrier.
 
-    __slots__ = ("elements", "_idx", "_leq", "_hash")
+    The relation is held as bitmask rows over carrier positions: bit j of
+    `_up[i]` is set when elements[i] <= elements[j], and bit i of
+    `_down[j]` under the same condition. `_up` is given to the constructor
+    and `_down` derived from it once. These two tuples of ints are the one
+    form of the relation that other modules rely on.
+    """
 
-    def __init__(self, elements: Sequence[str], leq: Sequence[Sequence[bool]]):
-        # `leq` must already be reflexively and transitively closed;
+    __slots__ = ("elements", "_idx", "_up", "_down", "_hash")
+
+    def __init__(self, elements: Sequence[str], up: Sequence[int]):
+        # `up` must already be reflexively and transitively closed;
         # use build_preorder to close a generating set of pairs.
         self.elements = tuple(elements)
         self._idx = {e: i for i, e in enumerate(self.elements)}
         if len(self._idx) != len(self.elements):
             raise ValidationError("duplicate element identifiers")
-        self._leq = tuple(tuple(map(bool, row)) for row in leq)
+        self._up = tuple(up)
         n = len(self.elements)
-        if len(self._leq) != n or any(len(row) != n for row in self._leq):
+        if len(self._up) != n or any(
+                not isinstance(row, int) or row >> n for row in self._up):
             raise ValidationError("relation table does not match carrier size")
-        for i in range(n):
-            if not self._leq[i][i]:
+        down = [0] * n
+        for i, row in enumerate(self._up):
+            if not row >> i & 1:
                 raise ValidationError("relation table is not reflexive")
-        self._hash = hash((self.elements, self._leq))
+            bit = 1 << i
+            for j in iter_bits(row):
+                down[j] |= bit
+        self._down = tuple(down)
+        self._hash = hash((self.elements, self._up))
 
     def index(self, x: str) -> int:
         try:
@@ -42,34 +64,27 @@ class PreOrder:
             raise UnknownElementError(f"unknown element {x!r}") from None
 
     def leq(self, x: str, y: str) -> bool:
-        return self._leq[self.index(x)][self.index(y)]
+        return self._up[self.index(x)] >> self.index(y) & 1 == 1
 
     def lt(self, x: str, y: str) -> bool:
         return x != y and self.leq(x, y)
 
     def up_set(self, x: str) -> frozenset[str]:
-        i = self.index(x)
-        return frozenset(e for j, e in enumerate(self.elements) if self._leq[i][j])
+        return frozenset(map(self.elements.__getitem__, iter_bits(self._up[self.index(x)])))
 
     def down_set(self, x: str) -> frozenset[str]:
-        i = self.index(x)
-        return frozenset(e for j, e in enumerate(self.elements) if self._leq[j][i])
+        return frozenset(map(self.elements.__getitem__, iter_bits(self._down[self.index(x)])))
 
     def related_pairs(self, strict: bool = False) -> list[tuple[str, str]]:
-        out = []
-        for i, x in enumerate(self.elements):
-            for j, y in enumerate(self.elements):
-                if self._leq[i][j] and not (strict and i == j):
-                    out.append((x, y))
+        elements, out = self.elements, []
+        for i, (x, row) in enumerate(zip(elements, self._up)):
+            if strict:
+                row &= ~(1 << i)
+            out.extend((x, elements[j]) for j in iter_bits(row))
         return out
 
     def is_poset(self) -> bool:
-        n = len(self.elements)
-        return all(
-            not (self._leq[i][j] and self._leq[j][i])
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        return all(u & d == 1 << i for i, (u, d) in enumerate(zip(self._up, self._down)))
 
     def sort_key(self, members: Iterable[str]) -> tuple[int, ...]:
         return tuple(sorted(self.index(x) for x in members))
@@ -87,7 +102,7 @@ class PreOrder:
         return (
             isinstance(other, PreOrder)
             and other.elements == self.elements
-            and other._leq == self._leq
+            and other._up == self._up
         )
 
     def __hash__(self):
@@ -107,14 +122,16 @@ class Poset(PreOrder):
 
     __slots__ = ("_hasse",)
 
-    def __init__(self, elements: Sequence[str], leq: Sequence[Sequence[bool]]):
-        super().__init__(elements, leq)
+    def __init__(self, elements: Sequence[str], up: Sequence[int]):
+        super().__init__(elements, up)
         self._hasse = None
-        n = len(self.elements)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self._leq[i][j] and self._leq[j][i]:
-                    raise NotAntisymmetricError(self.elements[i], self.elements[j])
+        for i, (u, d) in enumerate(zip(self._up, self._down)):
+            # the first i with a mutual partner has none below it, so the
+            # lowest partner is the first j > i
+            both = u & d & ~(1 << i)
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise NotAntisymmetricError(self.elements[i], self.elements[j])
 
 
 def build_preorder(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) -> PreOrder:
@@ -136,32 +153,18 @@ def build_preorder(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) ->
         for i in range(n):
             if rows[i] & bit:
                 rows[i] |= row_k
-    return PreOrder(elements, [_bits(row, n) for row in rows])
-
-
-def _bits(mask: int, n: int) -> tuple[bool, ...]:
-    """The n low bits of `mask`, least significant first."""
-    return tuple(map("1".__eq__, reversed(format(mask, f"0{n}b"))))
-
-
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _mask(row: tuple[bool, ...]) -> int:
-    """Bitmask with bit j set where row[j] holds; the inverse of _bits."""
-    return int(bytes(row[::-1]).translate(_DIGITS), 2)
+    return PreOrder(elements, rows)
 
 
 def build_poset(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Poset:
-    p = build_preorder(elements, pairs)
-    return Poset(p.elements, p._leq)
+    return as_poset(build_preorder(elements, pairs))
 
 
 def as_poset(p: PreOrder) -> Poset:
     """Re-type a preorder as a poset; raises if antisymmetry fails."""
     if isinstance(p, Poset):
         return p
-    return Poset(p.elements, p._leq)
+    return Poset(p.elements, p._up)
 
 
 @dataclass(frozen=True)
@@ -211,24 +214,20 @@ def quotient_to_poset(p: PreOrder) -> QuotientResult:
     components of the relation digraph. The induced order on representatives
     is antisymmetric by construction.
     """
-    rep: dict[str, str] = {}
+    elements, up, down = p.elements, p._up, p._down
     classes: list[tuple[str, ...]] = []
-    seen: set[str] = set()
-    for x in p.elements:
-        if x in seen:
-            continue
-        cls = sorted(
-            (y for y in p.elements if p.leq(x, y) and p.leq(y, x)),
-            key=p.index,
-        )
-        for y in cls:
-            rep[y] = cls[0]
-            seen.add(y)
-        classes.append(tuple(cls))
-    reps = [cls[0] for cls in classes]
-    leq = [[p.leq(a, b) for b in reps] for a in reps]
-    quotient = Poset(reps, leq)
-    projection = MonotoneMap(p, quotient, dict(rep))
+    reps: list[int] = []
+    seen = 0
+    for i in range(len(elements)):
+        if not seen >> i & 1:
+            cls = up[i] & down[i]
+            seen |= cls
+            classes.append(tuple(map(elements.__getitem__, iter_bits(cls))))
+            reps.append(i)
+    position = {i: k for k, i in enumerate(reps)}
+    rows = [sum(1 << position[j] for j in iter_bits(up[i]) if j in position) for i in reps]
+    quotient = Poset([elements[i] for i in reps], rows)
+    projection = MonotoneMap(p, quotient, {y: cls[0] for cls in classes for y in cls})
     return QuotientResult(quotient, projection, tuple(classes))
 
 
@@ -263,19 +262,12 @@ def hasse_edges(p: PreOrder) -> list[tuple[str, str]]:
         elements = p.elements
         # above[i] is a bitmask of the j with i < j; the covers of i are
         # the points above it that lie above nothing else above it
-        above = [_mask(row) & ~(1 << i) for i, row in enumerate(p._leq)]
+        above = [row & ~(1 << i) for i, row in enumerate(p._up)]
         edges = []
         for i, up in enumerate(above):
             through = 0
-            rest = up
-            while rest:
-                low = rest & -rest
-                through |= above[low.bit_length() - 1]
-                rest ^= low
-            covers = up & ~through
-            while covers:
-                low = covers & -covers
-                edges.append((elements[i], elements[low.bit_length() - 1]))
-                covers ^= low
+            for j in iter_bits(up):
+                through |= above[j]
+            edges.extend((elements[i], elements[j]) for j in iter_bits(up & ~through))
         p._hasse = tuple(edges)
     return list(p._hasse)

@@ -95,14 +95,14 @@ class CellularSheaf:
     def _derive(self, p: str, q: str) -> Matrix:
         base, maps = self.base, self._maps
         pi, qi = base._idx.get(p), base._idx.get(q)
-        if pi is None or qi is None or not base._leq[pi][qi]:
+        if pi is None or qi is None or not base._up[pi] >> qi & 1:
             raise ValidationError(f"{p} <= {q} does not hold in the base")
-        elements, lower, row = base.elements, self._lower, base._leq[pi]
+        elements, lower, row = base.elements, self._lower, base._up[pi]
         path = []  # a chain down from q, walked without recursion
         z, zi = q, qi
         while (p, z) not in maps:
             path.append(z)
-            zi = next(y for y in lower[zi] if row[y])
+            zi = next(y for y in lower[zi] if row >> y & 1)
             z = elements[zi]
         m = maps[(p, z)]
         for y in reversed(path):
@@ -191,7 +191,7 @@ def build_sheaf(base: Poset, dims: Mapping[str, int],
     sheaf = CellularSheaf(base, field, dims, maps, edges)
 
     elements, lower = base.elements, sheaf._lower
-    sizes = [sum(column) for column in zip(*base._leq)]  # |down-set|
+    sizes = [row.bit_count() for row in base._down]  # |down-set|
     order = sorted(range(len(elements)), key=lambda j: (sizes[j], j))
     # down[j]: the down-set of j as a bitmask over positions in `order`; the
     # order is a linear extension, so the highest position in a set is a
@@ -226,17 +226,17 @@ def build_sheaf(base: Poset, dims: Mapping[str, int],
 def _raise_first_disagreement(sheaf: CellularSheaf, qi: int, order: list[int],
                               down: list[int]):
     """Scan every p < q bottom-up for two lower covers whose chains differ."""
-    elements, leq = sheaf.base.elements, sheaf.base._leq
+    elements, up = sheaf.base.elements, sheaf.base._up
     q = elements[qi]
     for position, pi in enumerate(order):
         if pi == qi:
             break
         if not down[qi] >> position & 1:
             continue
-        p, row = elements[pi], leq[pi]
+        p, row = elements[pi], up[pi]
         candidates = [
             sheaf._maps[(elements[zi], q)] @ sheaf.restriction(p, elements[zi])
-            for zi in sheaf._lower[qi] if row[zi]
+            for zi in sheaf._lower[qi] if row >> zi & 1
         ]
         first = candidates[0]
         for other in candidates[1:]:

@@ -1,9 +1,10 @@
 """The Alexandrov topology of a finite preorder.
 
 Open sets are exactly the up-closed subsets; the open stars U_x = {y : x <= y}
-form a basis, and arbitrary intersections of opens stay open. Everything is
-stored explicitly as member sets, which keeps containment and equality plain
-set operations.
+form a basis, and arbitrary intersections of opens stay open. Open sets
+are stored explicitly as member sets, which keeps containment and equality
+plain set operations; up-closure and enumeration work on masks over the
+preorder's bitmask rows.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import EnumerationLimitError, NotOpenError
-from .order import PreOrder, quotient_to_poset
+from .order import PreOrder, iter_bits, quotient_to_poset
 
 DEFAULT_MAX_ELEMENTS = 20
 
@@ -54,12 +55,19 @@ class OpenSet:
 
 
 def open_violation(space: PreOrder, members: Iterable[str]) -> tuple[str, str] | None:
-    """A witness (x, y) with x in the set, x <= y, y missing; None if open."""
-    members = frozenset(members)
-    for x in sorted(members, key=space.index):
-        for y in sorted(space.up_set(x), key=space.index):
-            if y not in members:
-                return (x, y)
+    """A witness (x, y) with x in the set, x <= y, y missing; None if open.
+
+    x is the first member in carrier order with a missing point above it,
+    and y the first such missing point.
+    """
+    index, up, elements = space.index, space._up, space.elements
+    mask = 0
+    for x in members:
+        mask |= 1 << index(x)
+    for i in iter_bits(mask):
+        missing = up[i] & ~mask
+        if missing:
+            return elements[i], elements[(missing & -missing).bit_length() - 1]
     return None
 
 
@@ -98,33 +106,16 @@ def enumerate_opens(space: PreOrder, max_elements: int = DEFAULT_MAX_ELEMENTS) -
     if n > max_elements:
         raise EnumerationLimitError(n, max_elements)
     q = quotient_to_poset(space)
-    poset = q.quotient
-    members_of = {cls[0]: frozenset(cls) for cls in q.classes}
-    # process maximal representatives first so that including an element
-    # only requires its already-decided strict successors to be present
-    order = sorted(
-        poset.elements, key=lambda e: (len(poset.down_set(e)), poset.index(e)),
-        reverse=True,
-    )
-    strict_up = {e: poset.up_set(e) - {e} for e in poset.elements}
-    found: list[frozenset] = []
-
-    def extend(i: int, current: set[str]):
-        if i == len(order):
-            total: frozenset = frozenset()
-            for rep in current:
-                total |= members_of[rep]
-            found.append(total)
-            return
-        e = order[i]
-        extend(i + 1, current)
-        if strict_up[e] <= current:
-            current.add(e)
-            extend(i + 1, current)
-            current.remove(e)
-
-    extend(0, set())
-    opens = [OpenSet(space, m) for m in found]
+    up, down, elements = space._up, space._down, space.elements
+    sizes = [row.bit_count() for row in q.quotient._down]
+    # each open is a mask over the carrier; the classes are added maximal
+    # first, so that every point strictly above a class is already decided
+    found = [0]
+    for c in sorted(range(len(sizes)), key=lambda c: (sizes[c], c), reverse=True):
+        r = space.index(q.classes[c][0])
+        cls = up[r] & down[r]
+        need = up[r] & ~cls
+        found += [m | cls for m in found if m & need == need]
+    opens = [OpenSet(space, frozenset(map(elements.__getitem__, iter_bits(m)))) for m in found]
     opens.sort(key=OpenSet.sort_key)
     return opens
-

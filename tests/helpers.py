@@ -24,9 +24,10 @@ from cellsheaf import (
     build_preorder,
     build_sheaf,
     hasse_edges,
-    is_open,
     kernel_basis,
 )
+
+from oracles import open_violation_by_scan
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -244,11 +245,12 @@ def random_morphisms(rng: random.Random, count: int):
 
 
 def brute_force_opens(space: PreOrder) -> list[frozenset]:
-    """Every up-closed subset, by filtering the full power set."""
+    """Every up-closed subset, by filtering the full power set with the
+    reference up-closure scan."""
     out = []
     elements = list(space.elements)
     for mask in range(1 << len(elements)):
         members = frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
-        if is_open(space, members):
+        if open_violation_by_scan(space, members) is None:
             out.append(members)
     return out

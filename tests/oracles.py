@@ -27,6 +27,47 @@ from cellsheaf import (
     sections_over,
 )
 
+
+def closure_by_table(elements, pairs) -> list[list[bool]]:
+    """The smallest reflexive, transitive relation containing the generating
+    pairs, as a bool table over carrier positions (Warshall on the table)."""
+    idx = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for x, y in pairs:
+        leq[idx[x]][idx[y]] = True
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                for j in range(n):
+                    if leq[k][j]:
+                        leq[i][j] = True
+    return leq
+
+
+def first_antisymmetry_failure(leq) -> tuple[int, int] | None:
+    """The first i, then the first j > i, with i <= j and j <= i in a bool
+    table; None when the table is antisymmetric."""
+    n = len(leq)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if leq[i][j] and leq[j][i]:
+                return i, j
+    return None
+
+
+def open_violation_by_scan(space: PreOrder, members) -> tuple[str, str] | None:
+    """The first member x in carrier order with some y >= x missing, and the
+    first such y; None if the set is up-closed. Reads the relation only
+    through single `leq` tests."""
+    members = frozenset(members)
+    for x in sorted(members, key=space.elements.index):
+        for y in space.elements:
+            if space.leq(x, y) and y not in members:
+                return (x, y)
+    return None
+
+
 def gauss_jordan(field, rows, cols):
     """Gauss-Jordan reduction with the field's own arithmetic; returns
     (reduced rows, pivot column list)."""

@@ -235,6 +235,32 @@ class TestSections:
         assert vec["q2"] == ["2/3"]
 
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_values_past_the_digit_limit_print_exactly(self, capsys, tmp_path, as_json):
+        # each map is under the parser's digit limit, their product at c is not
+        sevens = "7" * 3000
+        doc = tmp_path / "big.sheaf"
+        doc.write_text(
+            "[poset]\nelements = a b c\nrelation = a<b b<c\n\n[sheaf]\nfield = q\n"
+            "dim a = 1\ndim b = 1\ndim c = 1\n"
+            f"map a->b = [[{sevens}]]\nmap b->c = [[{sevens}]]\n"
+        )
+        square = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=0", "-c",
+             f"print(int('{sevens}') ** 2)"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        argv = ["sections", str(doc), "--open", "star:a"] + ["--json"] * as_json
+        code, out = run(capsys, *argv)
+        assert code == 0
+        if as_json:
+            printed = json.loads(out)["data"]["basis"][0]["c"][0]
+        else:
+            printed = out.split("c: [", 1)[1].split("]", 1)[0]
+        assert len(square) == 6000
+        assert printed == square
+
+
 class TestStalk:
     def test_passes_at_every_point(self, capsys):
         for point in ["p", "q1", "q2", "r"]:

@@ -266,6 +266,18 @@ class TestMatrixOps:
             block_assemble(QQ, [1], [2], {(0, 0): Matrix.identity(QQ, 1)})
 
 
+class TestFormat:
+    @pytest.mark.parametrize("value, text", [
+        (Fraction(-3, 4), "-3/4"),
+        (Fraction(12), "12"),
+        (Fraction(-(10**5000), 7), "-1" + "0" * 5000 + "/7"),
+        (Fraction(10**4000 + 1, 10**4500 + 3),
+         "1" + "0" * 3999 + "1/1" + "0" * 4499 + "3"),
+    ])
+    def test_rationals_print_exactly_past_the_digit_limit(self, value, text):
+        assert QQ.format(value) == text
+
+
 class TestSubspace:
     def test_equality_agrees_with_double_inclusion(self):
         rng = random.Random(11)

@@ -10,6 +10,7 @@ from cellsheaf import (
     MonotoneMap,
     NotAntisymmetricError,
     Poset,
+    PreOrder,
     UnknownElementError,
     ValidationError,
     as_poset,
@@ -18,11 +19,17 @@ from cellsheaf import (
     factor_through_quotient,
     hasse_edges,
     identity_map,
+    open_violation,
     quotient_to_poset,
 )
 
 from helpers import posets, random_monotone_map, random_poset, random_preorder
-from oracles import hasse_edges_by_scan
+from oracles import (
+    closure_by_table,
+    first_antisymmetry_failure,
+    hasse_edges_by_scan,
+    open_violation_by_scan,
+)
 
 
 def powerset_poset(ground):
@@ -50,6 +57,25 @@ def shuffled_posets(draw, max_n: int = 30) -> Poset:
     names = [f"x{i}" for i in range(n)]
     return build_poset(names, [(names[a], names[b]) for a, b in pairs
                                if height[a] < height[b]])
+
+
+@st.composite
+def preorder_cases(draw, max_n: int = 12):
+    """(carrier, generating pairs, subsets of carrier positions).
+
+    The pairs are arbitrary, so they may close into cycles, or point up
+    their labels' order only, which gives a poset. The carrier lists the
+    labels shuffled, so it need not be a linear extension of the order.
+    """
+    n = draw(st.integers(1, max_n))
+    labels = [f"x{i}" for i in range(n)]
+    carrier = draw(st.permutations(labels))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    if draw(st.booleans()):
+        pairs = [(a, b) for a, b in pairs if a < b]
+    subsets = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=4))
+    return carrier, [(labels[a], labels[b]) for a, b in pairs], subsets
 
 
 def graded_poset(ranks: int, width: int, seed: int) -> Poset:
@@ -104,6 +130,76 @@ class TestBuildPreorder:
     def test_duplicate_elements_rejected(self):
         with pytest.raises(ValidationError):
             build_preorder(["a", "a"], [])
+
+
+class TestRows:
+    def test_rows_of_a_chain(self):
+        p = build_preorder("abc", [("a", "b"), ("b", "c")])
+        assert p._up == (0b111, 0b110, 0b100)
+        assert p._down == (0b001, 0b011, 0b111)
+
+    @pytest.mark.parametrize("rows", [
+        [0b01, 0b00],                  # b is not below itself
+        [0b101, 0b10],                 # a bit past the carrier
+        [0b01],                        # one row short
+        [-1, 0b10],                    # not a row of carrier bits
+        [[True, False], [False, True]],  # a bool table, not masks
+    ])
+    def test_bad_rows_rejected(self, rows):
+        with pytest.raises(ValidationError):
+            PreOrder("ab", rows)
+
+
+class TestAgainstTableOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(preorder_cases())
+    def test_relation_queries_match_the_bool_table(self, case):
+        carrier, pairs, subsets = case
+        leq = closure_by_table(carrier, pairs)
+        p = build_preorder(carrier, pairs)
+        pos = range(len(carrier))
+        for i, x in enumerate(carrier):
+            assert p.up_set(x) == {carrier[j] for j in pos if leq[i][j]}
+            assert p.down_set(x) == {carrier[j] for j in pos if leq[j][i]}
+            for j, y in enumerate(carrier):
+                assert p.leq(x, y) is leq[i][j]
+        for strict in (False, True):
+            assert p.related_pairs(strict=strict) == [
+                (carrier[i], carrier[j]) for i in pos for j in pos
+                if leq[i][j] and not (strict and i == j)
+            ]
+
+        failure = first_antisymmetry_failure(leq)
+        assert p.is_poset() == (failure is None)
+        if failure is None:
+            assert hasse_edges(p) == hasse_edges_by_scan(p)
+        else:
+            with pytest.raises(NotAntisymmetricError) as err:
+                as_poset(p)
+            assert (err.value.x, err.value.y) == (carrier[failure[0]], carrier[failure[1]])
+
+        classes, seen = [], set()
+        for i in pos:
+            if i not in seen:
+                cls = [j for j in pos if leq[i][j] and leq[j][i]]
+                seen.update(cls)
+                classes.append(cls)
+        q = quotient_to_poset(p)
+        assert q.classes == tuple(tuple(carrier[j] for j in cls) for cls in classes)
+        assert q.quotient.elements == tuple(carrier[cls[0]] for cls in classes)
+        for a in classes:
+            for b in classes:
+                assert q.quotient.leq(carrier[a[0]], carrier[b[0]]) is leq[a[0]][b[0]]
+        assert q.projection.mapping == {
+            carrier[j]: carrier[cls[0]] for cls in classes for j in cls}
+        assert hasse_edges(q.quotient) == hasse_edges_by_scan(q.quotient)
+
+        for subset in subsets:
+            members = {carrier[j] for j in subset}
+            closed = {carrier[j] for j in pos if any(leq[i][j] for i in subset)}
+            for s in (members, closed):
+                assert open_violation(p, s) == open_violation_by_scan(p, s)
+            assert open_violation(p, closed) is None
 
 
 class TestIsPoset:
