@@ -29,6 +29,8 @@ from .topology import OpenSet, union_of_stars
 _IDENT = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.'-]*$")
 _BLOCK = re.compile(r"^\[\s*([a-z]+)(?:\s+(\S+))?\s*\]$")
 _ENTRY_TOKEN = re.compile(r"^-?\d+(?:/\d+)?$")
+# entries read with int rather than the field's string parser
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 MAIN_SHEAF = "main"
 
@@ -328,6 +330,8 @@ def _realize_matrix(lit: MatrixLiteral, field, rows: int, cols: int,
 
 def _realize_entry(tok: str, field, line: int):
     try:
+        if _INTEGER.fullmatch(tok):
+            return field.coerce(int(tok))
         return field.coerce(tok)
     except ZeroDivisionError:
         # a denominator of 0, or of a multiple of p under GF(p), has no value

@@ -132,13 +132,13 @@ def stalk_map_direct_limit(morphism: SheafMorphism, p: str,
         big_src[free_col] = field.one
         big_tgt = [field.zero] * tgt_limit.total
         for U in src_limit.neighbourhoods:
-            off_src = src_limit.offsets[U.members]
+            off_src = src_limit.offsets[U.mask]
             dim_src = sections_over(morphism.source, U).dim
             coords = big_src[off_src: off_src + dim_src]
             if not any(coords):
                 continue
             image = section_map(morphism, U).mul_vec(coords)
-            off_tgt = tgt_limit.offsets[U.members]
+            off_tgt = tgt_limit.offsets[U.mask]
             for j, v in enumerate(image):
                 big_tgt[off_tgt + j] = big_tgt[off_tgt + j] + v
         columns.append(tgt_limit.project(big_tgt))

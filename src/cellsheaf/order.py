@@ -125,6 +125,9 @@ class Poset(PreOrder):
     def __init__(self, elements: Sequence[str], up: Sequence[int]):
         super().__init__(elements, up)
         self._hasse = None
+        self._check_antisymmetric()
+
+    def _check_antisymmetric(self):
         for i, (u, d) in enumerate(zip(self._up, self._down)):
             # the first i with a mutual partner has none below it, so the
             # lowest partner is the first j > i
@@ -161,10 +164,18 @@ def build_poset(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Po
 
 
 def as_poset(p: PreOrder) -> Poset:
-    """Re-type a preorder as a poset; raises if antisymmetry fails."""
+    """Re-type a preorder as a poset; raises if antisymmetry fails.
+
+    The poset shares the preorder's rows, index and hash; only antisymmetry
+    is checked.
+    """
     if isinstance(p, Poset):
         return p
-    return Poset(p.elements, p._up)
+    q = Poset.__new__(Poset)
+    q.elements, q._idx, q._up, q._down, q._hash = p.elements, p._idx, p._up, p._down, p._hash
+    q._hasse = None
+    q._check_antisymmetric()
+    return q
 
 
 @dataclass(frozen=True)

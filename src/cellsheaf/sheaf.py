@@ -39,7 +39,7 @@ from .linalg import (
     kernel_basis,
     subspace_from_rows,
 )
-from .order import Poset, as_poset, hasse_edges
+from .order import Poset, as_poset, hasse_edges, iter_bits
 from .topology import (
     DEFAULT_MAX_ELEMENTS,
     OpenSet,
@@ -357,9 +357,9 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
     is checked along each covering pair inside U: hand-built data whose
     chains compose inconsistently raises ValidationError.
     """
-    if U.space != sheaf.base:
-        raise ValidationError("open set lives on a different carrier")
-    cached = sheaf._section_cache.get(U.members)
+    if U.space is not sheaf.base:
+        _check_carrier(sheaf, U)
+    cached = sheaf._section_cache.get(U.mask)
     if cached is not None:
         return cached
     members, pts = U.members, U.sorted_members
@@ -414,8 +414,14 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
     width = sum(sheaf.dim(x) for x in pts)
     space = SectionSpace(sheaf, U, subspace_from_rows(sheaf.field, width, families))
     space.basis_sections()  # Section checks each covering pair inside U
-    sheaf._section_cache[U.members] = space
+    sheaf._section_cache[U.mask] = space
     return space
+
+
+def _check_carrier(sheaf: CellularSheaf, *opens: OpenSet):
+    for U in opens:
+        if U.space != sheaf.base:
+            raise ValidationError("open set lives on a different carrier")
 
 
 def restrict_section(section: Section, smaller: OpenSet) -> Section:
@@ -429,11 +435,13 @@ def restrict_section(section: Section, smaller: OpenSet) -> Section:
 
 def restriction_matrix(sheaf: CellularSheaf, U: OpenSet, V: OpenSet) -> Matrix:
     """Matrix of the restriction map between section spaces, in their bases."""
-    key = (U.members, V.members)
+    if U.space is not sheaf.base or V.space is not sheaf.base:
+        _check_carrier(sheaf, U, V)
+    key = (U.mask, V.mask)
     cached = sheaf._restriction_cache.get(key)
     if cached is not None:
         return cached
-    if not V.members <= U.members:
+    if V.mask & ~U.mask:
         raise ValidationError("restriction target is not contained in the source open")
     SU = sections_over(sheaf, U)
     SV = sections_over(sheaf, V)
@@ -503,7 +511,7 @@ class DirectLimitStalk:
     sheaf: CellularSheaf
     point: str
     neighbourhoods: tuple[OpenSet, ...]
-    offsets: dict
+    offsets: dict  # carrier mask of each neighbourhood -> offset of its block
     total: int
     images: Matrix
     solve: Matrix
@@ -520,12 +528,12 @@ class DirectLimitStalk:
 
     def germ(self, section: Section) -> tuple:
         """Image of a section in the quotient; its open set must contain the point."""
-        if self.point not in section.open.members:
+        if self.point not in section.open:
             raise ValidationError("section is not defined near the point")
         space = sections_over(self.sheaf, section.open)
         coords = space.coordinates_of(section)
         big = [self.sheaf.field.zero] * self.total
-        off = self.offsets[section.open.members]
+        off = self.offsets[section.open.mask]
         for i, c in enumerate(coords):
             big[off + i] = c
         return self.project(big)
@@ -555,35 +563,38 @@ def stalk_direct_limit(sheaf: CellularSheaf, point: str,
     description.
     """
     base, field = sheaf.base, sheaf.field
-    nbhd = [U for U in enumerate_opens(base, max_elements) if point in U.members]
-    spaces = {U.members: sections_over(sheaf, U) for U in nbhd}
-    position = {U.members: k for k, U in enumerate(nbhd)}
+    opens = enumerate_opens(base, max_elements)
+    star = open_star(base, point)
+    nbhd = [U for U in opens if U.mask & star.mask == star.mask]
+    spaces = {U.mask: sections_over(sheaf, U) for U in nbhd}
+    position = {U.mask: k for k, U in enumerate(nbhd)}
     offsets: dict = {}
     total = 0
     for U in nbhd:
-        offsets[U.members] = total
-        total += spaces[U.members].dim
-    star_space = sections_over(sheaf, open_star(base, point))
+        offsets[U.mask] = total
+        total += spaces[U.mask].dim
+    star_space = sections_over(sheaf, star)
     d = star_space.dim
-    star_coords: dict = {}  # members of U -> M_U, d x dim Γ(U)
+    star_coords: dict = {}  # mask of U -> M_U, d x dim Γ(U)
     residuals = []
     for U in nbhd:
+        u = U.mask
         covers = sorted(
-            position[V] for V in (U.members - {x} for x in U.members) if V in position
+            position[v] for v in (u & ~(1 << x) for x in iter_bits(u)) if v in position
         )
         if not covers:  # the star, contained in every neighbourhood
-            star_coords[U.members] = Matrix.identity(field, d)
+            star_coords[u] = Matrix.identity(field, d)
             continue
         through = [
-            star_coords[nbhd[k].members] @ restriction_matrix(sheaf, U, nbhd[k])
+            star_coords[nbhd[k].mask] @ restriction_matrix(sheaf, U, nbhd[k])
             for k in covers
         ]
-        star_coords[U.members] = through[0]
+        star_coords[u] = through[0]
         for M in through[1:]:
             residuals.extend(zip(*(M - through[0]).data))
     rows: list[list] = [[] for _ in range(d)]
     for U in nbhd:
-        for row, part in zip(rows, star_coords[U.members].data):
+        for row, part in zip(rows, star_coords[U.mask].data):
             row.extend(part)
     images = Matrix(field, d, total, rows)
     relations = subspace_from_rows(field, d, residuals)
@@ -602,7 +613,7 @@ def stalk_direct_limit(sheaf: CellularSheaf, point: str,
     limit = DirectLimitStalk(
         sheaf, point, tuple(nbhd), offsets, total, images, solve, free_columns, None,
     )
-    star_offset = offsets[star_space.open.members]
+    star_offset = offsets[star.mask]
     one, zero = field.one, field.zero
     columns = []
     for j in range(sheaf.dim(point)):
@@ -718,23 +729,24 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
     base = sheaf.base
     if len(base) > max_elements:
         raise EnumerationLimitError(len(base), max_elements)
+    elements, up, dims, restriction = base.elements, base._up, sheaf.dims, sheaf.restriction
+    stars = [tuple(map(elements.__getitem__, iter_bits(row))) for row in up]
     checks = []
-    for p in base.elements:
-        star = open_star(base, p)
-        others = [x for x in star.sorted_members if x != p]
+    for pi, p in enumerate(elements):
+        others = [i for i in iter_bits(up[pi]) if i != pi]
         for size in range(len(others) + 1):
             for combo in combinations(others, size):
-                centers = tuple(sorted((p,) + combo, key=base.index))
-                overlaps = [
-                    (sheaf.dim(w), i, j, sheaf.restriction(x, w), sheaf.restriction(y, w))
-                    for (i, x), (j, y) in combinations(enumerate(centers), 2)
-                    for w in sorted(base.up_set(x) & base.up_set(y), key=base.index)
-                ]
+                centers = sorted((pi,) + combo)
+                overlaps = []
+                for (i, xi), (j, yi) in combinations(enumerate(centers), 2):
+                    x, y = elements[xi], elements[yi]
+                    for w in map(elements.__getitem__, iter_bits(up[xi] & up[yi])):
+                        overlaps.append(
+                            (dims[w], i, j, restriction(x, w), restriction(y, w)))
                 checks.append(_check_cover(
-                    sheaf.field, star.sorted_members,
-                    tuple(open_star(base, x).sorted_members for x in centers),
-                    sheaf.dim(p), [sheaf.dim(x) for x in centers],
-                    [sheaf.restriction(p, x) for x in centers], overlaps,
+                    sheaf.field, stars[pi], tuple(stars[i] for i in centers),
+                    dims[p], [dims[elements[i]] for i in centers],
+                    [restriction(p, elements[i]) for i in centers], overlaps,
                 ))
     return AxiomReport("basic-cover-exactness", checks)
 
@@ -749,38 +761,39 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
     open lattice is larger than open_budget, the opens themselves are
     sampled. Deterministic for a fixed seed.
     """
-    base = sheaf.base
-    opens = enumerate_opens(base, max_elements)
+    up = sheaf.base._up
+    opens = enumerate_opens(sheaf.base, max_elements)
+    # each open's position in the sorted enumeration, which is sort_key order
+    position = {V.mask: k for k, V in enumerate(opens)}
     rng = random.Random(seed)
     considered = opens
     if open_budget is not None and len(opens) > open_budget:
         considered = sorted(rng.sample(opens, open_budget), key=OpenSet.sort_key)
     checks = []
     for U in considered:
-        sub_opens = [V for V in opens if V.members and V.members <= U.members]
+        u = U.mask
+        outside = ~u
+        sub_opens = [V for V in opens if V.mask and not V.mask & outside]
         covers: list[tuple[OpenSet, ...]] = []
         seen = set()
 
-        def add_cover(parts: Iterable[OpenSet]):
-            unique = {o.members: o for o in parts}
-            cover = tuple(sorted(unique.values(), key=OpenSet.sort_key))
-            key = frozenset(o.members for o in cover)
+        def add_cover(masks: Iterable[int]):
+            key = frozenset(masks)
             if key not in seen:
                 seen.add(key)
-                covers.append(cover)
+                covers.append(tuple(opens[k] for k in sorted(map(position.__getitem__, key))))
 
-        add_cover(open_star(base, x) for x in U.sorted_members)
+        add_cover(up[x] for x in iter_bits(u))
         for _ in range(covers_per_open):
             if not sub_opens:
                 break
             count = rng.randint(1, min(4, len(sub_opens)))
-            picked = list(rng.sample(sub_opens, count))
-            covered: set = set()
-            for o in picked:
-                covered |= o.members
-            picked.extend(
-                open_star(base, x) for x in U.sorted_members if x not in covered
-            )
+            picked = [V.mask for V in rng.sample(sub_opens, count)]
+            covered = 0
+            for m in picked:
+                covered |= m
+            # patch with the stars of the points left out
+            picked.extend(up[x] for x in iter_bits(u & ~covered))
             add_cover(picked)
         dim_U = sections_over(sheaf, U).dim
         for cover in covers:
@@ -788,7 +801,7 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
             maps = [restriction_matrix(sheaf, U, Ui) for Ui in cover]
             overlaps = []
             for (i, Ui), (j, Uj) in combinations(enumerate(cover), 2):
-                inter = Ui.intersection(Uj)
+                inter = opens[position[Ui.mask & Uj.mask]]
                 overlaps.append((
                     sections_over(sheaf, inter).dim, i, j,
                     restriction_matrix(sheaf, Ui, inter), restriction_matrix(sheaf, Uj, inter),

@@ -76,6 +76,20 @@ def posets(draw, max_n: int = 5) -> Poset:
     return build_poset(names, pairs)
 
 
+@st.composite
+def preorders(draw, max_n: int = 5) -> PreOrder:
+    """Hypothesis strategy: arbitrary generating pairs, which may close into
+    cycles, or pairs pointing up the label order only, which give a poset.
+    The carrier lists the labels shuffled."""
+    n = draw(st.integers(1, max_n))
+    carrier = draw(st.permutations(_NAMES[:n]))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    if draw(st.booleans()):
+        pairs = [(a, b) for a, b in pairs if a < b]
+    return build_preorder(carrier, [(_NAMES[a], _NAMES[b]) for a, b in pairs])
+
+
 def random_preorder(rng: random.Random, n: int) -> PreOrder:
     names = _NAMES[:n]
     pairs = [

@@ -350,8 +350,9 @@ def stalk_direct_limit_dense(sheaf, point: str, max_elements: int = 20) -> Dense
         columns.append(project(big))
     data = list(zip(*columns)) if columns else [[] for _ in range(len(free_columns))]
     witness = Matrix(sheaf.field, len(free_columns), sheaf.dim(point), data)
+    # keyed on carrier masks, as DirectLimitStalk.offsets is
     return DenseDirectLimit(
-        sheaf, point, tuple(nbhd), offsets, total,
+        sheaf, point, tuple(nbhd), {U.mask: offsets[U.members] for U in nbhd}, total,
         relation_rows, tuple(pivots), free_columns, witness,
     )
 

@@ -183,6 +183,19 @@ class TestParseErrors:
         assert err.value.line == 9
         assert str(err.value).startswith(f"line 9: entry '{entry}' divides by zero")
 
+    @pytest.mark.parametrize("field, entries, values", [
+        ("q", "12, -3, 007, 4/6, -0", [12, -3, 7, Fraction(2, 3), 0]),
+        ("fp:7", "12, -3, 007, 4/6, -0", [5, 4, 0, 3, 0]),
+    ])
+    def test_integer_and_fraction_entries_read_exactly(self, field, entries, values):
+        text = ("[poset]\nelements = a b\nrelation = a<b\n\n[sheaf]\n"
+                f"field = {field}\ndim a = 5\ndim b = 1\nmap a->b = [[{entries}]]\n")
+        sheaf = parse_text(text).sheaves["main"]
+        row = sheaf.restriction("a", "b").data[0]
+        assert list(row) == [sheaf.field.coerce(v) for v in values]
+        if field == "q":
+            assert all(type(v) is Fraction for v in row)
+
     def test_morphism_entry_dividing_by_zero_names_its_line(self):
         text = ("[poset]\nelements = a\n[sheaf]\nfield = fp:3\ndim a = 1\n"
                 "[morphism f]\nmap a = [[2/6]]\n")

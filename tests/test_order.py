@@ -212,6 +212,15 @@ class TestIsPoset:
     def test_powerset_inclusion(self):
         assert powerset_poset("12").is_poset()
 
+    def test_as_poset_shares_the_preorder_rows(self):
+        pre = build_preorder(["c", "a", "b"], [("a", "b"), ("c", "a")])
+        p = as_poset(pre)
+        assert isinstance(p, Poset)
+        assert p._up is pre._up and p._down is pre._down and p._idx is pre._idx
+        fresh = Poset(pre.elements, pre._up)
+        assert p == fresh and hash(p) == hash(fresh) == hash(pre)
+        assert hasse_edges(p) == hasse_edges(fresh) == [("c", "a"), ("a", "b")]
+
     def test_as_poset_witness(self):
         pre = build_preorder("ab", [("a", "b"), ("b", "a")])
         with pytest.raises(NotAntisymmetricError) as err:

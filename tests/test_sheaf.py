@@ -779,6 +779,62 @@ class TestAxiomReports:
                 assert k1 == k2
 
 
+class TestOpenBudget:
+    """`open_budget` samples the opens to check when there are more of them."""
+
+    @staticmethod
+    def considered(report):
+        """The target of each run of checks, in report order."""
+        targets = []
+        for c in report.checks:
+            if not targets or targets[-1] != c.target:
+                targets.append(c.target)
+        return targets
+
+    def test_budgeted_run_of_a_fixture_is_pinned(self):
+        from cellsheaf import parse_text
+        from helpers import FIXTURES
+
+        sheaf = parse_text((FIXTURES / "double_target.sheaf").read_text()).sheaves["main"]
+        report = verify_sheaf_axioms_extended(sheaf, covers_per_open=3, seed=7, open_budget=4)
+        assert [c.describe() for c in report.checks] == [
+            "{} covered by []: ok",
+            "{q2} covered by [{q2}]: ok",
+            "{p2 q1 q2} covered by [{q1}, {q2}, {p2 q1 q2}]: ok",
+            "{p2 q1 q2} covered by [{p2 q1 q2}]: ok",
+            "{p2 q1 q2} covered by [{q1}, {q2}, {q1 q2}, {p2 q1 q2}]: ok",
+            "{p3 q1 q2} covered by [{q1}, {q2}, {p3 q1 q2}]: ok",
+            "{p3 q1 q2} covered by [{q1}, {q1 q2}, {p3 q1 q2}]: ok",
+            "{p3 q1 q2} covered by [{q1}, {q2}, {q1 q2}, {p3 q1 q2}]: ok",
+        ]
+
+    def test_same_seed_same_checks_in_sort_key_order(self):
+        rng = random.Random(21)
+        for i in range(8):
+            sheaf = random_sheaf(rng, random_poset(rng, rng.randint(3, 5)))
+            opens = enumerate_opens(sheaf.base)
+            budget = len(opens) // 2
+            runs = [verify_sheaf_axioms_extended(sheaf, covers_per_open=5, seed=i,
+                                                 open_budget=budget) for _ in range(2)]
+            assert runs[0].checks == runs[1].checks
+            targets = self.considered(runs[0])
+            assert len(targets) == budget
+            keys = [OpenSet(sheaf.base, t).sort_key() for t in targets]
+            assert keys == sorted(keys)
+            assert runs[0].ok
+
+    def test_budget_covering_every_open_changes_nothing(self):
+        rng = random.Random(22)
+        for i in range(6):
+            sheaf = random_sheaf(rng, random_poset(rng, rng.randint(1, 5)))
+            n = len(enumerate_opens(sheaf.base))
+            full = verify_sheaf_axioms_extended(sheaf, covers_per_open=5, seed=i)
+            for budget in (n, n + 3):
+                budgeted = verify_sheaf_axioms_extended(
+                    sheaf, covers_per_open=5, seed=i, open_budget=budget)
+                assert budgeted.checks == full.checks
+
+
 class TestNegativeControls:
     """Feed deliberately inconsistent data to the verifiers by bypassing
     build_sheaf, to confirm the suites can actually fail."""

@@ -7,13 +7,16 @@ from cellsheaf import (
     MonotoneMap,
     NotOpenError,
     OpenSet,
+    ValidationError,
     build_poset,
     build_preorder,
+    empty_open,
     enumerate_opens,
     is_open,
     open_star,
     open_violation,
     union_of_stars,
+    whole_space,
 )
 
 from hypothesis import given, settings
@@ -21,11 +24,17 @@ from hypothesis import given, settings
 from helpers import (
     brute_force_opens,
     posets,
+    preorders,
     random_monotone_map,
     random_poset,
     random_preorder,
 )
-from oracles import basis_index_by_scan, check_index_lemma, is_continuous
+from oracles import (
+    basis_index_by_scan,
+    check_index_lemma,
+    is_continuous,
+    open_violation_by_scan,
+)
 
 
 def square():
@@ -156,6 +165,70 @@ class TestEnumerateOpens:
     @given(posets())
     def test_enumeration_matches_power_set_filter(self, p):
         assert {U.members for U in enumerate_opens(p)} == set(brute_force_opens(p))
+
+
+class TestTrustedConstructions:
+    """Stars, unions of stars, the enumeration, and ∩ and ∪ of two opens
+    are built from masks without an up-closure check. Each result must pass
+    the scanning oracle, and the mask-backed accessors must agree with their
+    definitions on the member frozenset."""
+
+    @staticmethod
+    def assert_agrees_with_members(p, U):
+        members = U.members
+        assert isinstance(members, frozenset)
+        assert U.sorted_members == tuple(sorted(members, key=p.elements.index))
+        assert members == frozenset(U.sorted_members)
+        assert U.sort_key() == (len(members), tuple(sorted(map(p.elements.index, members))))
+        assert all((x in U) == (x in members) for x in p.elements)
+        checked = OpenSet(p, members)
+        assert U == checked and hash(U) == hash(checked)
+        assert U.mask == checked.mask
+
+    @settings(max_examples=80, deadline=None)
+    @given(preorders())
+    def test_trusted_opens_pass_the_scan_and_match_their_members(self, p):
+        accepted = {}
+
+        def check(U):
+            if U.members not in accepted:
+                assert open_violation_by_scan(p, U.members) is None
+                self.assert_agrees_with_members(p, U)
+                accepted[U.members] = U
+            return U
+
+        for x in p.elements:
+            star = check(open_star(p, x))
+            assert star.members == {y for y in p.elements if p.leq(x, y)}
+        check(union_of_stars(p, p.elements[::2]))
+        assert check(whole_space(p)).members == frozenset(p.elements)
+        assert check(empty_open(p)).members == frozenset()
+
+        opens = [check(U) for U in enumerate_opens(p)]
+        assert len({U.members for U in opens}) == len(opens)
+        assert [U.sort_key() for U in opens] == sorted(U.sort_key() for U in opens)
+        for U in opens:
+            for V in opens:
+                assert check(U.intersection(V)).members == U.members & V.members
+                assert check(U.union(V)).members == U.members | V.members
+                assert (U <= V) == (U.members <= V.members)
+                assert (U == V) == (U.members == V.members)
+
+    def test_checked_construction_still_rejects_with_the_scan_witness(self):
+        pre = build_preorder(["c", "a", "b"], [("a", "b"), ("b", "a"), ("c", "a")])
+        for members in [{"c"}, {"a"}, {"c", "a"}, {"b", "c"}]:
+            witness = open_violation_by_scan(pre, members)
+            with pytest.raises(NotOpenError) as err:
+                OpenSet(pre, members)
+            assert (err.value.element, err.value.successor) == witness
+
+    def test_opens_on_different_carriers_do_not_combine(self):
+        a = open_star(build_poset("ab", []), "a")
+        b = open_star(build_poset("ba", []), "b")
+        assert a != b
+        for combine in (a.union, a.intersection, a.__le__):
+            with pytest.raises(ValidationError):
+                combine(b)
 
 
 class TestStarOrdering:
