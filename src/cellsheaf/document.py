@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from math import lcm
+
 from .errors import DocumentError
 from .linalg import Matrix, field_from_name
 from .morphism import SheafMorphism, build_morphism
@@ -29,8 +31,6 @@ from .topology import OpenSet, union_of_stars
 _IDENT = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.'-]*$")
 _BLOCK = re.compile(r"^\[\s*([a-z]+)(?:\s+(\S+))?\s*\]$")
 _ENTRY_TOKEN = re.compile(r"^-?\d+(?:/\d+)?$")
-# entries read with int rather than the field's string parser
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 MAIN_SHEAF = "main"
 
@@ -324,23 +324,36 @@ def _realize_matrix(lit: MatrixLiteral, field, rows: int, cols: int,
             f"matrix for {edge_desc} is {got_rows}x{got_cols}, expected {rows}x{cols}",
             lit.line,
         )
-    return Matrix(field, rows, cols, [
-        [_realize_entry(tok, field, lit.line) for tok in row] for row in data])
+    # lowered rows: over Q one integer row over the lcm of its
+    # denominators, over GF(p) the residues
+    p = field.characteristic
+    low, dens = [], []
+    for row in data:
+        entries = [_realize_entry(tok, field, lit.line) for tok in row]
+        if p:
+            low.append([n if d == 1 else n * pow(d, -1, p) for n, d in entries])
+        else:
+            den = lcm(*[d for _, d in entries])
+            low.append([n * (den // d) for n, d in entries])
+            dens.append(den)
+    return Matrix._make(field, rows, cols, low=field.canonical(low, dens))
 
 
-def _realize_entry(tok: str, field, line: int):
+def _realize_entry(tok: str, field, line: int) -> tuple[int, int]:
+    """(numerator, denominator) of an `n` or `n/d` entry, read with int."""
+    num, _, den = tok.partition("/")
     try:
-        if _INTEGER.fullmatch(tok):
-            return field.coerce(int(tok))
-        return field.coerce(tok)
-    except ZeroDivisionError:
-        # a denominator of 0, or of a multiple of p under GF(p), has no value
-        raise DocumentError(f"entry {tok!r} divides by zero in {field!r}", line) from None
+        num, den = int(num), int(den or 1)
     except ValueError:
         # an integer past the interpreter's digit limit for str -> int
         raise DocumentError(
             f"entry {tok[:12]}... has too many digits ({len(tok)} characters)", line,
         ) from None
+    p = field.characteristic
+    if not (den % p if p else den):
+        # a denominator of 0, or of a multiple of p under GF(p), has no value
+        raise DocumentError(f"entry {tok!r} divides by zero in {field!r}", line)
+    return num, den
 
 
 def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDocument:

@@ -15,14 +15,15 @@ the pivot and divides out the gcd of the row, and pivot rows are divided by
 their pivots only at the end. The reduced echelon form is unique, so it is
 the one `Fraction` arithmetic gives. Both forms are canonical, so matrices
 are equal exactly when their lowered forms are. A matrix lowers its entries
-once and keeps them, and its rank. Field values are lifted back only at the
-interface: `Matrix.data` (read by `mul_vec`, `+`, `-`, `repr` and the
-reports) and `SubspaceBasis.rows`.
+once and keeps them, and its rank. A subspace keeps the lowered rows of its
+basis; `reduce`, `contains` and `coordinates` lower the vector they are
+given. Field values are lifted back only where a caller reads them:
+`Matrix.data` (read by `repr`, `transpose`, `scale` and the reports),
+`SubspaceBasis.rows`, and the vectors that `mul_vec` and `reduce` return.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm
@@ -339,9 +340,9 @@ class Matrix:
             self._low = self.field.lower(self._data)
         return self._low
 
-    def _columns(self) -> tuple:
-        """(int columns, common denominator): column j is columns[j] / common,
-        with common = 1 over GF(p)."""
+    def _integer_rows(self) -> tuple:
+        """(int rows, common denominator): the matrix is rows / common, with
+        common = 1 over GF(p)."""
         rows, dens = self._lowered()
         common = 1
         if dens is not None:
@@ -349,7 +350,19 @@ class Matrix:
             if common != 1:
                 rows = [row if d == common else tuple([x * (common // d) for x in row])
                         for row, d in zip(rows, dens)]
+        return rows, common
+
+    def _columns(self) -> tuple:
+        """(int columns, common denominator): column j is columns[j] / common,
+        with common = 1 over GF(p)."""
+        rows, common = self._integer_rows()
         return (list(zip(*rows)) if rows else [()] * self.cols), common
+
+    @classmethod
+    def _of_columns(cls, field, rows: int, columns, den: int) -> "Matrix":
+        """The matrix whose column j is the int vector columns[j] / den."""
+        data = list(zip(*columns)) if columns else [()] * rows
+        return cls._make(field, rows, len(columns), low=field.canonical(data, [den] * rows))
 
     def __eq__(self, other):
         return (
@@ -386,14 +399,25 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError("shape mismatch in addition")
-        return Matrix._make(self.field, self.rows, self.cols, tuple(
-            tuple([a + b for a, b in zip(r1, r2)]) for r1, r2 in zip(self.data, other.data)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError("shape mismatch in subtraction")
-        return Matrix._make(self.field, self.rows, self.cols, tuple(
-            tuple([a - b for a, b in zip(r1, r2)]) for r1, r2 in zip(self.data, other.data)))
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, row by row over a common denominator."""
+        rows, dens = self._lowered()
+        other_rows, other_dens = other._lowered()
+        out, out_dens = [], []
+        for a, b, d, e in zip(rows, other_rows, dens or repeat(1), other_dens or repeat(1)):
+            common = lcm(d, e)
+            s, t = common // d, sign * (common // e)
+            out.append([s * x + t * y for x, y in zip(a, b)])
+            out_dens.append(common)
+        return Matrix._make(self.field, self.rows, self.cols,
+                            low=self.field.canonical(out, out_dens))
 
     def __neg__(self) -> "Matrix":
         rows, dens = self._lowered()
@@ -408,15 +432,10 @@ class Matrix:
     def mul_vec(self, vec: Sequence) -> tuple:
         if len(vec) != self.cols:
             raise ShapeError("vector length does not match column count")
-        zero = self.field.zero
-        out = []
-        for row in self.data:
-            acc = zero
-            for a, b in zip(row, vec):
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        (v,), dens = self.field.lower((vec,))
+        rows, common = self._integer_rows()
+        out = [sum(map(mul, row, v)) for row in rows]
+        return self.field.lift(((out,), dens and (dens[0] * common,)))[0]
 
     def transpose(self) -> "Matrix":
         return Matrix._make(self.field, self.cols, self.rows,
@@ -520,55 +539,99 @@ def _rref(field, rows: list, cols: int, full: bool = True) -> list[int]:
     return pivots
 
 
-@dataclass(frozen=True)
 class SubspaceBasis:
     """A subspace stored as a canonical reduced-echelon basis.
 
-    Canonical form makes equality of values equivalent to equality of the
-    subspaces they describe. The pivot of each row is found once, when the
-    basis is made.
+    The basis is kept as the lowered form of the matrix of its rows, with
+    the pivot of each row as the elimination found it. Canonical form makes
+    equality of values equivalent to equality of the subspaces they
+    describe. `rows` lifts the basis to field values on first read.
+
+    In a reduced echelon basis the coordinates of a vector of the subspace
+    are its entries at the pivots, so only the membership check does
+    arithmetic: the vector minus the combination of the basis rows with
+    those coordinates must vanish. It can only fail to vanish off the
+    pivots, and it is computed there on ints.
     """
 
-    field: object
-    ambient_dim: int
-    rows: tuple
-    _pivots: tuple = dataclass_field(init=False, repr=False, compare=False)
+    __slots__ = ("field", "ambient_dim", "_matrix", "_pivots", "_free")
 
-    def __post_init__(self):
-        out = []
-        for row in self.rows:
-            for j, v in enumerate(row):
-                if v:
-                    out.append(j)
-                    break
-        object.__setattr__(self, "_pivots", tuple(out))
+    def __init__(self, field, ambient_dim: int, low: tuple, pivots: Sequence[int]):
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self._matrix = Matrix._make(field, len(pivots), ambient_dim, low=low)
+        self._pivots = tuple(pivots)
+        self._free = None
+
+    @property
+    def rows(self) -> tuple:
+        return self._matrix.data
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._pivots)
 
     def pivots(self) -> tuple[int, ...]:
         return self._pivots
 
+    def __eq__(self, other):
+        return (
+            isinstance(other, SubspaceBasis)
+            and other.field == self.field
+            and other.ambient_dim == self.ambient_dim
+            and other._matrix._low == self._matrix._low
+        )
+
+    def __hash__(self):
+        return hash((self.field, self.ambient_dim, self._matrix._low))
+
+    def __repr__(self):
+        return (f"SubspaceBasis(field={self.field!r}, ambient_dim={self.ambient_dim!r},"
+                f" rows={self.rows!r})")
+
+    def _off_pivots(self) -> tuple:
+        """(common denominator c, [(j, column j of c * basis rows)] for each
+        column j off the pivots), made on first use."""
+        if self._free is None:
+            rows, common = self._matrix._integer_rows()
+            columns = list(zip(*rows)) if rows else [()] * self.ambient_dim
+            pivots = set(self._pivots)
+            self._free = common, [(j, col) for j, col in enumerate(columns)
+                                  if j not in pivots]
+        return self._free
+
+    def _residual(self, v: Sequence[int]) -> list:
+        """c * (v minus its projection) off the pivots, for an int vector v
+        (over GF(p) mod p); zero exactly when v lies in the subspace."""
+        common, free = self._off_pivots()
+        coords = [v[c] for c in self._pivots]
+        out = [common * v[j] - sum(map(mul, coords, col)) for j, col in free]
+        p = self.field.characteristic
+        return [x % p for x in out] if p else out
+
+    def _coordinates(self, v: Sequence[int]) -> list:
+        """The entries of an int vector v at the pivots, which are its
+        coordinates when v lies in the subspace; ValueError if it does not."""
+        if any(self._residual(v)):
+            raise ValueError("vector does not lie in the subspace")
+        return [v[c] for c in self._pivots]
+
     def reduce(self, vec: Sequence) -> tuple:
         """Subtract the projection onto the subspace along pivot coordinates."""
-        v = list(vec)
-        for row, p in zip(self.rows, self._pivots):
-            f = v[p]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
+        (v,), dens = self.field.lower((vec,))
+        common, free = self._off_pivots()
+        out = [0] * self.ambient_dim
+        for (j, _), x in zip(free, self._residual(v)):
+            out[j] = x
+        return self.field.lift(((out,), dens and (dens[0] * common,)))[0]
 
     def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))
+        return not any(self._residual(self.field.lower((vec,))[0][0]))
 
     def coordinates(self, vec: Sequence) -> tuple:
         """Coordinates of `vec` in this basis; ValueError if outside."""
-        coords = tuple(vec[p] for p in self._pivots)
-        residue = self.reduce(vec)
-        if any(residue):
-            raise ValueError("vector does not lie in the subspace")
-        return coords
+        self._coordinates(self.field.lower((vec,))[0][0])
+        return tuple(vec[c] for c in self._pivots)
 
     def linear_combination(self, coords: Sequence) -> tuple:
         if len(coords) != self.dim:
@@ -581,11 +644,11 @@ class SubspaceBasis:
 
 
 def _basis(field, ambient_dim: int, rows: list) -> SubspaceBasis:
-    """The canonical basis of the span of lowered rows, lifted."""
+    """The canonical basis of the span of lowered rows."""
     pivots = _rref(field, rows, ambient_dim)
     rows = rows[: len(pivots)]
-    return SubspaceBasis(field, ambient_dim, field.lift(
-        (rows, [row[c] for row, c in zip(rows, pivots)])))
+    return SubspaceBasis(field, ambient_dim, field.canonical(
+        rows, [row[c] for row, c in zip(rows, pivots)]), pivots)
 
 
 def subspace_from_rows(field, ambient_dim: int, rows: Iterable[Sequence]) -> SubspaceBasis:

@@ -10,6 +10,7 @@ pointwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Mapping
 
 from .errors import NaturalityError, ShapeError, ValidationError
@@ -106,11 +107,13 @@ def section_map(morphism: SheafMorphism, U: OpenSet) -> Matrix:
         [morphism.source.dim(x) for x in pts],
         {(i, i): morphism.components[x] for i, x in enumerate(pts)},
     )
-    columns = []
-    for row in src_space.basis.rows:
-        image = pointwise.mul_vec(row)
-        columns.append(tgt_space.basis.coordinates(image))
-    return Matrix(field, len(columns), tgt_space.dim, columns).transpose()
+    # on ints: a source basis row b / b_den goes to (P b) / (P_den b_den)
+    rows, row_den = src_space.basis._matrix._integer_rows()
+    pointwise_rows, pointwise_den = pointwise._integer_rows()
+    coordinates = tgt_space.basis._coordinates
+    return Matrix._of_columns(field, tgt_space.dim, [
+        coordinates([sum(map(mul, p_row, row)) for p_row in pointwise_rows])
+        for row in rows], pointwise_den * row_den)
 
 
 def stalk_map_direct_limit(morphism: SheafMorphism, p: str,
@@ -138,9 +141,8 @@ def stalk_map_direct_limit(morphism: SheafMorphism, p: str,
             if not any(coords):
                 continue
             image = section_map(morphism, U).mul_vec(coords)
-            off_tgt = tgt_limit.offsets[U.mask]
-            for j, v in enumerate(image):
-                big_tgt[off_tgt + j] = big_tgt[off_tgt + j] + v
+            off_tgt = tgt_limit.offsets[U.mask]  # each neighbourhood has its own block
+            big_tgt[off_tgt: off_tgt + len(image)] = image
         columns.append(tgt_limit.project(big_tgt))
     induced = Matrix(field, len(columns), tgt_limit.dim, columns).transpose()
     return induced, src_limit, tgt_limit

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count, repeat
+from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -34,10 +36,10 @@ from .linalg import (
     Matrix,
     QQ,
     SubspaceBasis,
+    _basis,
     block_assemble,
     is_exact_at,
     kernel_basis,
-    subspace_from_rows,
 )
 from .order import Poset, as_poset, hasse_edges, iter_bits
 from .topology import (
@@ -253,6 +255,11 @@ def constant_sheaf(base: Poset, dim: int, field=QQ) -> CellularSheaf:
     )
 
 
+def _incompatible(p: str, q: str, image: Sequence, value: Sequence) -> ValidationError:
+    return ValidationError(
+        f"family is not compatible along {p} <= {q}: {list(image)} vs {list(value)}")
+
+
 class Section:
     """A compatible family of point values over an open set."""
 
@@ -274,10 +281,7 @@ class Section:
             if p in coerced and q in coerced:
                 image = sheaf.restriction(p, q).mul_vec(coerced[p])
                 if image != coerced[q]:
-                    raise ValidationError(
-                        f"family is not compatible along {p} <= {q}:"
-                        f" {list(image)} vs {list(coerced[q])}"
-                    )
+                    raise _incompatible(p, q, image, coerced[q])
         self.sheaf = sheaf
         self.open = open
         self.components = coerced
@@ -351,7 +355,8 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
     induction from the bottom, every minimal point below x then gives x the
     same value. The kernel is expanded to all of U by s_x = map(o(x), x)
     s_o(x) and put in canonical form, so the basis is the reduced echelon
-    basis of the families (points in carrier order).
+    basis of the families (points in carrier order). All of this runs on
+    lowered forms; a family is scaled freely, as only its span is kept.
 
     The expansion is right only for functorial data, so every basis family
     is checked along each covering pair inside U: hand-built data whose
@@ -362,6 +367,7 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
     cached = sheaf._section_cache.get(U.mask)
     if cached is not None:
         return cached
+    field = sheaf.field
     members, pts = U.members, U.sorted_members
     lower: dict[str, list[str]] = {x: [] for x in pts}
     upper: dict[str, list[str]] = {x: [] for x in pts}
@@ -376,7 +382,6 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
     for m in minimal:
         offs[m] = total
         total += sheaf.dim(m)
-    zero = sheaf.field.zero
     rows = []
     owner = {m: m for m in minimal}
     waiting = {x: len(lower[x]) for x in pts}
@@ -387,35 +392,69 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
             owner[x] = min(owners, key=position)
             first = owners[0]
             A = sheaf.restriction(first, x)
+            a_rows, a_den = A._integer_rows()
             seen = {first}
             for o in owners[1:]:
                 if o in seen:
                     continue
                 seen.add(o)
                 B = sheaf.restriction(o, x)
-                for a_row, b_row in zip(A.data, B.data):
-                    row = [zero] * total
-                    row[offs[first]: offs[first] + A.cols] = a_row
-                    row[offs[o]: offs[o] + B.cols] = [-v for v in b_row]
+                b_rows, b_den = B._integer_rows()
+                # A s_first - B s_o = 0, times both denominators
+                for a_row, b_row in zip(a_rows, b_rows):
+                    row = [0] * total
+                    row[offs[first]: offs[first] + A.cols] = [b_den * v for v in a_row]
+                    row[offs[o]: offs[o] + B.cols] = [-a_den * v for v in b_row]
                     rows.append(row)
         for q in upper[x]:
             waiting[q] -= 1
             if not waiting[q]:
                 order.append(q)
-    kernel = kernel_basis(Matrix(sheaf.field, len(rows), total, rows))
+    kernel = kernel_basis(Matrix._make(field, len(rows), total,
+                                       low=field.canonical(rows, [1] * len(rows))))
     families = []
-    for vec in kernel.rows:
-        family: list = []
-        for x in pts:
-            o = owner[x]
-            value = vec[offs[o]: offs[o] + sheaf.dim(o)]
-            family.extend(value if o == x else sheaf.restriction(o, x).mul_vec(value))
-        families.append(family)
+    if kernel.dim:
+        expand = {x: sheaf.restriction(owner[x], x)._integer_rows()
+                  for x in pts if owner[x] != x}
+        common = lcm(*[den for _, den in expand.values()])
+        for vec in kernel._matrix._lowered()[0]:
+            family: list = []
+            for x in pts:
+                o = owner[x]
+                value = vec[offs[o]: offs[o] + sheaf.dim(o)]
+                if o == x:
+                    family.extend(value if common == 1 else [common * v for v in value])
+                else:
+                    m_rows, den = expand[x]
+                    scale = common // den
+                    family.extend([scale * sum(map(mul, row, value)) for row in m_rows])
+            families.append(family)
     width = sum(sheaf.dim(x) for x in pts)
-    space = SectionSpace(sheaf, U, subspace_from_rows(sheaf.field, width, families))
-    space.basis_sections()  # Section checks each covering pair inside U
+    families = list(field.canonical(families, [1] * len(families))[0])
+    space = SectionSpace(sheaf, U, _basis(field, width, families))
+    _check_families(space)
     sheaf._section_cache[U.mask] = space
     return space
+
+
+def _check_families(space: SectionSpace):
+    """Check each basis family along each covering pair inside its open, on
+    ints; values are lifted only for the message of a failure."""
+    sheaf, members = space.sheaf, space.open.members
+    p = sheaf.field.characteristic
+    offs = space.offsets()
+    pairs = [(a, b, sheaf.restriction(a, b)) for a, b in sheaf.hasse
+             if a in members and b in members]
+    for k, vec in enumerate(space.basis._matrix._lowered()[0]):
+        for a, b, m in pairs:
+            rows, dens = m._lowered()
+            at_a = vec[offs[a]: offs[a] + m.cols]
+            for i, row, den in zip(count(offs[b]), rows, dens or repeat(1)):
+                x = sum(map(mul, row, at_a)) - den * vec[i]
+                if x % p if p else x:
+                    family = space.basis.rows[k]
+                    raise _incompatible(a, b, m.mul_vec(family[offs[a]: offs[a] + m.cols]),
+                                        family[offs[b]: offs[b] + m.rows])
 
 
 def _check_carrier(sheaf: CellularSheaf, *opens: OpenSet):
@@ -446,13 +485,11 @@ def restriction_matrix(sheaf: CellularSheaf, U: OpenSet, V: OpenSet) -> Matrix:
     SU = sections_over(sheaf, U)
     SV = sections_over(sheaf, V)
     offs = SU.offsets()
-    columns = []
-    for row in SU.basis.rows:
-        restricted = []
-        for x in V.sorted_members:
-            restricted.extend(row[offs[x]: offs[x] + sheaf.dim(x)])
-        columns.append(SV.basis.coordinates(restricted))
-    result = Matrix(sheaf.field, len(columns), SV.dim, columns).transpose()
+    take = [i for x in V.sorted_members for i in range(offs[x], offs[x] + sheaf.dim(x))]
+    rows, den = SU.basis._matrix._integer_rows()
+    coordinates = SV.basis._coordinates
+    result = Matrix._of_columns(sheaf.field, SV.dim, [
+        coordinates([row[i] for i in take]) for row in rows], den)
     sheaf._restriction_cache[key] = result
     return result
 
@@ -591,25 +628,30 @@ def stalk_direct_limit(sheaf: CellularSheaf, point: str,
         ]
         star_coords[u] = through[0]
         for M in through[1:]:
-            residuals.extend(zip(*(M - through[0]).data))
-    rows: list[list] = [[] for _ in range(d)]
-    for U in nbhd:
-        for row, part in zip(rows, star_coords[U.mask].data):
-            row.extend(part)
-    images = Matrix(field, d, total, rows)
-    relations = subspace_from_rows(field, d, residuals)
+            residuals.extend((M - through[0])._columns()[0])
+    images = block_assemble(field, [d], [spaces[U.mask].dim for U in nbhd],
+                            {(0, k): star_coords[U.mask] for k, U in enumerate(nbhd)})
+    relations = _basis(field, d, residuals)
     r = relations.dim
-    # the pivot columns of [Rel | image of column total-1 | ... | of column 0]
-    greedy = subspace_from_rows(field, r + total, [
-        [rel[i] for rel in relations.rows] + row[::-1] for i, row in enumerate(rows)
+    # the pivot columns of [Rel | image of column total-1 | ... | of column 0];
+    # scaling the columns of either block leaves them where they are, so
+    # each block is taken over its own common denominator
+    rel_columns, rel_den = relations._matrix._columns()
+    image_rows, image_den = images._integer_rows()
+    greedy = _basis(field, r + total, [
+        [*rel, *row[::-1]] for rel, row in zip(rel_columns, image_rows)
     ])
     free_columns = tuple(sorted(total - 1 - (c - r) for c in greedy.pivots()[r:]))
     # Γ(U_p) is the direct sum of Rel and the images of the free columns;
     # solve reads off the coefficients on the latter
-    image_columns = list(zip(*rows))
-    frame = [*relations.rows, *(image_columns[f] for f in free_columns)]
-    inverse = Matrix(field, d, d, frame).inverse()
-    solve = Matrix(field, len(free_columns), d, list(zip(*inverse.data))[r:])
+    rel_rows, _ = relations._matrix._integer_rows()
+    image_columns, _ = images._columns()
+    frame = Matrix._make(field, d, d, low=field.canonical(
+        [*rel_rows, *(image_columns[f] for f in free_columns)],
+        [rel_den] * r + [image_den] * len(free_columns)))
+    inverse_columns, inverse_den = frame.inverse()._columns()
+    solve = Matrix._make(field, len(free_columns), d, low=field.canonical(
+        inverse_columns[r:], [inverse_den] * len(free_columns)))
     limit = DirectLimitStalk(
         sheaf, point, tuple(nbhd), offsets, total, images, solve, free_columns, None,
     )

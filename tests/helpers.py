@@ -19,6 +19,7 @@ from cellsheaf import (
     MonotoneMap,
     Poset,
     PreOrder,
+    PrimeField,
     QQ,
     build_poset,
     build_preorder,
@@ -32,6 +33,10 @@ from oracles import open_violation_by_scan
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 _NAMES = [chr(ord("a") + i) for i in range(20)]
+
+# Q and four prime fields: characteristic 2, small, medium and past 2**63
+CORE_FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(101),
+               PrimeField(1000000000000000003)]
 
 
 def rational(rng: random.Random) -> Fraction:

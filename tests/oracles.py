@@ -136,6 +136,69 @@ def inverse_by_field_ops(field, rows, n):
     return tuple(tuple(row[n:]) for row in reduced)
 
 
+def pivots_by_scan(rows) -> tuple:
+    """The column of the first nonzero entry of each row."""
+    return tuple(next(j for j, v in enumerate(row) if v) for row in rows)
+
+
+def reduce_by_field_ops(rows, vec) -> tuple:
+    """vec minus, for each row of a reduced echelon basis in turn, its entry
+    at the row's pivot times the row."""
+    v = list(vec)
+    for row, p in zip(rows, pivots_by_scan(rows)):
+        f = v[p]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def coordinates_by_field_ops(rows, vec) -> tuple:
+    """The coordinates of vec in a reduced echelon basis, its entries at the
+    pivots; ValueError when vec does not reduce to zero."""
+    if any(reduce_by_field_ops(rows, vec)):
+        raise ValueError("vector does not lie in the subspace")
+    return tuple(vec[p] for p in pivots_by_scan(rows))
+
+
+def restriction_matrix_by_field_ops(sheaf, U: OpenSet, V: OpenSet) -> Matrix:
+    """The restriction Γ(U) -> Γ(V) in the canonical bases: each basis family
+    over U, cut down to the points of V, in coordinates over V."""
+    source, target = sections_over(sheaf, U), sections_over(sheaf, V)
+    offs = source.offsets()
+    columns = [
+        coordinates_by_field_ops(target.basis.rows, [
+            v for x in V.sorted_members for v in row[offs[x]: offs[x] + sheaf.dim(x)]])
+        for row in source.basis.rows
+    ]
+    data = list(zip(*columns)) if columns else [()] * target.dim
+    return Matrix(sheaf.field, target.dim, source.dim, data)
+
+
+def first_incompatibility_by_field_ops(sheaf, U: OpenSet, families) -> str | None:
+    """The message for the first family, and in it the first covering pair
+    p < q inside U, whose value at q is not map(p, q) applied to its value
+    at p; None when every family is compatible. Families list their points'
+    values in carrier order."""
+    field = sheaf.field
+    offs: dict[str, int] = {}
+    total = 0
+    for x in U.sorted_members:
+        offs[x] = total
+        total += sheaf.dim(x)
+    for vec in families:
+        for p, q in sheaf.hasse:
+            if p not in U.members or q not in U.members:
+                continue
+            at_p = vec[offs[p]: offs[p] + sheaf.dim(p)]
+            at_q = tuple(vec[offs[q]: offs[q] + sheaf.dim(q)])
+            image = tuple(sum((a * b for a, b in zip(row, at_p)), field.zero)
+                          for row in sheaf.restriction(p, q).data)
+            if image != at_q:
+                return (f"family is not compatible along {p} <= {q}:"
+                        f" {list(image)} vs {list(at_q)}")
+    return None
+
+
 def basis_index_by_scan(U: OpenSet) -> tuple[str, ...]:
     """The star centers x whose basic open U_x sits inside U, by a literal
     containment scan. In an Alexandrov space they are the members of U."""

@@ -183,6 +183,35 @@ class TestParseErrors:
         assert err.value.line == 9
         assert str(err.value).startswith(f"line 9: entry '{entry}' divides by zero")
 
+    @pytest.mark.parametrize("field, entry, message", [
+        ("q", "1/0", "entry '1/0' divides by zero in QQ"),
+        ("fp:5", "1/5", "entry '1/5' divides by zero in GF(5)"),
+        ("q", "1/" + "7" * 5000, "entry 1/7777777777... has too many digits (5002 characters)"),
+        ("fp:5", "7" * 5000, "entry 777777777777... has too many digits (5000 characters)"),
+        ("fp:5", "-" + "7" * 5000 + "/3",
+         "entry -77777777777... has too many digits (5003 characters)"),
+    ])
+    def test_entry_errors_keep_their_text_and_line(self, field, entry, message):
+        # read off the parser that made a field value per entry
+        text = ("[poset]\nelements = a b\nrelation = a<b\n\n[sheaf]\n"
+                f"field = {field}\ndim a = 1\ndim b = 2\nmap a->b = [[1], [{entry}]]\n")
+        with pytest.raises(DocumentError) as err:
+            parse_text(text)
+        assert err.value.line == 9
+        assert str(err.value) == f"line 9: {message}"
+
+    @pytest.mark.parametrize("field", ["q", "fp:11", "fp:1000000000000000003"])
+    def test_lowered_entries_equal_the_field_values(self, field):
+        entries = [["12", "-3/4", "5/6"], ["0", "-7/14", "2/1"], ["9/3", "1", "-0/5"]]
+        text = ("[poset]\nelements = a b\nrelation = a<b\n\n[sheaf]\n"
+                f"field = {field}\ndim a = 3\ndim b = 3\nmap a->b = "
+                + "[" + ", ".join("[" + ", ".join(row) + "]" for row in entries) + "]\n")
+        sheaf = parse_text(text).sheaves["main"]
+        expected = Matrix.build(sheaf.field, entries)
+        got = sheaf.restriction("a", "b")
+        assert got == expected
+        assert got.data == expected.data
+
     @pytest.mark.parametrize("field, entries, values", [
         ("q", "12, -3, 007, 4/6, -0", [12, -3, 7, Fraction(2, 3), 0]),
         ("fp:7", "12, -3, 007, 4/6, -0", [5, 4, 0, 3, 0]),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +21,14 @@ from cellsheaf import (
 
 from cellsheaf.linalg import PRIME_BOUND, _is_prime
 
-from helpers import random_matrix
+from helpers import CORE_FIELDS, random_matrix
 from oracles import (
+    coordinates_by_field_ops,
     gauss_jordan,
     inverse_by_field_ops,
     kernel_by_field_ops,
     product_by_field_ops,
+    reduce_by_field_ops,
     span_by_field_ops,
 )
 
@@ -103,10 +106,6 @@ class TestRref:
         assert m.rank() == len(gauss_jordan(QQ, m.data, m.cols)[1])
 
 
-CORE_FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(101),
-               PrimeField(1000000000000000003)]
-
-
 def field_entries(field):
     if field == QQ:
         return mixed_fractions_st
@@ -146,6 +145,23 @@ class TestIntegerCore:
         assert kernel_basis(f).rows == kernel_by_field_ops(field, F, a)
         columns = [list(col) for col in zip(*F)] if F else [[] for _ in range(a)]
         assert image_basis(f).rows == span_by_field_ops(field, columns, b)
+        # reduce, contains and coordinates, on a vector of the span and on
+        # one drawn freely
+        span = image_basis(f)
+        coeffs = data.draw(st.lists(field_entries(field), min_size=a, max_size=a))
+        vectors = [
+            [sum((x * v for x, v in zip(coeffs, row)), field.zero) for row in F],
+            data.draw(st.lists(field_entries(field), min_size=b, max_size=b)),
+        ]
+        for vec in vectors:
+            residue = reduce_by_field_ops(span.rows, vec)
+            assert span.reduce(vec) == residue
+            assert span.contains(vec) == (not any(residue))
+            if any(residue):
+                with pytest.raises(ValueError):
+                    span.coordinates(vec)
+            else:
+                assert span.coordinates(vec) == coordinates_by_field_ops(span.rows, vec)
         if a == b:
             expected = inverse_by_field_ops(field, F, a)
             if expected is None:
@@ -168,6 +184,14 @@ class TestIntegerCore:
         assert (g @ f).data == product
         assert g @ f == Matrix(field, c, a, product)
         assert (-g).data == tuple(tuple(-x for x in row) for row in G)
+        # sums and differences; the rows of h have other denominators
+        H = data.draw(field_rows(field, c, b))
+        h = Matrix(field, c, b, H)
+        for got, op in ((g + h, add), (g - h, sub)):
+            expected = tuple(tuple(map(op, r, s)) for r, s in zip(G, H))
+            assert got.data == expected
+            assert got == Matrix(field, c, b, expected)
+        assert (g - g).is_zero() and g + h - h == g
         # rows of two blocks with different denominators
         pair = block_assemble(field, [c], [a, b], {(0, 0): g @ f}, {(0, 1): g})
         assert pair.data == tuple(

@@ -17,6 +17,7 @@ from cellsheaf import (
     PrimeField,
     QQ,
     Section,
+    SectionSpace,
     ShapeError,
     ValidationError,
     build_morphism,
@@ -35,6 +36,7 @@ from cellsheaf import (
     stalk_at,
     stalk_direct_limit,
     stalk_map_direct_limit,
+    subspace_from_rows,
     union_of_stars,
     verify_base_sheaf_axioms,
     verify_sheaf_axioms_extended,
@@ -42,11 +44,13 @@ from cellsheaf import (
 )
 
 from helpers import (
+    CORE_FIELDS,
     posets,
     random_matrix,
     random_natural_components,
     random_poset,
     random_sheaf,
+    rational,
 )
 import oracles
 from oracles import (
@@ -404,6 +408,82 @@ class TestMinimalPointSolve:
         )
         assert space.dim == d
         assert space.basis.rows == constant
+
+
+class TestLoweredSectionSpaces:
+    """Section spaces, their coordinates, restriction matrices and the
+    covering-pair check run on ints; the field-object versions in
+    tests/oracles.py are the reference."""
+
+    @pytest.mark.parametrize("field", CORE_FIELDS, ids=lambda f: f.name)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_field_arithmetic(self, field, seed):
+        rng = random.Random(seed)
+
+        def entry():
+            if field == QQ:
+                return rational(rng)
+            return field.coerce(rng.choice([rng.randint(-3, 3), rng.randrange(field.p)]))
+
+        base = random_poset(rng, rng.randint(1, 5))
+        sheaf = random_sheaf(rng, base, field=field)
+        opens = enumerate_opens(base)
+        U = rng.choice(opens[len(opens) // 2:])  # the larger half
+        V = rng.choice([W for W in opens if W <= U])
+        got = restriction_matrix(sheaf, U, V)
+        want = oracles.restriction_matrix_by_field_ops(sheaf, U, V)
+        assert got == want and got.data == want.data
+
+        basis = sections_over(sheaf, U).basis
+        width = basis.ambient_dim
+        inside = [field.zero] * width
+        for row in basis.rows:
+            c = entry()
+            inside = [a + c * b for a, b in zip(inside, row)]
+        vectors = [inside, [entry() for _ in range(width)]]
+        # a unit vector off the pivots never lies in a reduced echelon span
+        off = [j for j in range(width) if j not in basis.pivots()]
+        if off:
+            unit = [field.zero] * width
+            unit[rng.choice(off)] = field.one
+            vectors.append(unit)
+            with pytest.raises(ValueError):
+                basis.coordinates(unit)
+        assert basis.coordinates(inside) == oracles.coordinates_by_field_ops(
+            basis.rows, inside)
+        for vec in vectors:
+            residue = oracles.reduce_by_field_ops(basis.rows, vec)
+            assert basis.reduce(vec) == residue
+            assert basis.contains(vec) == (not any(residue))
+            try:
+                coords = oracles.coordinates_by_field_ops(basis.rows, vec)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    basis.coordinates(vec)
+            else:
+                assert basis.coordinates(vec) == coords
+
+        # the covering-pair check passes on the sections; with a vector added
+        # that is most likely no section, it names the first bad pair
+        assert oracles.first_incompatibility_by_field_ops(sheaf, U, basis.rows) is None
+        families = [*basis.rows, [entry() for _ in range(width)]]
+        space = SectionSpace(sheaf, U, subspace_from_rows(field, width, families))
+        message = oracles.first_incompatibility_by_field_ops(sheaf, U, space.basis.rows)
+        if message is None:
+            cellsheaf.sheaf._check_families(space)
+        else:
+            with pytest.raises(ValidationError) as err:
+                cellsheaf.sheaf._check_families(space)
+            assert str(err.value) == message
+
+    def test_incompatible_data_names_the_pair_and_both_values(self):
+        # read off the field-object check that Section made before
+        fake = TestNegativeControls()._fake_path_dependent_sheaf()
+        with pytest.raises(ValidationError) as err:
+            sections_over(fake, whole_space(fake.base))
+        assert str(err.value) == (
+            "family is not compatible along q2 <= r: [Fraction(3, 1)] vs [Fraction(2, 1)]")
 
 
 class TestRestrictAndGlue:
