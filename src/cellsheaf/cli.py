@@ -39,7 +39,7 @@ from .sheaf import (
     verify_base_sheaf_axioms,
     verify_sheaf_axioms_extended,
 )
-from .topology import OpenSet, union_of_stars
+from .topology import DEFAULT_MAX_ELEMENTS, OpenSet, union_of_stars
 
 
 class Report:
@@ -214,13 +214,12 @@ def cmd_sections(args) -> Report:
     report.data["open"] = list(U.sorted_members)
     report.data["field"] = sheaf.field.name
     report.data["dim"] = space.dim
-    basis = []
-    for section in space.basis_sections():
-        basis.append({
-            x: [sheaf.field.format(v) for v in section.components[x]]
-            for x in U.sorted_members
-        })
-    report.data["basis"] = basis
+    offsets, fmt = space.offsets(), sheaf.field.format
+    report.data["basis"] = [
+        {x: [fmt(v) for v in row[offsets[x]: offsets[x] + sheaf.dim(x)]]
+         for x in U.sorted_members}
+        for row in space.basis.rows
+    ]
     return report
 
 
@@ -306,8 +305,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled covers (default 0)")
-    common.add_argument("--max-elements", type=int, default=20, dest="max_elements",
-                        help="enumeration guard for open-set listings (default 20)")
+    common.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS,
+                        dest="max_elements",
+                        help="enumeration guard for open-set listings"
+                             f" (default {DEFAULT_MAX_ELEMENTS})")
     common.add_argument("--field", default=None,
                         help="override the document field: q or fp:<prime>")
     sub = parser.add_subparsers(dest="command", required=True)

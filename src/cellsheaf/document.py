@@ -324,19 +324,17 @@ def _realize_matrix(lit: MatrixLiteral, field, rows: int, cols: int,
             f"matrix for {edge_desc} is {got_rows}x{got_cols}, expected {rows}x{cols}",
             lit.line,
         )
-    # lowered rows: over Q one integer row over the lcm of its
-    # denominators, over GF(p) the residues
+    # int rows: over Q over the lcm of all the entries' denominators, over
+    # GF(p) the residues n * d^-1
+    entries = [[_realize_entry(tok, field, lit.line) for tok in row] for row in data]
     p = field.characteristic
-    low, dens = [], []
-    for row in data:
-        entries = [_realize_entry(tok, field, lit.line) for tok in row]
-        if p:
-            low.append([n if d == 1 else n * pow(d, -1, p) for n, d in entries])
-        else:
-            den = lcm(*[d for _, d in entries])
-            low.append([n * (den // d) for n, d in entries])
-            dens.append(den)
-    return Matrix._make(field, rows, cols, low=field.canonical(low, dens))
+    if p:
+        den = 1
+        ints = [[n if d == 1 else n * pow(d, -1, p) for n, d in row] for row in entries]
+    else:
+        den = lcm(*[d for row in entries for _, d in row])
+        ints = [[n * (den // d) for n, d in row] for row in entries]
+    return Matrix._make(field, rows, cols, *field.canonical(ints, den))
 
 
 def _realize_entry(tok: str, field, line: int) -> tuple[int, int]:

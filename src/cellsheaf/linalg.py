@@ -1,31 +1,32 @@
 """Exact linear algebra over the rationals or a prime field.
 
-Everything here is exact: entries are `fractions.Fraction` values or GF(p)
-elements, and subspaces are stored as canonical reduced row echelon bases,
-so two subspaces are equal exactly when their stored bases are equal.
-Matrices with zero rows or zero columns are first-class; they are the maps
-in and out of the zero space.
+Everything here is exact, and subspaces are stored as canonical reduced
+row echelon bases, so two subspaces are equal exactly when their stored
+bases are equal. Matrices with zero rows or zero columns are first-class;
+they are the maps in and out of the zero space.
 
-Every elimination and product runs on a matrix's lowered form, of ints only.
-Over GF(p) it is the residues in [0, p), and a row operation or a dot
-product takes one `% p` per entry. Over Q it is one integer row and one
-denominator per row, the lcm of the row's denominators, in lowest terms.
-Elimination over Q is fraction-free: a row operation cross-multiplies by
-the pivot and divides out the gcd of the row, and pivot rows are divided by
-their pivots only at the end. The reduced echelon form is unique, so it is
-the one `Fraction` arithmetic gives. Both forms are canonical, so matrices
-are equal exactly when their lowered forms are. A matrix lowers its entries
-once and keeps them, and its rank. A subspace keeps the lowered rows of its
-basis; `reduce`, `contains` and `coordinates` lower the vector they are
-given. Field values are lifted back only where a caller reads them:
-`Matrix.data` (read by `repr`, `transpose`, `scale` and the reports),
-`SubspaceBasis.rows`, and the vectors that `mul_vec` and `reduce` return.
+A matrix is stored in one form only: a tuple of int rows over one positive
+denominator, in lowest terms. Over GF(p) the rows are the residues in
+[0, p) and the denominator is 1, so a row operation or a dot product takes
+one `% p` per entry. Over Q the rows are the integer matrix times the
+common denominator of its entries. Elimination over Q is fraction-free: a
+row operation cross-multiplies by the pivot and divides out the gcd of the
+row, and pivot rows are divided by their pivots only at the end. The
+reduced echelon form is unique, so it is the one `Fraction` arithmetic
+gives. The stored form is canonical, so matrices are equal exactly when
+their int rows and denominators are, and every result is brought to lowest
+terms. A matrix keeps its rank once found. A subspace keeps the matrix of
+its basis; `reduce`, `contains` and `coordinates` lower the vector they are
+given. Field values (`fractions.Fraction` or GF(p) elements) are made only
+where a caller reads them, and never stored: `Matrix.data` (read by
+`repr` and the reports), `SubspaceBasis.rows`, and the vectors that
+`mul_vec`, `reduce` and `linear_combination` return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -76,29 +77,29 @@ class RationalField:
         return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
     def lower(self, data) -> tuple:
-        """(integer rows, row denominators) of rows of rationals."""
-        rows, dens = [], []
-        for row in data:
-            den = lcm(*[x.denominator for x in row])
-            rows.append(tuple([x.numerator * (den // x.denominator) for x in row]))
-            dens.append(den)
-        return tuple(rows), tuple(dens)
-
-    def canonical(self, rows, dens) -> tuple:
-        """The lowered form of the rows rows[i] / dens[i], with dens positive."""
-        out, out_dens = [], []
-        for row, den in zip(rows, dens):
-            g = gcd(den, *row)
-            out.append(tuple(row) if g == 1 else tuple([x // g for x in row]))
-            out_dens.append(den // g)
-        return tuple(out), tuple(out_dens)
-
-    def lift(self, low) -> tuple:
-        """Rows of Fractions from (integer rows, row denominators)."""
+        """(int rows, denominator) of rows of rationals. The denominator is
+        the lcm of the entries' own, so the form is in lowest terms."""
+        den = lcm(*[x.denominator for row in data for x in row])
         return tuple(
-            tuple(map(Fraction, row)) if den == 1 else tuple([Fraction(x, den) for x in row])
-            for row, den in zip(*low)
-        )
+            tuple([x.numerator * (den // x.denominator) for x in row]) for row in data
+        ), den
+
+    def canonical(self, rows, den: int = 1) -> tuple:
+        """(int rows, denominator) in lowest terms of rows / den, den > 0."""
+        g = den
+        for row in rows:
+            if g == 1:
+                break
+            g = gcd(g, *row)
+        if g == 1:
+            return tuple(map(tuple, rows)), den
+        return tuple(tuple([x // g for x in row]) for row in rows), den // g
+
+    def lift(self, rows, den: int) -> tuple:
+        """Rows of Fractions of rows / den."""
+        if den == 1:
+            return tuple(tuple(map(Fraction, row)) for row in rows)
+        return tuple(tuple([Fraction(x, den) for x in row]) for row in rows)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -231,30 +232,34 @@ class PrimeField:
         if isinstance(value, str):
             if "/" in value:
                 num, den = value.split("/", 1)
-                return FpElement(int(num), self.p) / FpElement(int(den), self.p)
+                return self._quotient(int(num), int(den))
             return FpElement(int(value), self.p)
         if isinstance(value, Fraction):
-            return FpElement(value.numerator, self.p) / FpElement(
-                value.denominator, self.p
-            )
+            return self._quotient(value.numerator, value.denominator)
         raise TypeError(f"cannot interpret {value!r} in GF({self.p})")
+
+    def _quotient(self, num: int, den: int) -> FpElement:
+        """num * den^-1 in GF(p)."""
+        if not den % self.p:
+            raise ZeroDivisionError("division by zero in GF(p)")
+        return FpElement(num * pow(den, -1, self.p), self.p)
 
     def format(self, value) -> str:
         return str(value.value)
 
     def lower(self, data) -> tuple:
-        """(rows of residues, None) of rows of GF(p) elements."""
-        return tuple(tuple([x.value for x in row]) for row in data), None
+        """(rows of residues, 1) of rows of GF(p) elements."""
+        return tuple(tuple([x.value for x in row]) for row in data), 1
 
-    def canonical(self, rows, dens=None) -> tuple:
-        """The lowered form of rows of ints."""
+    def canonical(self, rows, den: int = 1) -> tuple:
+        """(rows of residues, 1) of rows of ints; den is always 1 here."""
         p = self.p
-        return tuple(tuple([x % p for x in row]) for row in rows), None
+        return tuple(tuple([x % p for x in row]) for row in rows), 1
 
-    def lift(self, low) -> tuple:
-        """Rows of GF(p) elements from (rows of residues, None)."""
+    def lift(self, rows, den: int) -> tuple:
+        """Rows of GF(p) elements of rows of residues; den is always 1."""
         p = self.p
-        return tuple(tuple([FpElement(x, p) for x in row]) for row in low[0])
+        return tuple(tuple([FpElement(x, p) for x in row]) for row in rows)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -279,11 +284,11 @@ def field_from_name(name: str):
 class Matrix:
     """Immutable dense matrix over an exact field, acting on column vectors.
 
-    It holds its field values, its lowered form or both, makes the missing
-    one on first use and keeps it.
+    It is stored as `_ints`, a tuple of int rows, over one positive
+    denominator `_den`, in lowest terms (see the module docstring).
     """
 
-    __slots__ = ("field", "rows", "cols", "_data", "_low", "_rank")
+    __slots__ = ("field", "rows", "cols", "_ints", "_den", "_rank")
 
     def __init__(self, field, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
@@ -294,19 +299,19 @@ class Matrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self._data = data
-        self._low = None
+        self._ints, self._den = field.lower(data)
         self._rank = None
 
     @classmethod
-    def _make(cls, field, rows: int, cols: int, data=None, low=None) -> "Matrix":
-        """A result whose shape is right by construction: no copy, no check."""
+    def _make(cls, field, rows: int, cols: int, ints: tuple, den: int = 1) -> "Matrix":
+        """A result whose shape is right and whose tuple of int rows over den
+        is in lowest terms by construction: no copy, no check."""
         m = object.__new__(cls)
         m.field = field
         m.rows = rows
         m.cols = cols
-        m._data = data
-        m._low = low
+        m._ints = ints
+        m._den = den
         m._rank = None
         return m
 
@@ -320,49 +325,27 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n: int):
-        one, zero = field.one, field.zero
         return cls._make(field, n, n, tuple(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+            tuple([int(i == j) for j in range(n)]) for i in range(n)))
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int):
-        return cls._make(field, rows, cols, ((field.zero,) * cols,) * rows)
+        return cls._make(field, rows, cols, ((0,) * cols,) * rows)
 
     @property
     def data(self) -> tuple:
-        """The entries as field values, row by row."""
-        if self._data is None:
-            self._data = self.field.lift(self._low)
-        return self._data
-
-    def _lowered(self) -> tuple:
-        if self._low is None:
-            self._low = self.field.lower(self._data)
-        return self._low
-
-    def _integer_rows(self) -> tuple:
-        """(int rows, common denominator): the matrix is rows / common, with
-        common = 1 over GF(p)."""
-        rows, dens = self._lowered()
-        common = 1
-        if dens is not None:
-            common = lcm(*dens)
-            if common != 1:
-                rows = [row if d == common else tuple([x * (common // d) for x in row])
-                        for row, d in zip(rows, dens)]
-        return rows, common
+        """The entries as field values, row by row, lifted on each read."""
+        return self.field.lift(self._ints, self._den)
 
     def _columns(self) -> tuple:
-        """(int columns, common denominator): column j is columns[j] / common,
-        with common = 1 over GF(p)."""
-        rows, common = self._integer_rows()
-        return (list(zip(*rows)) if rows else [()] * self.cols), common
+        """(int columns, denominator): column j is columns[j] / denominator."""
+        return (list(zip(*self._ints)) if self._ints else [()] * self.cols), self._den
 
     @classmethod
     def _of_columns(cls, field, rows: int, columns, den: int) -> "Matrix":
         """The matrix whose column j is the int vector columns[j] / den."""
-        data = list(zip(*columns)) if columns else [()] * rows
-        return cls._make(field, rows, len(columns), low=field.canonical(data, [den] * rows))
+        ints = tuple(zip(*columns)) if columns else ((),) * rows
+        return cls._make(field, rows, len(columns), *field.canonical(ints, den))
 
     def __eq__(self, other):
         return (
@@ -370,11 +353,12 @@ class Matrix:
             and other.field == self.field
             and other.rows == self.rows
             and other.cols == self.cols
-            and other._lowered() == self._lowered()
+            and other._den == self._den
+            and other._ints == self._ints
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self._lowered()))
+        return hash((self.field, self.rows, self.cols, self._ints, self._den))
 
     def __repr__(self):
         body = ", ".join(
@@ -390,11 +374,10 @@ class Matrix:
             raise ShapeError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        rows, dens = self._lowered()
-        columns, common = other._columns()
-        out = [[sum(map(mul, row, col)) for col in columns] for row in rows]
-        return Matrix._make(self.field, self.rows, other.cols, low=self.field.canonical(
-            out, dens and [d * common for d in dens]))
+        columns, den = other._columns()
+        out = [[sum(map(mul, row, col)) for col in columns] for row in self._ints]
+        return Matrix._make(self.field, self.rows, other.cols,
+                            *self.field.canonical(out, self._den * den))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -407,54 +390,48 @@ class Matrix:
         return self._combine(other, -1)
 
     def _combine(self, other: "Matrix", sign: int) -> "Matrix":
-        """self + sign * other, row by row over a common denominator."""
-        rows, dens = self._lowered()
-        other_rows, other_dens = other._lowered()
-        out, out_dens = [], []
-        for a, b, d, e in zip(rows, other_rows, dens or repeat(1), other_dens or repeat(1)):
-            common = lcm(d, e)
-            s, t = common // d, sign * (common // e)
-            out.append([s * x + t * y for x, y in zip(a, b)])
-            out_dens.append(common)
+        """self + sign * other, over the lcm of the two denominators."""
+        d, e = self._den, other._den
+        common = lcm(d, e)
+        s, t = common // d, sign * (common // e)
+        out = [[s * x + t * y for x, y in zip(a, b)]
+               for a, b in zip(self._ints, other._ints)]
         return Matrix._make(self.field, self.rows, self.cols,
-                            low=self.field.canonical(out, out_dens))
+                            *self.field.canonical(out, common))
 
     def __neg__(self) -> "Matrix":
-        rows, dens = self._lowered()
-        return Matrix._make(self.field, self.rows, self.cols, low=self.field.canonical(
-            [[-x for x in row] for row in rows], dens))
+        return Matrix._make(self.field, self.rows, self.cols, *self.field.canonical(
+            [[-x for x in row] for row in self._ints], self._den))
 
     def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c)
-        return Matrix._make(self.field, self.rows, self.cols, tuple(
-            tuple([c * a for a in row]) for row in self.data))
+        ((n,),), d = self.field.lower(((self.field.coerce(c),),))
+        return Matrix._make(self.field, self.rows, self.cols, *self.field.canonical(
+            [[n * x for x in row] for row in self._ints], d * self._den))
 
     def mul_vec(self, vec: Sequence) -> tuple:
         if len(vec) != self.cols:
             raise ShapeError("vector length does not match column count")
-        (v,), dens = self.field.lower((vec,))
-        rows, common = self._integer_rows()
-        out = [sum(map(mul, row, v)) for row in rows]
-        return self.field.lift(((out,), dens and (dens[0] * common,)))[0]
+        (v,), den = self.field.lower((vec,))
+        out = [sum(map(mul, row, v)) for row in self._ints]
+        return self.field.lift((out,), den * self._den)[0]
 
     def transpose(self) -> "Matrix":
         return Matrix._make(self.field, self.cols, self.rows,
-                            tuple(zip(*self.data)) or ((),) * self.cols)
+                            tuple(zip(*self._ints)) or ((),) * self.cols, self._den)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.data if self._low is None else self._low[0]))
+        return not any(map(any, self._ints))
 
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = len(_rref(self.field, list(self._lowered()[0]), self.cols, False))
+            self._rank = len(_rref(self.field, list(self._ints), self.cols, False))
         return self._rank
 
     def rref(self) -> "Matrix":
-        rows = list(self._lowered()[0])
+        rows = list(self._ints)
         pivots = _rref(self.field, rows, self.cols)
         dens = [row[c] for row, c in zip(rows, pivots)] + [1] * (self.rows - len(pivots))
-        return Matrix._make(self.field, self.rows, self.cols,
-                            low=self.field.canonical(rows, dens))
+        return Matrix._make(self.field, self.rows, self.cols, *_over_lcm(rows, dens))
 
     def is_injective(self) -> bool:
         return self.rank() == self.cols
@@ -469,16 +446,27 @@ class Matrix:
         if self.rows != self.cols:
             raise ShapeError("only square matrices can be inverted")
         n = self.rows
-        field = self.field
-        rows, dens = self._lowered()
-        # [A_int | diag(dens)] reduces to [I | A^-1], as A = diag(dens)^-1 A_int
-        aug = [list(row) + [0] * n for row in rows]
+        # [A_int | den I] reduces to [I | A^-1], as A = A_int / den
+        aug = [list(row) + [0] * n for row in self._ints]
         for i, row in enumerate(aug):
-            row[n + i] = dens[i] if dens else 1
-        if _rref(field, aug, 2 * n) != list(range(n)):
+            row[n + i] = self._den
+        if _rref(self.field, aug, 2 * n) != list(range(n)):
             raise ShapeError("matrix is not invertible")
-        return Matrix._make(field, n, n, low=field.canonical(
+        return Matrix._make(self.field, n, n, *_over_lcm(
             [row[n:] for row in aug], [row[i] for i, row in enumerate(aug)]))
+
+
+def _over_lcm(rows: Sequence, dens: Sequence[int]) -> tuple:
+    """(int rows, denominator) of the matrix whose row i is rows[i] / dens[i],
+    over the lcm L of dens. It is in lowest terms when every row is, with its
+    own denominator, as the rows of an elimination are: a prime dividing L
+    divides some dens[i] to the full power, and row i has an entry the prime
+    does not divide."""
+    common = lcm(*dens)
+    return tuple(
+        tuple(row) if d == common else tuple([x * (common // d) for x in row])
+        for row, d in zip(rows, dens)
+    ), common
 
 
 def _rref(field, rows: list, cols: int, full: bool = True) -> list[int]:
@@ -542,10 +530,10 @@ def _rref(field, rows: list, cols: int, full: bool = True) -> list[int]:
 class SubspaceBasis:
     """A subspace stored as a canonical reduced-echelon basis.
 
-    The basis is kept as the lowered form of the matrix of its rows, with
-    the pivot of each row as the elimination found it. Canonical form makes
-    equality of values equivalent to equality of the subspaces they
-    describe. `rows` lifts the basis to field values on first read.
+    The basis is kept as the matrix of its rows, with the pivot of each row
+    as the elimination found it. Canonical form makes equality of values
+    equivalent to equality of the subspaces they describe. `rows` lifts the
+    basis to field values on each read.
 
     In a reduced echelon basis the coordinates of a vector of the subspace
     are its entries at the pivots, so only the membership check does
@@ -556,10 +544,10 @@ class SubspaceBasis:
 
     __slots__ = ("field", "ambient_dim", "_matrix", "_pivots", "_free")
 
-    def __init__(self, field, ambient_dim: int, low: tuple, pivots: Sequence[int]):
+    def __init__(self, field, ambient_dim: int, matrix: Matrix, pivots: Sequence[int]):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._matrix = Matrix._make(field, len(pivots), ambient_dim, low=low)
+        self._matrix = matrix
         self._pivots = tuple(pivots)
         self._free = None
 
@@ -577,35 +565,33 @@ class SubspaceBasis:
     def __eq__(self, other):
         return (
             isinstance(other, SubspaceBasis)
-            and other.field == self.field
             and other.ambient_dim == self.ambient_dim
-            and other._matrix._low == self._matrix._low
+            and other._matrix == self._matrix
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self._matrix._low))
+        return hash((self.ambient_dim, self._matrix))
 
     def __repr__(self):
         return (f"SubspaceBasis(field={self.field!r}, ambient_dim={self.ambient_dim!r},"
                 f" rows={self.rows!r})")
 
-    def _off_pivots(self) -> tuple:
-        """(common denominator c, [(j, column j of c * basis rows)] for each
-        column j off the pivots), made on first use."""
+    def _off_pivots(self) -> list:
+        """[(j, column j of the basis rows' ints)] for each column j off the
+        pivots, made on first use."""
         if self._free is None:
-            rows, common = self._matrix._integer_rows()
-            columns = list(zip(*rows)) if rows else [()] * self.ambient_dim
             pivots = set(self._pivots)
-            self._free = common, [(j, col) for j, col in enumerate(columns)
-                                  if j not in pivots]
+            self._free = [(j, col) for j, col in enumerate(self._matrix._columns()[0])
+                          if j not in pivots]
         return self._free
 
     def _residual(self, v: Sequence[int]) -> list:
-        """c * (v minus its projection) off the pivots, for an int vector v
-        (over GF(p) mod p); zero exactly when v lies in the subspace."""
-        common, free = self._off_pivots()
+        """den * (v minus its projection) off the pivots, for an int vector v
+        and the basis denominator den (over GF(p) mod p); zero exactly when v
+        lies in the subspace."""
+        den = self._matrix._den
         coords = [v[c] for c in self._pivots]
-        out = [common * v[j] - sum(map(mul, coords, col)) for j, col in free]
+        out = [den * v[j] - sum(map(mul, coords, col)) for j, col in self._off_pivots()]
         p = self.field.characteristic
         return [x % p for x in out] if p else out
 
@@ -618,12 +604,11 @@ class SubspaceBasis:
 
     def reduce(self, vec: Sequence) -> tuple:
         """Subtract the projection onto the subspace along pivot coordinates."""
-        (v,), dens = self.field.lower((vec,))
-        common, free = self._off_pivots()
+        (v,), den = self.field.lower((vec,))
         out = [0] * self.ambient_dim
-        for (j, _), x in zip(free, self._residual(v)):
+        for (j, _), x in zip(self._off_pivots(), self._residual(v)):
             out[j] = x
-        return self.field.lift(((out,), dens and (dens[0] * common,)))[0]
+        return self.field.lift((out,), den * self._matrix._den)[0]
 
     def contains(self, vec: Sequence) -> bool:
         return not any(self._residual(self.field.lower((vec,))[0][0]))
@@ -636,19 +621,19 @@ class SubspaceBasis:
     def linear_combination(self, coords: Sequence) -> tuple:
         if len(coords) != self.dim:
             raise ShapeError("coordinate length does not match basis size")
-        out = [self.field.zero] * self.ambient_dim
-        for c, row in zip(coords, self.rows):
-            if c:
-                out = [a + c * b for a, b in zip(out, row)]
-        return tuple(out)
+        (c,), den = self.field.lower((coords,))
+        columns, basis_den = self._matrix._columns()
+        out = [sum(map(mul, c, col)) for col in columns]
+        return self.field.lift((out,), den * basis_den)[0]
 
 
 def _basis(field, ambient_dim: int, rows: list) -> SubspaceBasis:
-    """The canonical basis of the span of lowered rows."""
+    """The canonical basis of the span of int rows (residues over GF(p))."""
     pivots = _rref(field, rows, ambient_dim)
     rows = rows[: len(pivots)]
-    return SubspaceBasis(field, ambient_dim, field.canonical(
-        rows, [row[c] for row, c in zip(rows, pivots)]), pivots)
+    return SubspaceBasis(field, ambient_dim, Matrix._make(
+        field, len(pivots), ambient_dim,
+        *_over_lcm(rows, [row[c] for row, c in zip(rows, pivots)])), pivots)
 
 
 def subspace_from_rows(field, ambient_dim: int, rows: Iterable[Sequence]) -> SubspaceBasis:
@@ -658,7 +643,7 @@ def subspace_from_rows(field, ambient_dim: int, rows: Iterable[Sequence]) -> Sub
 def kernel_basis(m: Matrix) -> SubspaceBasis:
     """Canonical basis of the right kernel {v : m v = 0}."""
     field = m.field
-    rows = list(m._lowered()[0])
+    rows = list(m._ints)
     pivots = _rref(field, rows, m.cols)
     dens = [row[c] for row, c in zip(rows, pivots)]
     common = lcm(*dens)
@@ -690,7 +675,7 @@ def is_exact_at(f: Matrix, g: Matrix) -> bool:
     Implemented as g.f = 0 together with rank(f) + rank(g) = dim B, which
     is equivalent: the product vanishing gives image(f) inside kernel(g),
     and the rank condition forces equality of dimensions. The product is
-    only tested for zero, on the lowered forms, and never made.
+    only tested for zero, on the int rows, and never made.
     """
     if g.cols != f.rows:
         raise ShapeError(
@@ -698,7 +683,7 @@ def is_exact_at(f: Matrix, g: Matrix) -> bool:
         )
     columns, _ = f._columns()
     p = g.field.characteristic
-    for row in g._lowered()[0]:
+    for row in g._ints:
         for col in columns:
             dot = sum(map(mul, row, col))
             if dot % p if p else dot:
@@ -713,35 +698,30 @@ def block_assemble(field, row_dims: Sequence[int], col_dims: Sequence[int],
 
     `blocks[(i, j)]` occupies row band i and column band j, and
     `negated[(i, j)]` does so with its sign flipped; missing blocks are
-    zero. Every supplied block must match the band dimensions. The result
-    is assembled in lowered form, from the blocks' lowered rows.
+    zero. Every supplied block must match the band dimensions. Each block's
+    int rows are scaled to the lcm of the blocks' denominators, which keeps
+    the result in lowest terms: a prime dividing the lcm divides some
+    block's denominator to the full power, and that block has an entry the
+    prime does not divide.
     """
     row_off = [0, *accumulate(row_dims)]
     col_off = [0, *accumulate(col_dims)]
     total_r, total_c = row_off[-1], col_off[-1]
     p = field.characteristic
+    groups = ((1, blocks), (-1, negated or {}))
+    common = lcm(*[blk._den for _, group in groups for blk in group.values()])
     grid = [[0] * total_c for _ in range(total_r)]
-    dens = [1] * total_r
-    for sign, group in ((1, blocks), (-1, negated or {})):
+    for sign, group in groups:
         for (i, j), blk in group.items():
             if blk.rows != row_dims[i] or blk.cols != col_dims[j]:
                 raise ShapeError(
                     f"block ({i},{j}) is {blk.rows}x{blk.cols}, "
                     f"band expects {row_dims[i]}x{col_dims[j]}"
                 )
-            rows, blk_dens = blk._lowered()
+            s = sign * (common // blk._den)
             c0, c1 = col_off[j], col_off[j + 1]
-            for r, row, d in zip(range(row_off[i], row_off[i + 1]), rows,
-                                 blk_dens or repeat(1)):
-                if d != dens[r]:  # over Q: bring the row to a common denominator
-                    common = lcm(d, dens[r])
-                    if common != dens[r]:
-                        grid[r] = [x * (common // dens[r]) for x in grid[r]]
-                        dens[r] = common
-                    if common != d:
-                        row = [x * (common // d) for x in row]
-                if sign < 0:
-                    row = [-x % p for x in row] if p else [-x for x in row]
+            for r, row in zip(range(row_off[i], row_off[i + 1]), blk._ints):
+                if s != 1:
+                    row = [-x % p for x in row] if p else [s * x for x in row]
                 grid[r][c0:c1] = row
-    low = (tuple(map(tuple, grid)), None if p else tuple(dens))
-    return Matrix._make(field, total_r, total_c, low=low)
+    return Matrix._make(field, total_r, total_c, tuple(map(tuple, grid)), common)

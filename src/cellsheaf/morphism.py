@@ -108,12 +108,11 @@ def section_map(morphism: SheafMorphism, U: OpenSet) -> Matrix:
         {(i, i): morphism.components[x] for i, x in enumerate(pts)},
     )
     # on ints: a source basis row b / b_den goes to (P b) / (P_den b_den)
-    rows, row_den = src_space.basis._matrix._integer_rows()
-    pointwise_rows, pointwise_den = pointwise._integer_rows()
+    basis = src_space.basis._matrix
     coordinates = tgt_space.basis._coordinates
     return Matrix._of_columns(field, tgt_space.dim, [
-        coordinates([sum(map(mul, p_row, row)) for p_row in pointwise_rows])
-        for row in rows], pointwise_den * row_den)
+        coordinates([sum(map(mul, p_row, row)) for p_row in pointwise._ints])
+        for row in basis._ints], pointwise._den * basis._den)
 
 
 def stalk_map_direct_limit(morphism: SheafMorphism, p: str,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, count, repeat
+from itertools import combinations, count
 from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -392,32 +392,28 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
             owner[x] = min(owners, key=position)
             first = owners[0]
             A = sheaf.restriction(first, x)
-            a_rows, a_den = A._integer_rows()
             seen = {first}
             for o in owners[1:]:
                 if o in seen:
                     continue
                 seen.add(o)
                 B = sheaf.restriction(o, x)
-                b_rows, b_den = B._integer_rows()
                 # A s_first - B s_o = 0, times both denominators
-                for a_row, b_row in zip(a_rows, b_rows):
+                for a_row, b_row in zip(A._ints, B._ints):
                     row = [0] * total
-                    row[offs[first]: offs[first] + A.cols] = [b_den * v for v in a_row]
-                    row[offs[o]: offs[o] + B.cols] = [-a_den * v for v in b_row]
+                    row[offs[first]: offs[first] + A.cols] = [B._den * v for v in a_row]
+                    row[offs[o]: offs[o] + B.cols] = [-A._den * v for v in b_row]
                     rows.append(row)
         for q in upper[x]:
             waiting[q] -= 1
             if not waiting[q]:
                 order.append(q)
-    kernel = kernel_basis(Matrix._make(field, len(rows), total,
-                                       low=field.canonical(rows, [1] * len(rows))))
+    kernel = kernel_basis(Matrix._make(field, len(rows), total, *field.canonical(rows)))
     families = []
     if kernel.dim:
-        expand = {x: sheaf.restriction(owner[x], x)._integer_rows()
-                  for x in pts if owner[x] != x}
-        common = lcm(*[den for _, den in expand.values()])
-        for vec in kernel._matrix._lowered()[0]:
+        expand = {x: sheaf.restriction(owner[x], x) for x in pts if owner[x] != x}
+        common = lcm(*[m._den for m in expand.values()])
+        for vec in kernel._matrix._ints:
             family: list = []
             for x in pts:
                 o = owner[x]
@@ -425,12 +421,12 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
                 if o == x:
                     family.extend(value if common == 1 else [common * v for v in value])
                 else:
-                    m_rows, den = expand[x]
-                    scale = common // den
-                    family.extend([scale * sum(map(mul, row, value)) for row in m_rows])
+                    m = expand[x]
+                    scale = common // m._den
+                    family.extend([scale * sum(map(mul, row, value)) for row in m._ints])
             families.append(family)
     width = sum(sheaf.dim(x) for x in pts)
-    families = list(field.canonical(families, [1] * len(families))[0])
+    families = list(field.canonical(families)[0])
     space = SectionSpace(sheaf, U, _basis(field, width, families))
     _check_families(space)
     sheaf._section_cache[U.mask] = space
@@ -445,12 +441,11 @@ def _check_families(space: SectionSpace):
     offs = space.offsets()
     pairs = [(a, b, sheaf.restriction(a, b)) for a, b in sheaf.hasse
              if a in members and b in members]
-    for k, vec in enumerate(space.basis._matrix._lowered()[0]):
+    for k, vec in enumerate(space.basis._matrix._ints):
         for a, b, m in pairs:
-            rows, dens = m._lowered()
             at_a = vec[offs[a]: offs[a] + m.cols]
-            for i, row, den in zip(count(offs[b]), rows, dens or repeat(1)):
-                x = sum(map(mul, row, at_a)) - den * vec[i]
+            for i, row in zip(count(offs[b]), m._ints):
+                x = sum(map(mul, row, at_a)) - m._den * vec[i]
                 if x % p if p else x:
                     family = space.basis.rows[k]
                     raise _incompatible(a, b, m.mul_vec(family[offs[a]: offs[a] + m.cols]),
@@ -486,10 +481,9 @@ def restriction_matrix(sheaf: CellularSheaf, U: OpenSet, V: OpenSet) -> Matrix:
     SV = sections_over(sheaf, V)
     offs = SU.offsets()
     take = [i for x in V.sorted_members for i in range(offs[x], offs[x] + sheaf.dim(x))]
-    rows, den = SU.basis._matrix._integer_rows()
-    coordinates = SV.basis._coordinates
+    basis, coordinates = SU.basis._matrix, SV.basis._coordinates
     result = Matrix._of_columns(sheaf.field, SV.dim, [
-        coordinates([row[i] for i in take]) for row in rows], den)
+        coordinates([row[i] for i in take]) for row in basis._ints], basis._den)
     sheaf._restriction_cache[key] = result
     return result
 
@@ -637,21 +631,22 @@ def stalk_direct_limit(sheaf: CellularSheaf, point: str,
     # scaling the columns of either block leaves them where they are, so
     # each block is taken over its own common denominator
     rel_columns, rel_den = relations._matrix._columns()
-    image_rows, image_den = images._integer_rows()
     greedy = _basis(field, r + total, [
-        [*rel, *row[::-1]] for rel, row in zip(rel_columns, image_rows)
+        [*rel, *row[::-1]] for rel, row in zip(rel_columns, images._ints)
     ])
     free_columns = tuple(sorted(total - 1 - (c - r) for c in greedy.pivots()[r:]))
     # Γ(U_p) is the direct sum of Rel and the images of the free columns;
-    # solve reads off the coefficients on the latter
-    rel_rows, _ = relations._matrix._integer_rows()
-    image_columns, _ = images._columns()
-    frame = Matrix._make(field, d, d, low=field.canonical(
-        [*rel_rows, *(image_columns[f] for f in free_columns)],
-        [rel_den] * r + [image_den] * len(free_columns)))
+    # solve reads off the coefficients on the latter. The frame's two
+    # blocks are brought to a common denominator.
+    image_columns, image_den = images._columns()
+    common = lcm(rel_den, image_den)
+    frame = Matrix._make(field, d, d, *field.canonical([
+        *([x * (common // rel_den) for x in row] for row in relations._matrix._ints),
+        *([x * (common // image_den) for x in image_columns[f]] for f in free_columns),
+    ], common))
     inverse_columns, inverse_den = frame.inverse()._columns()
-    solve = Matrix._make(field, len(free_columns), d, low=field.canonical(
-        inverse_columns[r:], [inverse_den] * len(free_columns)))
+    solve = Matrix._make(field, len(free_columns), d,
+                         *field.canonical(inverse_columns[r:], inverse_den))
     limit = DirectLimitStalk(
         sheaf, point, tuple(nbhd), offsets, total, images, solve, free_columns, None,
     )
@@ -734,19 +729,20 @@ class AxiomReport:
 
 
 def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], ...],
-                 dim: int, part_dims: Sequence[int], maps: Sequence[Matrix],
-                 overlaps: Iterable[tuple]) -> CoverCheck:
+                 dim: int, maps: Sequence[Matrix], overlaps: Iterable[tuple]) -> CoverCheck:
     """Exactness of 0 -> F(U) --phi--> prod F(U_i) --psi--> prod F(U_i & U_j).
 
     `maps[i]` sends F(U), of dimension `dim`, to part i. Each overlap
-    (band dim, i, j, from part i, from part j), with i < j, is one row band
-    of psi: the map from part j minus the map from part i. Unordered pairs
-    suffice: swapping a pair negates its rows and equal indices give zero
-    rows, neither changes the kernel.
+    (i, j, from part i, from part j), with i < j, is one row band of psi:
+    the map from part j minus the map from part i. Unordered pairs suffice:
+    swapping a pair negates its rows and equal indices give zero rows,
+    neither changes the kernel. Part and band dimensions are read off the
+    maps.
     """
+    part_dims = [m.rows for m in maps]
     band_dims, blocks, negated = [], {}, {}
-    for band, (band_dim, i, j, from_i, from_j) in enumerate(overlaps):
-        band_dims.append(band_dim)
+    for band, (i, j, from_i, from_j) in enumerate(overlaps):
+        band_dims.append(from_i.rows)
         blocks[(band, j)] = from_j
         negated[(band, i)] = from_i
     grids = (  # row bands, column bands, blocks, negated blocks
@@ -783,11 +779,9 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
                 for (i, xi), (j, yi) in combinations(enumerate(centers), 2):
                     x, y = elements[xi], elements[yi]
                     for w in map(elements.__getitem__, iter_bits(up[xi] & up[yi])):
-                        overlaps.append(
-                            (dims[w], i, j, restriction(x, w), restriction(y, w)))
+                        overlaps.append((i, j, restriction(x, w), restriction(y, w)))
                 checks.append(_check_cover(
-                    sheaf.field, stars[pi], tuple(stars[i] for i in centers),
-                    dims[p], [dims[elements[i]] for i in centers],
+                    sheaf.field, stars[pi], tuple(stars[i] for i in centers), dims[p],
                     [restriction(p, elements[i]) for i in centers], overlaps,
                 ))
     return AxiomReport("basic-cover-exactness", checks)
@@ -839,17 +833,16 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
             add_cover(picked)
         dim_U = sections_over(sheaf, U).dim
         for cover in covers:
-            part_dims = [sections_over(sheaf, Ui).dim for Ui in cover]
             maps = [restriction_matrix(sheaf, U, Ui) for Ui in cover]
             overlaps = []
             for (i, Ui), (j, Uj) in combinations(enumerate(cover), 2):
                 inter = opens[position[Ui.mask & Uj.mask]]
                 overlaps.append((
-                    sections_over(sheaf, inter).dim, i, j,
-                    restriction_matrix(sheaf, Ui, inter), restriction_matrix(sheaf, Uj, inter),
+                    i, j, restriction_matrix(sheaf, Ui, inter),
+                    restriction_matrix(sheaf, Uj, inter),
                 ))
             checks.append(_check_cover(
                 sheaf.field, U.sorted_members, tuple(o.sorted_members for o in cover),
-                dim_U, part_dims, maps, overlaps,
+                dim_U, maps, overlaps,
             ))
     return AxiomReport("open-cover-exactness", checks)

@@ -154,15 +154,15 @@ def random_sheaf(rng: random.Random, base: Poset, max_dim: int = 3, field=QQ):
             for a_pos in range(len(sharing)):
                 for b_pos in range(a_pos + 1, len(sharing)):
                     i, j = sharing[a_pos], sharing[b_pos]
-                    fi = full[(p, zs[i])]
-                    fj = full[(p, zs[j])]
+                    fi = full[(p, zs[i])].data
+                    fj = full[(p, zs[j])].data
                     for r in range(dims[q]):
                         for cc in range(dims[p]):
                             row = [field.zero] * unknowns
                             for c in range(widths[i]):
-                                row[offsets[i] + r * widths[i] + c] = fi.data[c][cc]
+                                row[offsets[i] + r * widths[i] + c] = fi[c][cc]
                             for c in range(widths[j]):
-                                row[offsets[j] + r * widths[j] + c] -= fj.data[c][cc]
+                                row[offsets[j] + r * widths[j] + c] -= fj[c][cc]
                             rows.append(row)
         solution = _sample_kernel(
             rng, kernel_basis(Matrix(field, len(rows), unknowns, rows)), field)
@@ -196,15 +196,15 @@ def random_natural_components(rng: random.Random, src, tgt):
 
     rows = []
     for p, q in src.hasse:
-        rho = src.restriction(p, q)
-        sigma = tgt.restriction(p, q)
+        rho = src.restriction(p, q).data
+        sigma = tgt.restriction(p, q).data
         for r in range(tgt.dim(q)):
             for c in range(src.dim(p)):
                 row = [field.zero] * total
                 for k in range(tgt.dim(p)):
-                    row[var(p, k, c)] += sigma.data[r][k]
+                    row[var(p, k, c)] += sigma[r][k]
                 for k in range(src.dim(q)):
-                    row[var(q, r, k)] -= rho.data[k][c]
+                    row[var(q, r, k)] -= rho[k][c]
                 rows.append(row)
     solution = _sample_kernel(
         rng, kernel_basis(Matrix(field, len(rows), total, rows)), field)

@@ -384,12 +384,12 @@ def stalk_direct_limit_dense(sheaf, point: str, max_elements: int = 20) -> Dense
     zero, one = sheaf.field.zero, sheaf.field.one
     generators = []
     for U, V in cover_pairs:
-        R = restriction_matrix(sheaf, U, V)
+        R = restriction_matrix(sheaf, U, V).data
         for i in range(spaces[U.members].dim):
             row = [zero] * total
             row[offsets[U.members] + i] = one
-            for j in range(R.rows):
-                v = R.data[j][i]
+            for j in range(len(R)):
+                v = R[j][i]
                 if v:
                     row[offsets[V.members] + j] = row[offsets[V.members] + j] - v
             generators.append(row)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cellsheaf
-from cellsheaf import parse_text
+from cellsheaf import CellSheafError, parse_text
 from cellsheaf.cli import main
 
 from helpers import FIXTURES
@@ -363,3 +367,79 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+_FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.glob("*.sheaf"))]
+# Numbers stay small so that each mutant runs in milliseconds; the digit
+# limit has tests of its own above.
+_TOKENS = sorted({tok for text in _FIXTURE_TEXTS for tok in text.split()} | {
+    "", "0", "-1", "3", "1/0", "2/3", "-4/6", "1/5", "q", "fp:2", "fp:5", "fp:4",
+    "fp:0", "fp:x", "id", "zero", "a<a", "b<a", "a<zz", "[[", "]]", "[]", "[[]]",
+    "[[1,", "2]]", "[[1/2]]", "[[0]]", "=", "#", "<", "->", "[sheaf]", "[poset]",
+    "[open", "U]", "[morphism", "f]", "[sheaf other]", "x", "\u00e9",
+})
+_LINES = sorted({line for text in _FIXTURE_TEXTS for line in text.splitlines()} | {
+    "[sheaf extra]", "[open V]", "[morphism g]", "[unknown]", "stars = a b",
+    "members = a", "members =", "dim a = 2", "dim a = -1", "dim zz = 1",
+    "map a->b = id", "map a->b = zero", "map b->a = [[1]]", "map a = [[1/2]]",
+    "field = fp:3", "field = fp:9", "source = main", "target = main",
+    "target = nowhere", "relation = a<a", "relation = a<b b<a", "elements = a",
+    "elements = a a", "key without equals", "= 1",
+})
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A shipped fixture after one to four edits: a line dropped, copied or
+    inserted, a space-separated token replaced, or one character dropped or
+    inserted."""
+    lines = draw(st.sampled_from(_FIXTURE_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["drop", "copy", "insert", "token", "char"]))
+        if not lines:
+            lines.append(draw(st.sampled_from(_LINES)))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines)))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "copy":
+            lines.insert(at, lines[i])
+        elif kind == "insert":
+            lines.insert(at, draw(st.sampled_from(_LINES)))
+        elif kind == "token":
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_TOKENS))
+            lines[i] = " ".join(tokens)
+        else:
+            k = draw(st.integers(0, len(lines[i])))
+            if draw(st.booleans()):
+                lines[i] = lines[i][:k] + lines[i][k + 1:]
+            else:
+                lines[i] = lines[i][:k] + draw(st.sampled_from("[],/=<-# 01a")) + lines[i][k:]
+    return "\n".join(lines) + "\n"
+
+
+class TestFrontDoorFuzz:
+    """Mutated fixtures never escape as an exception: parsing raises only
+    CellSheafError subclasses, and every command exits 0, 1 or 2."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=mutated_fixtures(), field=st.sampled_from([None, "q", "fp:2", "fp:5"]),
+           point=st.sampled_from(["a", "b", "p", "q", "q1", "r", "p1"]),
+           open_spec=st.sampled_from(["star:a", "star:p", "set:U", "q1,r", "p1,q"]))
+    def test_mutants_end_in_an_exit_code(self, tmp_path_factory, text, field, point,
+                                         open_spec):
+        try:
+            parse_text(text, field)
+        except CellSheafError:
+            pass
+        path = tmp_path_factory.mktemp("fuzz") / "mutant.sheaf"
+        path.write_text(text)
+        common = [str(path)] + (["--field", field] if field else [])
+        for argv in (["check"], ["sections", "--open", open_spec],
+                     ["stalk", "--point", point], ["quotient"], ["morphism"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([argv[0], *common, *argv[1:]])
+            assert code in (0, 1, 2), (argv, text)

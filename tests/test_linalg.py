@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 from operator import add, sub
 
 import pytest
@@ -126,9 +127,26 @@ def field_rows(draw, field, rows, cols):
     return draw(st.permutations(data))
 
 
+def assert_canonical(m, values):
+    """m equals, and hashes equal to, the matrix of the oracle's field
+    values, and its stored int rows over one denominator are in lowest
+    terms (residues over 1 under GF(p))."""
+    field = m.field
+    values = tuple(map(tuple, values))
+    expected = Matrix(field, len(values), m.cols, values)
+    assert m.data == values
+    assert m == expected and hash(m) == hash(expected)
+    p = field.characteristic
+    entries = [x for row in m._ints for x in row]
+    if p:
+        assert m._den == 1 and all(0 <= x < p for x in entries)
+    else:
+        assert m._den > 0 and gcd(m._den, *entries) == 1
+
+
 class TestIntegerCore:
-    """Elimination, products and block assembly on lowered forms, against
-    field arithmetic."""
+    """Elimination, products and block assembly on int rows, against field
+    arithmetic; every matrix result is checked to be canonical."""
 
     @pytest.mark.parametrize("field", CORE_FIELDS, ids=lambda f: f.name)
     @settings(max_examples=40, deadline=None)
@@ -139,9 +157,8 @@ class TestIntegerCore:
         f = Matrix(field, b, a, F)
         reduced, pivots = gauss_jordan(field, F, a)
         assert f.rank() == len(pivots)
-        assert f.rref().data == tuple(map(tuple, reduced))
-        assert f.rref() == Matrix(field, b, a, reduced)
-        assert hash(f.rref()) == hash(Matrix(field, b, a, reduced))
+        assert_canonical(f.rref(), reduced)
+        assert_canonical(f.transpose(), list(zip(*F)) or [()] * a)
         assert kernel_basis(f).rows == kernel_by_field_ops(field, F, a)
         columns = [list(col) for col in zip(*F)] if F else [[] for _ in range(a)]
         assert image_basis(f).rows == span_by_field_ops(field, columns, b)
@@ -162,13 +179,18 @@ class TestIntegerCore:
                     span.coordinates(vec)
             else:
                 assert span.coordinates(vec) == coordinates_by_field_ops(span.rows, vec)
+        combination = data.draw(st.lists(field_entries(field), min_size=span.dim,
+                                         max_size=span.dim))
+        assert span.linear_combination(combination) == tuple(
+            sum((x * row[j] for x, row in zip(combination, span.rows)), field.zero)
+            for j in range(b))
         if a == b:
             expected = inverse_by_field_ops(field, F, a)
             if expected is None:
                 with pytest.raises(ShapeError):
                     f.inverse()
             else:
-                assert f.inverse().data == expected
+                assert_canonical(f.inverse(), expected)
         # g either annihilates f (its rows from the left kernel of f) or not
         if data.draw(st.booleans()):
             left = kernel_by_field_ops(field, columns, b)
@@ -181,23 +203,34 @@ class TestIntegerCore:
             G = data.draw(field_rows(field, c, b))
         g = Matrix(field, c, b, G)
         product = product_by_field_ops(field, G, F, a)
-        assert (g @ f).data == product
-        assert g @ f == Matrix(field, c, a, product)
-        assert (-g).data == tuple(tuple(-x for x in row) for row in G)
-        # sums and differences; the rows of h have other denominators
+        assert_canonical(g @ f, product)
+        assert_canonical(-g, [[-x for x in row] for row in G])
+        scalar = data.draw(field_entries(field))
+        assert_canonical(g.scale(scalar), [[scalar * x for x in row] for row in G])
+        # sums and differences; the entries of h have other denominators
         H = data.draw(field_rows(field, c, b))
         h = Matrix(field, c, b, H)
         for got, op in ((g + h, add), (g - h, sub)):
-            expected = tuple(tuple(map(op, r, s)) for r, s in zip(G, H))
-            assert got.data == expected
-            assert got == Matrix(field, c, b, expected)
+            assert_canonical(got, [list(map(op, r, s)) for r, s in zip(G, H)])
         assert (g - g).is_zero() and g + h - h == g
-        # rows of two blocks with different denominators
-        pair = block_assemble(field, [c], [a, b], {(0, 0): g @ f}, {(0, 1): g})
-        assert pair.data == tuple(
-            tuple(p) + tuple(-x for x in row) for p, row in zip(product, G))
+        # two row bands of blocks with different denominators, one band
+        # with a negated block and one with a missing block
+        grid = block_assemble(field, [c, c], [a, b], {(0, 0): g @ f, (1, 1): h},
+                              {(0, 1): g})
+        assert_canonical(grid, [
+            *(list(p) + [-x for x in row] for p, row in zip(product, G)),
+            *([field.zero] * a + list(row) for row in H),
+        ])
         assert is_exact_at(f, g) == (
             span_by_field_ops(field, columns, b) == kernel_by_field_ops(field, G, b))
+
+    @pytest.mark.parametrize("field", CORE_FIELDS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 3), (4, 4)])
+    def test_identity_and_zeros_are_canonical(self, field, rows, cols):
+        assert_canonical(Matrix.zeros(field, rows, cols), [[field.zero] * cols] * rows)
+        assert_canonical(Matrix.identity(field, rows), [
+            [field.one if i == j else field.zero for j in range(rows)]
+            for i in range(rows)])
 
 
 class TestKernel:
@@ -341,6 +374,14 @@ class TestPrimeField:
         assert a / a == f5.one
         assert f5.coerce("2/3") == f5.coerce(2) / f5.coerce(3)
         assert -f5.coerce(1) == f5.coerce(4)
+
+    def test_quotients_coerce_to_residues(self):
+        f5 = PrimeField(5)
+        assert f5.coerce("2/3") == f5.coerce(Fraction(2, 3)) == FpElement(4, 5)
+        assert f5.coerce("-1/-2") == f5.coerce(Fraction(1, 2)) == FpElement(3, 5)
+        for value in ("1/5", Fraction(1, 5), "3/0", "2/-10"):
+            with pytest.raises(ZeroDivisionError, match=r"^division by zero in GF\(p\)$"):
+                f5.coerce(value)
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
