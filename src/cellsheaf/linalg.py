@@ -277,8 +277,15 @@ def field_from_name(name: str):
     if tag == "q":
         return QQ
     if tag.startswith("fp:"):
-        return PrimeField(int(tag[3:]))
-    raise ValueError(f"unknown field {name!r} (expected 'q' or 'fp:<prime>')")
+        try:
+            p = int(tag[3:])
+        except ValueError:
+            if tag[3:].strip().isdecimal():  # past the interpreter's digit limit
+                raise ValueError(f"prime fields need p below {PRIME_BOUND}") from None
+        else:
+            return PrimeField(p)
+    shown = repr(name) if len(name) <= 24 else f"{name[:24]!r}..."
+    raise ValueError(f"unknown field {shown} (expected 'q' or 'fp:<prime>')")
 
 
 class Matrix:

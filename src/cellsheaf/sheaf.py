@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import accumulate, combinations, count
 from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -54,63 +54,77 @@ class CellularSheaf:
     """Point dimensions plus one restriction matrix per covering pair.
 
     Instances are immutable after construction; build with build_sheaf,
-    which rejects data whose chains compose inconsistently. The matrix for
-    any other pair p <= q is derived when first asked for and memoised, as
-    are section spaces and restriction matrices.
+    which rejects data whose chains compose inconsistently. Inside, a point
+    is its carrier index: `_dims` is a tuple, `_lower` lists each point's
+    lower covers, and the memo of `_restrict` is keyed by index pairs. The
+    matrix for any other pair p <= q is derived when first asked for and
+    memoised, as are section spaces and restriction matrices. `_order`, the
+    points by (|down-set|, index), is the one linear extension that the
+    chain check and the section solve visit. Names are only for the public
+    arguments, messages and reports.
     """
 
     def __init__(self, base: Poset, field, dims, maps, hasse):
-        """`maps` holds a matrix for every covering pair in `hasse`, and may
-        hold matrices for other pairs p <= q, which are then used as given."""
+        """`maps` holds a matrix for every covering pair in `hasse`, by names,
+        and may hold matrices for other pairs p <= q, then used as given."""
         self.base = base
         self.field = field
-        self.dims = dict(dims)
-        self.hasse = tuple(hasse)
-        # the memo of restriction: identities, then every pair given
-        identity = {d: Matrix.identity(field, d) for d in set(self.dims.values())}
-        self._maps = {(e, e): identity[self.dims[e]] for e in base.elements}
-        self._maps.update(maps)
-        # lower covers of each point, by index, in the order of `hasse`
         index = base._idx
+        self._dims = tuple(map(dims.__getitem__, base.elements))
+        self.hasse = tuple(hasse)
+        # the memo of _restrict: identities, then every pair given
+        identity = {d: Matrix.identity(field, d) for d in set(self._dims)}
+        self._maps = {(i, i): identity[d] for i, d in enumerate(self._dims)}
+        self._maps.update({(index[p], index[q]): m for (p, q), m in maps.items()})
+        # lower covers of each point, in the order of `hasse`
         self._lower: list[list[int]] = [[] for _ in base.elements]
         for p, q in self.hasse:
             self._lower[index[q]].append(index[p])
+        sizes = [row.bit_count() for row in base._down]  # |down-set|
+        self._order = sorted(range(len(sizes)), key=sizes.__getitem__)  # ties: by index
         self._section_cache: dict = {}
         self._restriction_cache: dict = {}
 
+    @property
+    def dims(self) -> dict[str, int]:
+        return dict(zip(self.base.elements, self._dims))
+
     def dim(self, p: str) -> int:
-        self.base.index(p)
-        return self.dims[p]
+        return self._dims[self.base.index(p)]
 
     def restriction(self, p: str, q: str) -> Matrix:
-        """The matrix for p <= q (identity when p = q).
+        """The matrix for p <= q (identity when p = q)."""
+        index = self.base._idx
+        try:  # a memoised pair holds in the base
+            return self._maps[index[p], index[q]]
+        except KeyError:  # not memoised, or not a point
+            pi, qi = index.get(p), index.get(q)
+        if pi is None or qi is None or not self.base._up[pi] >> qi & 1:
+            raise ValidationError(f"{p} <= {q} does not hold in the base")
+        return self._restrict(pi, qi)
+
+    def _restrict(self, pi: int, qi: int) -> Matrix:
+        """The matrix for points pi <= qi, by carrier index.
 
         A pair not yet memoised is derived through the first lower cover z
         of q above p, F(p->q) = F(z->q) F(p->z), and F(p->z) the same way,
         down to a memoised pair; each step's result is memoised.
         """
-        try:
-            return self._maps[(p, q)]
-        except KeyError:
-            return self._derive(p, q)
-
-    def _derive(self, p: str, q: str) -> Matrix:
-        base, maps = self.base, self._maps
-        pi, qi = base._idx.get(p), base._idx.get(q)
-        if pi is None or qi is None or not base._up[pi] >> qi & 1:
-            raise ValidationError(f"{p} <= {q} does not hold in the base")
-        elements, lower, row = base.elements, self._lower, base._up[pi]
+        maps = self._maps
+        m = maps.get((pi, qi))
+        if m is not None:
+            return m
+        lower, row = self._lower, self.base._up[pi]
         path = []  # a chain down from q, walked without recursion
-        z, zi = q, qi
-        while (p, z) not in maps:
-            path.append(z)
+        zi = qi
+        while (pi, zi) not in maps:
+            path.append(zi)
             zi = next(y for y in lower[zi] if row >> y & 1)
-            z = elements[zi]
-        m = maps[(p, z)]
-        for y in reversed(path):
-            m = maps[(z, y)] @ m
-            maps[(p, y)] = m
-            z = y
+        m = maps[pi, zi]
+        for yi in reversed(path):
+            m = maps[zi, yi] @ m
+            maps[pi, yi] = m
+            zi = yi
         return m
 
     def __eq__(self, other):
@@ -118,12 +132,13 @@ class CellularSheaf:
             isinstance(other, CellularSheaf)
             and other.base == self.base
             and other.field == self.field
-            and other.dims == self.dims
-            and all(other._maps[e] == self._maps[e] for e in self.hasse)
+            and other._dims == self._dims
+            and all(other._maps[z, q] == self._maps[z, q]
+                    for q, zs in enumerate(self._lower) for z in zs)
         )
 
     def __repr__(self):
-        dims = ", ".join(f"{e}:{self.dims[e]}" for e in self.base.elements)
+        dims = ", ".join(f"{e}:{d}" for e, d in zip(self.base.elements, self._dims))
         return f"CellularSheaf({dims} over {self.field.name})"
 
 
@@ -192,58 +207,43 @@ def build_sheaf(base: Poset, dims: Mapping[str, int],
         maps[(p, q)] = m
     sheaf = CellularSheaf(base, field, dims, maps, edges)
 
-    elements, lower = base.elements, sheaf._lower
-    sizes = [row.bit_count() for row in base._down]  # |down-set|
-    order = sorted(range(len(elements)), key=lambda j: (sizes[j], j))
+    lower, order, memo, restrict = sheaf._lower, sheaf._order, sheaf._maps, sheaf._restrict
     # down[j]: the down-set of j as a bitmask over positions in `order`; the
     # order is a linear extension, so the highest position in a set is a
     # maximal point of it
-    down = [0] * len(elements)
+    down = [0] * len(order)
     for position, qi in enumerate(order):
         mask = 1 << position
         for zi in lower[qi]:
             mask |= down[zi]
         down[qi] = mask
-    restriction = sheaf.restriction
     for qi in order:
         zs = lower[qi]
         if len(zs) < 2:
             continue
-        q = elements[qi]
         for k, z1 in enumerate(zs):
-            y1 = elements[z1]
             for z2 in zs[k + 1:]:
-                y2 = elements[z2]
                 meet = down[z1] & down[z2]
                 while meet:  # take a maximal point, then drop its down-set
                     mi = order[meet.bit_length() - 1]
                     meet &= ~down[mi]
-                    m = elements[mi]
-                    left = maps[(y1, q)] @ restriction(m, y1)
-                    if left != maps[(y2, q)] @ restriction(m, y2):
-                        _raise_first_disagreement(sheaf, qi, order, down)
+                    left = memo[z1, qi] @ restrict(mi, z1)
+                    if left != memo[z2, qi] @ restrict(mi, z2):
+                        _raise_first_disagreement(sheaf, qi, down)
     return sheaf
 
 
-def _raise_first_disagreement(sheaf: CellularSheaf, qi: int, order: list[int],
-                              down: list[int]):
+def _raise_first_disagreement(sheaf: CellularSheaf, qi: int, down: list[int]):
     """Scan every p < q bottom-up for two lower covers whose chains differ."""
-    elements, up = sheaf.base.elements, sheaf.base._up
-    q = elements[qi]
-    for position, pi in enumerate(order):
-        if pi == qi:
-            break
-        if not down[qi] >> position & 1:
-            continue
-        p, row = elements[pi], up[pi]
-        candidates = [
-            sheaf._maps[(elements[zi], q)] @ sheaf.restriction(p, elements[zi])
-            for zi in sheaf._lower[qi] if row >> zi & 1
-        ]
-        first = candidates[0]
-        for other in candidates[1:]:
+    up, maps, restrict = sheaf.base._up, sheaf._maps, sheaf._restrict
+    below = down[qi] & ~(1 << down[qi].bit_length() - 1)  # q is the highest bit
+    for pi in map(sheaf._order.__getitem__, iter_bits(below)):
+        first, *others = [maps[zi, qi] @ restrict(pi, zi) for zi in sheaf._lower[qi]
+                          if up[pi] >> zi & 1]
+        for other in others:
             if other != first:
-                raise FunctorialityError(p, q, first, other)
+                elements = sheaf.base.elements
+                raise FunctorialityError(elements[pi], elements[qi], first, other)
 
 
 def constant_sheaf(base: Poset, dim: int, field=QQ) -> CellularSheaf:
@@ -267,6 +267,7 @@ class Section:
 
     def __init__(self, sheaf: CellularSheaf, open: OpenSet,
                  components: Mapping[str, Sequence]):
+        _check_carrier(sheaf, open)
         if set(components) != set(open.members):
             raise ValidationError("section components must cover the open set exactly")
         coerced = {}
@@ -277,11 +278,12 @@ class Section:
                     f"component at {x} has length {len(vals)}, expected {sheaf.dim(x)}"
                 )
             coerced[x] = vals
-        for p, q in sheaf.hasse:
-            if p in coerced and q in coerced:
-                image = sheaf.restriction(p, q).mul_vec(coerced[p])
-                if image != coerced[q]:
-                    raise _incompatible(p, q, image, coerced[q])
+        elements = sheaf.base.elements
+        for a, b in _covering_pairs(sheaf, open.mask):
+            p, q = elements[a], elements[b]
+            image = sheaf._restrict(a, b).mul_vec(coerced[p])
+            if image != coerced[q]:
+                raise _incompatible(p, q, image, coerced[q])
         self.sheaf = sheaf
         self.open = open
         self.components = coerced
@@ -320,19 +322,16 @@ class SectionSpace:
         return self.basis.dim
 
     def offsets(self) -> dict[str, int]:
-        out = {}
-        pos = 0
-        for x in self.open.sorted_members:
-            out[x] = pos
-            pos += self.sheaf.dim(x)
-        return out
+        elements = self.sheaf.base.elements
+        return {elements[x]: off for x, off in self._offsets().items()}
+
+    def _offsets(self) -> dict[int, int]:
+        """Where each point's block starts in a family, by carrier index."""
+        return _block_starts(self.sheaf._dims, self.open.sort_key()[1])[0]
 
     def vector_as_section(self, vec: Sequence) -> Section:
-        offs = self.offsets()
-        comps = {
-            x: tuple(vec[offs[x]: offs[x] + self.sheaf.dim(x)])
-            for x in self.open.sorted_members
-        }
+        elements, dims = self.sheaf.base.elements, self.sheaf._dims
+        comps = {elements[x]: tuple(vec[o: o + dims[x]]) for x, o in self._offsets().items()}
         return Section(self.sheaf, self.open, comps)
 
     def basis_sections(self) -> list[Section]:
@@ -347,10 +346,11 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
 
     Every point of U lies above a minimal point of U, so a section is fixed
     by its values there. The owner o(x) of a point x is the first minimal
-    point of U, in carrier order, below x; owners are found bottom-up from
-    the lower covers inside U. The unknowns are the values at the minimal
-    points, in carrier order. At each x with lower covers y1 ... yk inside
-    U, k >= 2, one block of equations map(o(y1), x) s_o(y1) =
+    point of U, in carrier order, below x; points are visited along the
+    sheaf's linear extension, and the lower covers of x inside U are its
+    `_lower` entries in U's mask. The unknowns are the values at the
+    minimal points, in carrier order. At each x with lower covers y1 ... yk
+    inside U, k >= 2, one block of equations map(o(y1), x) s_o(y1) =
     map(o(yi), x) s_o(yi) is added for each owner not yet seen at x; by
     induction from the bottom, every minimal point below x then gives x the
     same value. The kernel is expanded to all of U by s_x = map(o(x), x)
@@ -364,60 +364,46 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
     """
     if U.space is not sheaf.base:
         _check_carrier(sheaf, U)
-    cached = sheaf._section_cache.get(U.mask)
+    u = U.mask
+    cached = sheaf._section_cache.get(u)
     if cached is not None:
         return cached
-    field = sheaf.field
-    members, pts = U.members, U.sorted_members
-    lower: dict[str, list[str]] = {x: [] for x in pts}
-    upper: dict[str, list[str]] = {x: [] for x in pts}
-    for p, q in sheaf.hasse:
-        if p in members and q in members:
-            lower[q].append(p)
-            upper[p].append(q)
+    field, dims, restrict = sheaf.field, sheaf._dims, sheaf._restrict
+    pts = U.sort_key()[1]  # carrier indices, in carrier order
+    lower = {x: [y for y in sheaf._lower[x] if u >> y & 1] for x in pts}
     minimal = [x for x in pts if not lower[x]]
-    position = {m: i for i, m in enumerate(minimal)}.__getitem__
-    offs: dict[str, int] = {}
-    total = 0
-    for m in minimal:
-        offs[m] = total
-        total += sheaf.dim(m)
+    offs, total = _block_starts(dims, minimal)
     rows = []
     owner = {m: m for m in minimal}
-    waiting = {x: len(lower[x]) for x in pts}
-    order = list(minimal)
-    for x in order:  # grows so that each point follows its lower covers
+    for x in sheaf._order:
+        if not (u >> x & 1 and lower[x]):
+            continue
         owners = [owner[y] for y in lower[x]]
-        if owners:
-            owner[x] = min(owners, key=position)
-            first = owners[0]
-            A = sheaf.restriction(first, x)
-            seen = {first}
-            for o in owners[1:]:
-                if o in seen:
-                    continue
-                seen.add(o)
-                B = sheaf.restriction(o, x)
-                # A s_first - B s_o = 0, times both denominators
-                for a_row, b_row in zip(A._ints, B._ints):
-                    row = [0] * total
-                    row[offs[first]: offs[first] + A.cols] = [B._den * v for v in a_row]
-                    row[offs[o]: offs[o] + B.cols] = [-A._den * v for v in b_row]
-                    rows.append(row)
-        for q in upper[x]:
-            waiting[q] -= 1
-            if not waiting[q]:
-                order.append(q)
+        owner[x] = min(owners)  # minimal points are numbered in carrier order
+        first = owners[0]
+        A = restrict(first, x)
+        seen = {first}
+        for o in owners[1:]:
+            if o in seen:
+                continue
+            seen.add(o)
+            B = restrict(o, x)
+            # A s_first - B s_o = 0, times both denominators
+            for a_row, b_row in zip(A._ints, B._ints):
+                row = [0] * total
+                row[offs[first]: offs[first] + A.cols] = [B._den * v for v in a_row]
+                row[offs[o]: offs[o] + B.cols] = [-A._den * v for v in b_row]
+                rows.append(row)
     kernel = kernel_basis(Matrix._make(field, len(rows), total, *field.canonical(rows)))
     families = []
     if kernel.dim:
-        expand = {x: sheaf.restriction(owner[x], x) for x in pts if owner[x] != x}
+        expand = {x: restrict(owner[x], x) for x in pts if owner[x] != x}
         common = lcm(*[m._den for m in expand.values()])
         for vec in kernel._matrix._ints:
             family: list = []
             for x in pts:
                 o = owner[x]
-                value = vec[offs[o]: offs[o] + sheaf.dim(o)]
+                value = vec[offs[o]: offs[o] + dims[o]]
                 if o == x:
                     family.extend(value if common == 1 else [common * v for v in value])
                 else:
@@ -425,36 +411,47 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
                     scale = common // m._den
                     family.extend([scale * sum(map(mul, row, value)) for row in m._ints])
             families.append(family)
-    width = sum(sheaf.dim(x) for x in pts)
     families = list(field.canonical(families)[0])
-    space = SectionSpace(sheaf, U, _basis(field, width, families))
+    space = SectionSpace(sheaf, U, _basis(field, sum(map(dims.__getitem__, pts)), families))
     _check_families(space)
-    sheaf._section_cache[U.mask] = space
+    sheaf._section_cache[u] = space
     return space
+
+
+def _block_starts(dims: Sequence[int], pts: Sequence[int]) -> tuple[dict[int, int], int]:
+    """Where each point's block starts in a vector over `pts`, and its length."""
+    starts = list(accumulate([dims[x] for x in pts], initial=0))
+    return dict(zip(pts, starts)), starts[-1]
+
+
+def _covering_pairs(sheaf: CellularSheaf, mask: int) -> list[tuple[int, int]]:
+    """The covering pairs inside `mask`, in `hasse_edges` order."""
+    lower = sheaf._lower
+    return sorted((y, x) for x in iter_bits(mask) for y in lower[x] if mask >> y & 1)
 
 
 def _check_families(space: SectionSpace):
     """Check each basis family along each covering pair inside its open, on
     ints; values are lifted only for the message of a failure."""
-    sheaf, members = space.sheaf, space.open.members
+    sheaf = space.sheaf
     p = sheaf.field.characteristic
-    offs = space.offsets()
-    pairs = [(a, b, sheaf.restriction(a, b)) for a, b in sheaf.hasse
-             if a in members and b in members]
+    offs = space._offsets()
+    pairs = [(a, b, sheaf._restrict(a, b)) for a, b in _covering_pairs(sheaf, space.open.mask)]
     for k, vec in enumerate(space.basis._matrix._ints):
         for a, b, m in pairs:
             at_a = vec[offs[a]: offs[a] + m.cols]
             for i, row in zip(count(offs[b]), m._ints):
                 x = sum(map(mul, row, at_a)) - m._den * vec[i]
                 if x % p if p else x:
-                    family = space.basis.rows[k]
-                    raise _incompatible(a, b, m.mul_vec(family[offs[a]: offs[a] + m.cols]),
+                    family, elements = space.basis.rows[k], sheaf.base.elements
+                    raise _incompatible(elements[a], elements[b],
+                                        m.mul_vec(family[offs[a]: offs[a] + m.cols]),
                                         family[offs[b]: offs[b] + m.rows])
 
 
 def _check_carrier(sheaf: CellularSheaf, *opens: OpenSet):
     for U in opens:
-        if U.space != sheaf.base:
+        if U.space is not sheaf.base and U.space != sheaf.base:
             raise ValidationError("open set lives on a different carrier")
 
 
@@ -479,8 +476,8 @@ def restriction_matrix(sheaf: CellularSheaf, U: OpenSet, V: OpenSet) -> Matrix:
         raise ValidationError("restriction target is not contained in the source open")
     SU = sections_over(sheaf, U)
     SV = sections_over(sheaf, V)
-    offs = SU.offsets()
-    take = [i for x in V.sorted_members for i in range(offs[x], offs[x] + sheaf.dim(x))]
+    offs, dims = SU._offsets(), sheaf._dims
+    take = [i for x in V.sort_key()[1] for i in range(offs[x], offs[x] + dims[x])]
     basis, coordinates = SU.basis._matrix, SV.basis._coordinates
     result = Matrix._of_columns(sheaf.field, SV.dim, [
         coordinates([row[i] for i in take]) for row in basis._ints], basis._den)
@@ -497,31 +494,34 @@ def glue(sheaf: CellularSheaf, cover: Sequence[OpenSet],
     """
     if len(cover) != len(local_sections):
         raise ValidationError("cover and sections have different lengths")
+    _check_carrier(sheaf, *cover)
     for U, s in zip(cover, local_sections):
         if s.open.members != U.members:
             raise ValidationError("each local section must live on its cover set")
+    elements = sheaf.base.elements
     for i in range(len(cover)):
         for j in range(i + 1, len(cover)):
-            overlap = cover[i].members & cover[j].members
-            for x in sorted(overlap, key=sheaf.base.index):
+            for x in map(elements.__getitem__, iter_bits(cover[i].mask & cover[j].mask)):
                 a = local_sections[i].components[x]
                 b = local_sections[j].components[x]
                 if a != b:
                     raise GlueConflictError(x, a, b)
-    union: frozenset = frozenset()
+    union = 0
     for U in cover:
-        union |= U.members
+        union |= U.mask
     components: dict[str, tuple] = {}
     for s in local_sections:
         components.update(s.components)
-    return Section(sheaf, OpenSet(sheaf.base, union), components)
+    # a union of opens is open
+    return Section(sheaf, OpenSet._trusted(sheaf.base, union), components)
 
 
 def section_from_value(sheaf: CellularSheaf, p: str, values: Sequence) -> Section:
     """Spread a value at p over its star: the family q -> map(p, q) value."""
     star = open_star(sheaf.base, p)
+    pi, elements = sheaf.base.index(p), sheaf.base.elements
     vec = tuple(sheaf.field.coerce(v) for v in values)
-    comps = {q: sheaf.restriction(p, q).mul_vec(vec) for q in star.members}
+    comps = {elements[q]: sheaf._restrict(pi, q).mul_vec(vec) for q in iter_bits(star.mask)}
     return Section(sheaf, star, comps)
 
 
@@ -767,22 +767,21 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
     base = sheaf.base
     if len(base) > max_elements:
         raise EnumerationLimitError(len(base), max_elements)
-    elements, up, dims, restriction = base.elements, base._up, sheaf.dims, sheaf.restriction
-    stars = [tuple(map(elements.__getitem__, iter_bits(row))) for row in up]
+    up, dims, restrict = base._up, sheaf._dims, sheaf._restrict
+    stars = [tuple(map(base.elements.__getitem__, iter_bits(row))) for row in up]
     checks = []
-    for pi, p in enumerate(elements):
+    for pi in range(len(base)):
         others = [i for i in iter_bits(up[pi]) if i != pi]
         for size in range(len(others) + 1):
             for combo in combinations(others, size):
                 centers = sorted((pi,) + combo)
                 overlaps = []
                 for (i, xi), (j, yi) in combinations(enumerate(centers), 2):
-                    x, y = elements[xi], elements[yi]
-                    for w in map(elements.__getitem__, iter_bits(up[xi] & up[yi])):
-                        overlaps.append((i, j, restriction(x, w), restriction(y, w)))
+                    for w in iter_bits(up[xi] & up[yi]):
+                        overlaps.append((i, j, restrict(xi, w), restrict(yi, w)))
                 checks.append(_check_cover(
-                    sheaf.field, stars[pi], tuple(stars[i] for i in centers), dims[p],
-                    [restriction(p, elements[i]) for i in centers], overlaps,
+                    sheaf.field, stars[pi], tuple(stars[i] for i in centers), dims[pi],
+                    [restrict(pi, i) for i in centers], overlaps,
                 ))
     return AxiomReport("basic-cover-exactness", checks)
 

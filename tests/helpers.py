@@ -68,8 +68,10 @@ def random_poset(rng: random.Random, n: int) -> Poset:
 
 
 @st.composite
-def posets(draw, max_n: int = 5) -> Poset:
-    """Hypothesis strategy: upward generating pairs over a small carrier."""
+def posets(draw, max_n: int = 5, shuffled: bool = False) -> Poset:
+    """Hypothesis strategy: upward generating pairs over a small carrier.
+    The carrier lists the labels in order, a linear extension of the order,
+    or, when `shuffled`, permuted, as `preorders` does."""
     n = draw(st.integers(1, max_n))
     names = _NAMES[:n]
     pairs = [
@@ -78,7 +80,7 @@ def posets(draw, max_n: int = 5) -> Poset:
         for j in range(i + 1, n)
         if draw(st.booleans())
     ]
-    return build_poset(names, pairs)
+    return build_poset(draw(st.permutations(names)) if shuffled else names, pairs)
 
 
 @st.composite

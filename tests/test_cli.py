@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import cellsheaf
 from cellsheaf import CellSheafError, parse_text
 from cellsheaf.cli import main
+from cellsheaf.linalg import PRIME_BOUND
 
 from helpers import FIXTURES
 
@@ -25,6 +26,17 @@ def run(capsys, *argv):
 
 def fixture(name):
     return str(FIXTURES / name)
+
+
+# (test id, field name, message) for moduli that `int` rejects or that have
+# too many digits for it; a long name is quoted by a short prefix only
+BAD_MODULI = [
+    ("fp:x", "fp:x", "unknown field 'fp:x' (expected 'q' or 'fp:<prime>')"),
+    ("fp:", "fp:", "unknown field 'fp:' (expected 'q' or 'fp:<prime>')"),
+    ("5000 digits", "fp:" + "7" * 5000, f"prime fields need p below {PRIME_BOUND}"),
+    ("5000 letters", "fp:" + "x" * 5000,
+     "unknown field 'fp:xxxxxxxxxxxxxxxxxxxxx'... (expected 'q' or 'fp:<prime>')"),
+]
 
 
 class TestCheck:
@@ -92,22 +104,28 @@ class TestCheck:
     @pytest.mark.parametrize("field, message", [
         ("fp:4", "--field: 4 is not prime"),
         ("banana", "--field: unknown field 'banana' (expected 'q' or 'fp:<prime>')"),
+        *(pytest.param(field, "--field: " + message, id=name)
+          for name, field, message in BAD_MODULI),
     ])
     def test_bad_field_override_names_the_flag_not_a_line(self, capsys, field, message):
         code, out = run(capsys, "check", fixture("square.sheaf"), "--field", field,
                         "--json")
         assert code == 2
         assert json.loads(out)["error"] == message
+        assert len(out) < 300
 
     def test_bad_field_in_document_keeps_its_line(self, capsys, tmp_path):
         bad = tmp_path / "field.sheaf"
-        bad.write_text(
-            "[poset]\nelements = a b\nrelation = a<b\n\n[sheaf]\n"
-            "field = fp:4\ndim a = 1\ndim b = 1\nmap a->b = [[1]]\n"
-        )
-        code, out = run(capsys, "check", str(bad))
-        assert code == 2
-        assert "error: line 5: 4 is not prime" in out
+        for field, message in [("fp:4", "4 is not prime"),
+                               *((field, message) for _, field, message in BAD_MODULI)]:
+            bad.write_text(
+                "[poset]\nelements = a b\nrelation = a<b\n\n[sheaf]\n"
+                f"field = {field}\ndim a = 1\ndim b = 1\nmap a->b = [[1]]\n"
+            )
+            code, out = run(capsys, "check", str(bad))
+            assert code == 2
+            assert f"error: line 5: {message}" in out
+            assert len(out) < 300
 
     def test_large_prime_field_finishes(self, capsys):
         code, out = run(capsys, "check", fixture("square.sheaf"),
