@@ -9,6 +9,7 @@ pointwise.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import mul
 from typing import Mapping
@@ -128,20 +129,19 @@ def stalk_map_direct_limit(morphism: SheafMorphism, p: str,
     src_limit = stalk_direct_limit(morphism.source, p, max_elements)
     tgt_limit = stalk_direct_limit(morphism.target, p, max_elements)
     field = morphism.source.field
+    nbhd = src_limit.neighbourhoods
+    starts = [src_limit.offsets[U.mask] for U in nbhd]
     columns = []
     for free_col in src_limit.free_columns:
-        big_src = [field.zero] * src_limit.total
-        big_src[free_col] = field.one
+        # the one neighbourhood whose block holds the column: the last to
+        # start at or before it, as a block of dimension 0 holds nothing
+        k = bisect_right(starts, free_col) - 1
+        U = nbhd[k]
+        section_columns, den = section_map(morphism, U)._columns()
+        image = field.lift((section_columns[free_col - starts[k]],), den)[0]
         big_tgt = [field.zero] * tgt_limit.total
-        for U in src_limit.neighbourhoods:
-            off_src = src_limit.offsets[U.mask]
-            dim_src = sections_over(morphism.source, U).dim
-            coords = big_src[off_src: off_src + dim_src]
-            if not any(coords):
-                continue
-            image = section_map(morphism, U).mul_vec(coords)
-            off_tgt = tgt_limit.offsets[U.mask]  # each neighbourhood has its own block
-            big_tgt[off_tgt: off_tgt + len(image)] = image
+        off_tgt = tgt_limit.offsets[U.mask]  # each neighbourhood has its own block
+        big_tgt[off_tgt: off_tgt + len(image)] = image
         columns.append(tgt_limit.project(big_tgt))
     induced = Matrix(field, len(columns), tgt_limit.dim, columns).transpose()
     return induced, src_limit, tgt_limit

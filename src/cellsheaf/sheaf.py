@@ -297,6 +297,7 @@ class Section:
     def __eq__(self, other):
         return (
             isinstance(other, Section)
+            and (other.sheaf is self.sheaf or other.sheaf == self.sheaf)
             and other.open.members == self.open.members
             and other.components == self.components
         )
@@ -338,6 +339,10 @@ class SectionSpace:
         return [self.vector_as_section(row) for row in self.basis.rows]
 
     def coordinates_of(self, section: Section) -> tuple:
+        if section.sheaf is not self.sheaf and section.sheaf != self.sheaf:
+            raise ValidationError("section belongs to a different sheaf")
+        if section.open.mask != self.open.mask:
+            raise ValidationError("section lives on a different open set")
         return self.basis.coordinates(section.vector())
 
 
@@ -589,79 +594,64 @@ def stalk_direct_limit(sheaf: CellularSheaf, point: str,
     column is free in the reduced echelon form of the generators exactly
     when its image is not in Rel plus the span of the images of the free
     columns after it, so a backward greedy finds the same free columns.
-    Nothing here uses the value space at the point except the witness,
-    which is what makes the result an independent check of the canonical
+
+    One reduced echelon form E of A = [residuals | image of column total-1
+    | ... | of column 0] runs that greedy: its pivots after the residual
+    block are the free columns. The star is the first neighbourhood and its
+    block of images is the identity, so E = P^-1 A for P the pivot columns
+    of A, and the rows of the free pivots, read at the star's columns, give
+    the coefficients of a vector of Γ(U_p) on the images of the free
+    columns: `solve`. Both blocks are taken on their ints. Scaling a column
+    of A scales that column of E and divides the row pivoting on it, so a
+    block scaled as one leaves `solve` as it is. The witness sends a value
+    v at the point to the class of its spread q -> F(p->q) v over the star,
+    whose star coordinates are its entries at the pivots of the star basis:
+    it is `solve` times those rows of the maps F(p->q) stacked over the
+    star. Nothing else here uses the value space at the point, which is
+    what makes the result an independent check of the canonical
     description.
     """
-    base, field = sheaf.base, sheaf.field
+    base, field, dims = sheaf.base, sheaf.field, sheaf._dims
     opens = enumerate_opens(base, max_elements)
     star = open_star(base, point)
-    nbhd = [U for U in opens if U.mask & star.mask == star.mask]
-    spaces = {U.mask: sections_over(sheaf, U) for U in nbhd}
+    nbhd = [U for U in opens if U.mask & star.mask == star.mask]  # the star first
+    spaces = [sections_over(sheaf, U) for U in nbhd]
     position = {U.mask: k for k, U in enumerate(nbhd)}
-    offsets: dict = {}
-    total = 0
-    for U in nbhd:
-        offsets[U.mask] = total
-        total += spaces[U.mask].dim
-    star_space = sections_over(sheaf, star)
-    d = star_space.dim
-    star_coords: dict = {}  # mask of U -> M_U, d x dim Γ(U)
+    starts = list(accumulate([S.dim for S in spaces], initial=0))
+    total = starts.pop()
+    offsets = {U.mask: start for U, start in zip(nbhd, starts)}
+    d = spaces[0].dim
+    star_coords = [Matrix.identity(field, d)]  # M_U, d x dim Γ(U), by position
     residuals = []
-    for U in nbhd:
+    for U in nbhd[1:]:
         u = U.mask
         covers = sorted(
             position[v] for v in (u & ~(1 << x) for x in iter_bits(u)) if v in position
         )
-        if not covers:  # the star, contained in every neighbourhood
-            star_coords[u] = Matrix.identity(field, d)
-            continue
-        through = [
-            star_coords[nbhd[k].mask] @ restriction_matrix(sheaf, U, nbhd[k])
-            for k in covers
-        ]
-        star_coords[u] = through[0]
+        through = [star_coords[k] @ restriction_matrix(sheaf, U, nbhd[k]) for k in covers]
+        star_coords.append(through[0])
         for M in through[1:]:
-            residuals.extend((M - through[0])._columns()[0])
-    images = block_assemble(field, [d], [spaces[U.mask].dim for U in nbhd],
-                            {(0, k): star_coords[U.mask] for k, U in enumerate(nbhd)})
-    relations = _basis(field, d, residuals)
-    r = relations.dim
-    # the pivot columns of [Rel | image of column total-1 | ... | of column 0];
-    # scaling the columns of either block leaves them where they are, so
-    # each block is taken over its own common denominator
-    rel_columns, rel_den = relations._matrix._columns()
-    greedy = _basis(field, r + total, [
-        [*rel, *row[::-1]] for rel, row in zip(rel_columns, images._ints)
+            residuals.extend(col for col in (M - through[0])._columns()[0] if any(col))
+    images = block_assemble(field, [d], [S.dim for S in spaces],
+                            {(0, k): M for k, M in enumerate(star_coords)})
+    n = len(residuals)
+    greedy = _basis(field, n + total, [
+        [*(col[i] for col in residuals), *row[::-1]] for i, row in enumerate(images._ints)
     ])
-    free_columns = tuple(sorted(total - 1 - (c - r) for c in greedy.pivots()[r:]))
-    # Γ(U_p) is the direct sum of Rel and the images of the free columns;
-    # solve reads off the coefficients on the latter. The frame's two
-    # blocks are brought to a common denominator.
-    image_columns, image_den = images._columns()
-    common = lcm(rel_den, image_den)
-    frame = Matrix._make(field, d, d, *field.canonical([
-        *([x * (common // rel_den) for x in row] for row in relations._matrix._ints),
-        *([x * (common // image_den) for x in image_columns[f]] for f in free_columns),
-    ], common))
-    inverse_columns, inverse_den = frame.inverse()._columns()
-    solve = Matrix._make(field, len(free_columns), d,
-                         *field.canonical(inverse_columns[r:], inverse_den))
-    limit = DirectLimitStalk(
-        sheaf, point, tuple(nbhd), offsets, total, images, solve, free_columns, None,
-    )
-    star_offset = offsets[star.mask]
-    one, zero = field.one, field.zero
-    columns = []
-    for j in range(sheaf.dim(point)):
-        unit = [one if i == j else zero for i in range(sheaf.dim(point))]
-        coords = star_space.coordinates_of(section_from_value(sheaf, point, unit))
-        big = [zero] * total
-        for i, c in enumerate(coords):
-            big[star_offset + i] = c
-        columns.append(limit.project(big))
-    limit.witness = Matrix(field, len(columns), limit.dim, columns).transpose()
-    return limit
+    pivots = greedy.pivots()
+    r = sum(c < n for c in pivots)
+    free_columns = tuple(total - 1 - (c - n) for c in reversed(pivots[r:]))
+    # the star's columns are the last d, in reverse
+    solve = Matrix._make(field, d - r, d, *field.canonical(
+        [row[::-1][:d] for row in reversed(greedy._matrix._ints[r:])], greedy._matrix._den))
+    pi = base.index(point)
+    pts = star.sort_key()[1]
+    stacked = block_assemble(field, [dims[q] for q in pts], [dims[pi]],
+                             {(k, 0): sheaf._restrict(pi, q) for k, q in enumerate(pts)})
+    spread = Matrix._make(field, d, dims[pi], *field.canonical(
+        [stacked._ints[c] for c in spaces[0].basis.pivots()], stacked._den))
+    return DirectLimitStalk(sheaf, point, tuple(nbhd), offsets, total, images, solve,
+                            free_columns, solve @ spread)
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,29 @@ class TestParseErrors:
                 "[sheaf]\ndim a = 1\ndim b = 1\nmap a->b = [[x]]\n"
             )
 
+    @pytest.mark.parametrize("literal, message", [
+        ("1", "matrix value must be [[...], ...], id, or zero"),
+        ("[1]", "matrix rows must be bracketed"),
+        ("[[1], [2]", "matrix rows must be bracketed"),
+        ("[[[1]]]", "matrix literals do not nest deeper than rows"),
+        ("[[1]], [2]]", "unbalanced brackets in matrix literal"),
+        ("[[1] x [2]]", "unexpected 'x' between matrix rows"),
+        ("[[1, y]]", "bad matrix entry 'y'"),
+        ("[[1,,2]]", "bad matrix entry ''"),
+        ("[[1], [2, 3]]", "matrix rows have differing lengths"),
+    ])
+    def test_malformed_matrix_literal_names_its_error_and_line(self, literal, message):
+        header = "[poset]\nelements = a b\nrelation = a<b\n[sheaf]\ndim a = 1\ndim b = 1\n"
+        morphism = "[morphism f]\nsource = main\ntarget = main\n"
+        for text, line in [
+            (f"{header}map a->b = {literal}\n", 7),
+            (f"{header}map a->b = [[1]]\n{morphism}map a = {literal}\n", 11),
+        ]:
+            with pytest.raises(DocumentError) as err:
+                parse_text(text)
+            assert err.value.line == line
+            assert str(err.value) == f"line {line}: {message}"
+
     def test_matrix_shape_mismatch_is_a_document_error_with_line(self):
         text = (
             "[poset]\nelements = a b\nrelation = a<b\n"

@@ -379,6 +379,35 @@ class TestSections:
         assert piece.components == {"q": (QQ.one,)}
         assert glue(sheaf, [whole_space(again)], [t]) == t
 
+    def test_sections_of_unequal_sheaves_are_unequal(self):
+        # over the star of q only q's value is stored, so the sheaves'
+        # different maps p -> q must tell the two sections apart
+        P = build_poset("pq", [("p", "q")])
+        ident = constant_sheaf(P, 1)
+        zero = build_sheaf(P, {"p": 1, "q": 1}, {("p", "q"): Matrix.zeros(QQ, 1, 1)})
+        star = open_star(P, "q")
+        assert ident != zero
+        assert Section(ident, star, {"q": [1]}) != Section(zero, star, {"q": [1]})
+        # an equal sheaf built apart gives an equal section
+        assert Section(ident, star, {"q": [1]}) == Section(constant_sheaf(P, 1), star, {"q": [1]})
+
+    def test_coordinates_of_a_section_from_elsewhere_rejected(self):
+        P = build_poset("pq", [("p", "q")])
+        sheaf = build_sheaf(P, {"p": 1, "q": 1}, {("p", "q"): Matrix.build(QQ, [[2]])})
+        W, star = whole_space(P), open_star(P, "q")
+        s = Section(sheaf, W, {"p": [1], "q": [2]})
+        with pytest.raises(ValidationError, match="section lives on a different open set"):
+            sections_over(sheaf, star).coordinates_of(s)  # read p's value as q's
+        with pytest.raises(ValidationError, match="section lives on a different open set"):
+            sections_over(sheaf, W).coordinates_of(restrict_section(s, star))
+        other = constant_sheaf(P, 1)
+        with pytest.raises(ValidationError, match="section belongs to a different sheaf"):
+            sections_over(other, W).coordinates_of(s)
+        with pytest.raises(ValidationError, match="section belongs to a different sheaf"):
+            stalk_direct_limit(other, "q").germ(s)
+        same = build_sheaf(P, {"p": 1, "q": 1}, {("p", "q"): Matrix.build(QQ, [[2]])})
+        assert sections_over(same, W).coordinates_of(s) == (QQ.one,)
+
 
 class TestMinimalPointSolve:
     """sections_over solves on the minimal points of the open and expands;
