@@ -31,6 +31,7 @@ from .topology import OpenSet, union_of_stars
 _IDENT = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.'-]*$")
 _BLOCK = re.compile(r"^\[\s*([a-z]+)(?:\s+(\S+))?\s*\]$")
 _ENTRY_TOKEN = re.compile(r"^-?\d+(?:/\d+)?$")
+_ROW = re.compile(r"\[([^\[\]]*)\][ \t,]*")
 
 MAIN_SHEAF = "main"
 
@@ -86,7 +87,6 @@ class RealizedDocument:
     sheaves: dict[str, CellularSheaf]
     opens: dict[str, OpenSet]
     morphisms: dict[str, SheafMorphism]
-    field_names: dict[str, str]
     morphism_ends: dict[str, tuple[str, str]]   # name -> (source, target) sheaf names
 
 
@@ -126,33 +126,28 @@ def _parse_matrix_value(text: str, line: int) -> MatrixLiteral:
         return MatrixLiteral("rows", (), line)
     if not (inner.startswith("[") and inner.endswith("]")):
         raise DocumentError("matrix rows must be bracketed", line)
+    # a row is a bracket pair with no bracket inside, then the separators
+    # before the next row. Where no row starts, the character there names
+    # the error: as `inner` ends with "]", a "[" there opens a row that
+    # holds another "["
     rows = []
-    depth = 0
-    start = None
-    for i, ch in enumerate(inner):
-        if ch == "[":
-            if depth == 0:
-                start = i + 1
-            depth += 1
-            if depth > 1:
+    pos = 0
+    while pos < len(inner):
+        m = _ROW.match(inner, pos)
+        if m is None:
+            ch = inner[pos]
+            if ch == "[":
                 raise DocumentError("matrix literals do not nest deeper than rows", line)
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
+            if ch == "]":
                 raise DocumentError("unbalanced brackets in matrix literal", line)
-            row_text = inner[start:i].strip()
-            entries = []
-            if row_text:
-                for tok in row_text.split(","):
-                    tok = tok.strip()
-                    if not _ENTRY_TOKEN.match(tok):
-                        raise DocumentError(f"bad matrix entry {tok!r}", line)
-                    entries.append(tok)
-            rows.append(tuple(entries))
-        elif depth == 0 and ch not in ", \t":
             raise DocumentError(f"unexpected {ch!r} between matrix rows", line)
-    if depth != 0:
-        raise DocumentError("unbalanced brackets in matrix literal", line)
+        row_text = m.group(1).strip()
+        entries = tuple(tok.strip() for tok in row_text.split(",")) if row_text else ()
+        for tok in entries:
+            if not _ENTRY_TOKEN.match(tok):
+                raise DocumentError(f"bad matrix entry {tok!r}", line)
+        rows.append(entries)
+        pos = m.end()
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise DocumentError("matrix rows have differing lengths", line)
@@ -370,7 +365,6 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
         except ValueError as exc:
             raise DocumentError(f"--field: {exc}") from None
     sheaves: dict[str, CellularSheaf] = {}
-    field_names: dict[str, str] = {}
     for name, spec in doc.sheaf_specs.items():
         field = override
         if field is None:
@@ -403,36 +397,24 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
             edge_maps[(p, q)] = _realize_matrix(
                 lit, field, dims[q], dims[p], f"{p}->{q}")
         sheaves[name] = build_sheaf(poset, dims, edge_maps, field)
-        field_names[name] = field.name
 
     opens: dict[str, OpenSet] = {}
     for name, spec_o in doc.open_specs.items():
-        if spec_o.stars is not None:
-            for x in spec_o.stars:
-                if x not in poset:
-                    raise DocumentError(
-                        f"unknown element {x!r} in open {name!r}", spec_o.line)
-            opens[name] = union_of_stars(poset, spec_o.stars)
-        else:
-            for x in spec_o.members:
-                if x not in poset:
-                    raise DocumentError(
-                        f"unknown element {x!r} in open {name!r}", spec_o.line)
-            opens[name] = OpenSet(poset, frozenset(spec_o.members))
+        points = spec_o.members if spec_o.stars is None else spec_o.stars
+        for x in points:
+            if x not in poset:
+                raise DocumentError(
+                    f"unknown element {x!r} in open {name!r}", spec_o.line)
+        opens[name] = (OpenSet(poset, frozenset(points)) if spec_o.stars is None
+                       else union_of_stars(poset, points))
 
     morphisms: dict[str, SheafMorphism] = {}
     morphism_ends: dict[str, tuple[str, str]] = {}
     for name, spec_m in doc.morphism_specs.items():
-        if spec_m.source not in sheaves:
-            raise DocumentError(
-                f"morphism {name!r} names unknown sheaf {spec_m.source!r}",
-                spec_m.line,
-            )
-        if spec_m.target not in sheaves:
-            raise DocumentError(
-                f"morphism {name!r} names unknown sheaf {spec_m.target!r}",
-                spec_m.line,
-            )
+        for end in (spec_m.source, spec_m.target):
+            if end not in sheaves:
+                raise DocumentError(
+                    f"morphism {name!r} names unknown sheaf {end!r}", spec_m.line)
         src = sheaves[spec_m.source]
         tgt = sheaves[spec_m.target]
         if src.field != tgt.field:
@@ -453,7 +435,7 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
                 lit, src.field, tgt.dim(el), src.dim(el), f"morphism map at {el}")
         morphisms[name] = build_morphism(src, tgt, components)
         morphism_ends[name] = (spec_m.source, spec_m.target)
-    return RealizedDocument(poset, sheaves, opens, morphisms, field_names, morphism_ends)
+    return RealizedDocument(poset, sheaves, opens, morphisms, morphism_ends)
 
 
 def parse_text(text: str, field_override: str | None = None) -> RealizedDocument:

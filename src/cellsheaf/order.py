@@ -86,9 +86,6 @@ class PreOrder:
     def is_poset(self) -> bool:
         return all(u & d == 1 << i for i, (u, d) in enumerate(zip(self._up, self._down)))
 
-    def sort_key(self, members: Iterable[str]) -> tuple[int, ...]:
-        return tuple(sorted(self.index(x) for x in members))
-
     def __len__(self):
         return len(self.elements)
 

@@ -255,11 +255,6 @@ def constant_sheaf(base: Poset, dim: int, field=QQ) -> CellularSheaf:
     )
 
 
-def _incompatible(p: str, q: str, image: Sequence, value: Sequence) -> ValidationError:
-    return ValidationError(
-        f"family is not compatible along {p} <= {q}: {list(image)} vs {list(value)}")
-
-
 class Section:
     """A compatible family of point values over an open set."""
 
@@ -278,12 +273,8 @@ class Section:
                     f"component at {x} has length {len(vals)}, expected {sheaf.dim(x)}"
                 )
             coerced[x] = vals
-        elements = sheaf.base.elements
-        for a, b in _covering_pairs(sheaf, open.mask):
-            p, q = elements[a], elements[b]
-            image = sheaf._restrict(a, b).mul_vec(coerced[p])
-            if image != coerced[q]:
-                raise _incompatible(p, q, image, coerced[q])
+        _check_families(
+            sheaf, open, *sheaf.field.lower([[v for vals in coerced.values() for v in vals]]))
         self.sheaf = sheaf
         self.open = open
         self.components = coerced
@@ -418,7 +409,7 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
             families.append(family)
     families = list(field.canonical(families)[0])
     space = SectionSpace(sheaf, U, _basis(field, sum(map(dims.__getitem__, pts)), families))
-    _check_families(space)
+    _check_families(sheaf, U, space.basis._matrix._ints, space.basis._matrix._den)
     sheaf._section_cache[u] = space
     return space
 
@@ -435,23 +426,25 @@ def _covering_pairs(sheaf: CellularSheaf, mask: int) -> list[tuple[int, int]]:
     return sorted((y, x) for x in iter_bits(mask) for y in lower[x] if mask >> y & 1)
 
 
-def _check_families(space: SectionSpace):
-    """Check each basis family along each covering pair inside its open, on
-    ints; values are lifted only for the message of a failure."""
-    sheaf = space.sheaf
+def _check_families(sheaf: CellularSheaf, U: OpenSet, families: Sequence, den: int):
+    """Check each family (int rows over `den`, points of U in carrier order)
+    along each covering pair inside U, on ints; values are lifted only for
+    the message of a failure."""
     p = sheaf.field.characteristic
-    offs = space._offsets()
-    pairs = [(a, b, sheaf._restrict(a, b)) for a, b in _covering_pairs(sheaf, space.open.mask)]
-    for k, vec in enumerate(space.basis._matrix._ints):
+    offs = _block_starts(sheaf._dims, U.sort_key()[1])[0]
+    pairs = [(a, b, sheaf._restrict(a, b)) for a, b in _covering_pairs(sheaf, U.mask)]
+    for vec in families:
         for a, b, m in pairs:
             at_a = vec[offs[a]: offs[a] + m.cols]
             for i, row in zip(count(offs[b]), m._ints):
                 x = sum(map(mul, row, at_a)) - m._den * vec[i]
                 if x % p if p else x:
-                    family, elements = space.basis.rows[k], sheaf.base.elements
-                    raise _incompatible(elements[a], elements[b],
-                                        m.mul_vec(family[offs[a]: offs[a] + m.cols]),
-                                        family[offs[b]: offs[b] + m.rows])
+                    (family,) = sheaf.field.lift((vec,), den)
+                    image = m.mul_vec(family[offs[a]: offs[a] + m.cols])
+                    elements = sheaf.base.elements
+                    raise ValidationError(
+                        f"family is not compatible along {elements[a]} <= {elements[b]}: "
+                        f"{list(image)} vs {list(family[offs[b]: offs[b] + m.rows])}")
 
 
 def _check_carrier(sheaf: CellularSheaf, *opens: OpenSet):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import EnumerationLimitError, NotOpenError, ValidationError
-from .order import PreOrder, iter_bits, quotient_to_poset
+from .order import PreOrder, iter_bits
 
 DEFAULT_MAX_ELEMENTS = 20
 
@@ -157,21 +157,20 @@ def whole_space(space: PreOrder) -> OpenSet:
 def enumerate_opens(space: PreOrder, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[OpenSet]:
     """All open sets, sorted by (size, member indices).
 
-    Up-sets of a preorder are unions of mutual-comparability classes, so the
-    enumeration runs on the poset quotient and maps classes back. The count
-    is the number of antichains of the quotient, hence the size guard.
+    Up-sets of a preorder are unions of mutual-comparability classes, so
+    the masks are built class by class. The count is the number of
+    antichains of the poset of classes, hence the size guard.
     """
     n = len(space)
     if n > max_elements:
         raise EnumerationLimitError(n, max_elements)
-    q = quotient_to_poset(space)
     up, down = space._up, space._down
-    sizes = [row.bit_count() for row in q.quotient._down]
-    # each open is a mask over the carrier; the classes are added maximal
-    # first, so that every point strictly above a class is already decided
+    # each class is taken by its first point; a class strictly above another
+    # has the larger down-set, so larger down-sets first decides every point
+    # strictly above a class before the class is added
+    firsts = [r for r in range(n) if not up[r] & down[r] & ((1 << r) - 1)]
     found = [0]
-    for c in sorted(range(len(sizes)), key=lambda c: (sizes[c], c), reverse=True):
-        r = space.index(q.classes[c][0])
+    for r in sorted(firsts, key=lambda r: (down[r].bit_count(), r), reverse=True):
         cls = up[r] & down[r]
         need = up[r] & ~cls
         found += [m | cls for m in found if m & need == need]

@@ -6,6 +6,7 @@ and shares no code with the production path it cross-checks.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from cellsheaf import (
@@ -26,6 +27,53 @@ from cellsheaf import (
     section_map,
     sections_over,
 )
+
+_ENTRY = re.compile(r"-?\d+(?:/\d+)?")
+
+
+def matrix_literal_by_walk(text: str) -> tuple[str, tuple]:
+    """(kind, rows) of a matrix literal, read one character at a time with a
+    bracket-depth counter; raises ValueError(message) where it is malformed."""
+    text = text.strip()
+    if text in ("id", "zero"):
+        return text, ()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ValueError("matrix value must be [[...], ...], id, or zero")
+    inner = text[1:-1].strip()
+    if not inner:
+        return "rows", ()
+    if not (inner.startswith("[") and inner.endswith("]")):
+        raise ValueError("matrix rows must be bracketed")
+    rows = []
+    depth = 0
+    start = None
+    for i, ch in enumerate(inner):
+        if ch == "[":
+            if depth == 0:
+                start = i + 1
+            depth += 1
+            if depth > 1:
+                raise ValueError("matrix literals do not nest deeper than rows")
+        elif ch == "]":
+            depth -= 1
+            if depth < 0:
+                raise ValueError("unbalanced brackets in matrix literal")
+            row_text = inner[start:i].strip()
+            entries = []
+            if row_text:
+                for tok in row_text.split(","):
+                    tok = tok.strip()
+                    if not _ENTRY.fullmatch(tok):
+                        raise ValueError(f"bad matrix entry {tok!r}")
+                    entries.append(tok)
+            rows.append(tuple(entries))
+        elif depth == 0 and ch not in ", \t":
+            raise ValueError(f"unexpected {ch!r} between matrix rows")
+    if depth != 0:
+        raise ValueError("unbalanced brackets in matrix literal")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("matrix rows have differing lengths")
+    return "rows", tuple(rows)
 
 
 def closure_by_table(elements, pairs) -> list[list[bool]]:

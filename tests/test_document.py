@@ -2,6 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellsheaf import (
     DocumentError,
@@ -16,9 +17,11 @@ from cellsheaf import (
     render_document,
 )
 
+from cellsheaf.document import _parse_matrix_value
 from cellsheaf.linalg import PRIME_BOUND
 
 from helpers import FIXTURES
+from oracles import matrix_literal_by_walk
 
 
 def load(name):
@@ -113,6 +116,23 @@ class TestParseErrors:
                 parse_text(text)
             assert err.value.line == line
             assert str(err.value) == f"line {line}: {message}"
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.text(alphabet="[], \t0123456789/-xy\xa0", max_size=30),
+           st.sampled_from([("", ""), ("[", "]"), ("[[", "]]")]),
+           st.integers(1, 10_000))
+    def test_row_pattern_reads_each_literal_as_the_walker_does(self, body, frame, line):
+        text = frame[0] + body + frame[1]
+        try:
+            expected = matrix_literal_by_walk(text)
+        except ValueError as exc:
+            with pytest.raises(DocumentError) as err:
+                _parse_matrix_value(text, line)
+            assert err.value.line == line
+            assert str(err.value) == f"line {line}: {exc}"
+        else:
+            lit = _parse_matrix_value(text, line)
+            assert (lit.kind, lit.rows, lit.line) == (*expected, line)
 
     def test_matrix_shape_mismatch_is_a_document_error_with_line(self):
         text = (

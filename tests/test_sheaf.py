@@ -520,10 +520,12 @@ class TestLoweredSectionSpaces:
         space = SectionSpace(sheaf, U, subspace_from_rows(field, width, families))
         message = oracles.first_incompatibility_by_field_ops(sheaf, U, space.basis.rows)
         if message is None:
-            cellsheaf.sheaf._check_families(space)
+            cellsheaf.sheaf._check_families(
+                sheaf, U, space.basis._matrix._ints, space.basis._matrix._den)
         else:
             with pytest.raises(ValidationError) as err:
-                cellsheaf.sheaf._check_families(space)
+                cellsheaf.sheaf._check_families(
+                    sheaf, U, space.basis._matrix._ints, space.basis._matrix._den)
             assert str(err.value) == message
 
     def test_incompatible_data_names_the_pair_and_both_values(self):

@@ -39,3 +39,38 @@ def test_no_floats_anywhere_in_the_package():
         for line, what in float_uses(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def unread_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) for each name a module imports and never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_the_scan_finds_each_unread_import():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport re as regex\n"
+        "from math import gcd, lcm\nfrom .order import iter_bits as bits\n"
+        "def f(x: lcm) -> int:\n    return os.path.join(bits(x))\n"
+    )
+    assert unread_imports(ast.parse(source)) == [(3, "regex"), (4, "gcd")]
+
+
+def test_no_unread_imports_in_the_package():
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    assert modules
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line}: {name}"
+        for path in modules
+        for line, name in unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
