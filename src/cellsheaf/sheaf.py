@@ -721,18 +721,42 @@ def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], .
     swapping a pair negates its rows and equal indices give zero rows,
     neither changes the kernel. Part and band dimensions are read off the
     maps.
+
+    phi has one column band, so its int rows are the maps' rows stacked
+    over the lcm of their denominators. Each row of psi is a zero row of
+    the full width with two slices written into it, -from_i and +from_j,
+    and each band is multiplied by the lcm of its own two denominators, so
+    that psi is int rows over 1. That is allowed: scaling a row of psi by a
+    nonzero factor changes neither its rank nor whether psi phi = 0, and
+    nothing else is asked of psi.
     """
+    p = field.characteristic
     part_dims = [m.rows for m in maps]
-    band_dims, blocks, negated = [], {}, {}
-    for band, (i, j, from_i, from_j) in enumerate(overlaps):
-        band_dims.append(from_i.rows)
-        blocks[(band, j)] = from_j
-        negated[(band, i)] = from_i
-    grids = (  # row bands, column bands, blocks, negated blocks
-        (part_dims, [dim], {(i, 0): m for i, m in enumerate(maps)}, None),
-        (band_dims, part_dims, blocks, negated),
-    )
-    phi, psi = (block_assemble(field, *grid) for grid in grids)
+    starts = list(accumulate(part_dims, initial=0))
+    common = lcm(*[m._den for m in maps])
+    stacked = []
+    for i, m in enumerate(maps):
+        if m.cols != dim:
+            raise ShapeError(f"map to part {i} is {m.rows}x{m.cols}, expected "
+                             f"{m.rows}x{dim}")
+        s = common // m._den
+        stacked.extend(m._ints if s == 1 else [[s * x for x in row] for row in m._ints])
+    phi = Matrix._make(field, starts[-1], dim, tuple(stacked), common)
+    rows = []
+    for i, j, from_i, from_j in overlaps:
+        if (from_i.rows, from_i.cols, from_j.cols) != (from_j.rows, part_dims[i], part_dims[j]):
+            raise ShapeError(
+                f"band of parts {i} and {j} has blocks {from_i.rows}x{from_i.cols} and "
+                f"{from_j.rows}x{from_j.cols}, parts of dims {part_dims[i]} and {part_dims[j]}")
+        band = lcm(from_i._den, from_j._den)  # 1 over GF(p)
+        s, t = band // from_i._den, band // from_j._den
+        i0, i1, j0, j1 = starts[i], starts[i + 1], starts[j], starts[j + 1]
+        for a, b in zip(from_i._ints, from_j._ints):
+            row = [0] * starts[-1]
+            row[i0:i1] = [-x % p for x in a] if p else [-s * x for x in a]
+            row[j0:j1] = b if t == 1 else [t * x for x in b]
+            rows.append(row)
+    psi = Matrix._make(field, len(rows), starts[-1], tuple(rows))
     return CoverCheck(target, cover, phi.is_injective(), is_exact_at(phi, psi))
 
 
@@ -783,6 +807,16 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
     opens = enumerate_opens(sheaf.base, max_elements)
     # each open's position in the sorted enumeration, which is sort_key order
     position = {V.mask: k for k, V in enumerate(opens)}
+    cache = sheaf._restriction_cache
+
+    def restrict(a: int, b: int) -> Matrix:
+        """The map Γ(a) -> Γ(b) between opens of the base, by mask; only a
+        miss goes through restriction_matrix."""
+        m = cache.get((a, b))
+        if m is None:
+            m = restriction_matrix(sheaf, opens[position[a]], opens[position[b]])
+        return m
+
     rng = random.Random(seed)
     considered = opens
     if open_budget is not None and len(opens) > open_budget:
@@ -815,14 +849,10 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
             add_cover(picked)
         dim_U = sections_over(sheaf, U).dim
         for cover in covers:
-            maps = [restriction_matrix(sheaf, U, Ui) for Ui in cover]
-            overlaps = []
-            for (i, Ui), (j, Uj) in combinations(enumerate(cover), 2):
-                inter = opens[position[Ui.mask & Uj.mask]]
-                overlaps.append((
-                    i, j, restriction_matrix(sheaf, Ui, inter),
-                    restriction_matrix(sheaf, Uj, inter),
-                ))
+            masks = [V.mask for V in cover]
+            maps = [restrict(u, v) for v in masks]
+            overlaps = [(i, j, restrict(a, a & b), restrict(b, a & b))
+                        for (i, a), (j, b) in combinations(enumerate(masks), 2)]
             checks.append(_check_cover(
                 sheaf.field, U.sorted_members, tuple(o.sorted_members for o in cover),
                 dim_U, maps, overlaps,

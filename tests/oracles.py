@@ -174,6 +174,36 @@ def product_by_field_ops(field, a, b, cols) -> tuple:
     )
 
 
+def cover_check_by_field_ops(field, dim: int, maps, overlaps) -> tuple[bool, bool]:
+    """(injective, exact in the middle) for 0 -> F(U) -phi-> prod parts
+    -psi-> prod overlaps, with phi and psi assembled densely, entry by entry,
+    from the field values of the maps: `maps[i]` sends F(U) to part i, and an
+    overlap (i, j, from part i, from part j) is a band of psi reading
+    from part j minus from part i."""
+    starts = [0]
+    for m in maps:
+        starts.append(starts[-1] + m.rows)
+    width = starts[-1]
+    phi = [[field.zero] * dim for _ in range(width)]
+    for m, start in zip(maps, starts):
+        for r, row in enumerate(m.data):
+            for c, x in enumerate(row):
+                phi[start + r][c] = x
+    psi = []
+    for i, j, from_i, from_j in overlaps:
+        for a, b in zip(from_i.data, from_j.data):
+            row = [field.zero] * width
+            for k, x in enumerate(a):
+                row[starts[i] + k] = -x
+            for k, x in enumerate(b):
+                row[starts[j] + k] = x
+            psi.append(row)
+    rank_phi = len(gauss_jordan(field, phi, dim)[1])
+    rank_psi = len(gauss_jordan(field, psi, width)[1])
+    vanishes = not any(x for row in product_by_field_ops(field, psi, phi, dim) for x in row)
+    return rank_phi == dim, vanishes and rank_phi + rank_psi == width
+
+
 def inverse_by_field_ops(field, rows, n):
     """The rows of the inverse of a square matrix, None if it is singular."""
     aug = [list(row) + [field.one if i == j else field.zero for j in range(n)]

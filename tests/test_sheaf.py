@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -910,6 +912,73 @@ class TestAxiomReports:
                 assert k1 == k2
 
 
+def random_cover_data(rng: random.Random, field):
+    """(dim F(U), maps, overlaps) for `_check_cover`: 0-5 parts and bands of
+    dims 0-3, entries with mixed denominators. In half the draws each part
+    is F(U) scaled by its own factor, with at most one free extra row, and
+    every band reads one matrix B through both parts, so psi phi = 0; in the
+    other half every map is random."""
+    dim, n = rng.randint(0, 3), rng.randint(0, 5)
+
+    def entries(rows, cols):
+        return [[rational(rng) for _ in range(cols)] for _ in range(rows)]
+
+    pairs = list(itertools.combinations(range(n), 2))
+    if rng.random() < 0.5:
+        scales = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                  for _ in range(n)]
+        extra = [rng.randint(0, 1) if dim < 3 else 0 for _ in range(n)]
+        maps = [Matrix.build(field, [[c * (r == k) for k in range(dim)] for r in range(dim)]
+                             + entries(e, dim), cols=dim) for c, e in zip(scales, extra)]
+        overlaps = []
+        for i, j in pairs:
+            B = entries(rng.randint(0, 3), dim)
+            overlaps.append((i, j, *(
+                Matrix.build(field, [[x / scales[k] for x in row] + [0] * extra[k]
+                                     for row in B], cols=dim + extra[k])
+                for k in (i, j))))
+    else:
+        parts = [rng.randint(0, 3) for _ in range(n)]
+        maps = [Matrix.build(field, entries(d, dim), cols=dim) for d in parts]
+        overlaps = []
+        for i, j in pairs:
+            band = rng.randint(0, 3)
+            overlaps.append((i, j, *(Matrix.build(field, entries(band, parts[k]),
+                                                  cols=parts[k]) for k in (i, j))))
+    return dim, maps, overlaps
+
+
+class TestCoverCheck:
+    """`_check_cover` against the dense field-value assembly of phi and psi."""
+
+    def test_matches_the_dense_assembly(self):
+        statuses = set()
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.sampled_from([QQ, PrimeField(5), PrimeField(7),
+                                PrimeField(1000000000000000003)]),
+               st.integers(0, 2**32 - 1))
+        def agrees(field, seed):
+            dim, maps, overlaps = random_cover_data(random.Random(seed), field)
+            check = cellsheaf.sheaf._check_cover(field, (), (), dim, maps, overlaps)
+            assert (check.injective, check.exact_middle) == \
+                oracles.cover_check_by_field_ops(field, dim, maps, overlaps)
+            statuses.add(check.describe().rpartition(": ")[2])
+
+        agrees()
+        assert statuses == {"ok", "gluing failed", "locality failed"}
+
+    def test_shape_guards(self):
+        one, column, row = (Matrix.build(QQ, rows) for rows in ([[1]], [[1], [2]], [[1, 2]]))
+        check = functools.partial(cellsheaf.sheaf._check_cover, QQ, (), (), 1)
+        with pytest.raises(ShapeError, match="blocks 1x1 and 2x1, parts of dims 1 and 1"):
+            check([one, one], [(0, 1, one, column)])
+        with pytest.raises(ShapeError, match="blocks 1x2 and 1x1, parts of dims 1 and 1"):
+            check([one, one], [(0, 1, row, one)])
+        with pytest.raises(ShapeError, match="to part 0 is 1x2, expected 1x1"):
+            check([row], [])
+
+
 class TestOpenBudget:
     """`open_budget` samples the opens to check when there are more of them."""
 
@@ -970,21 +1039,28 @@ class TestNegativeControls:
     """Feed deliberately inconsistent data to the verifiers by bypassing
     build_sheaf, to confirm the suites can actually fail."""
 
-    def _fake_path_dependent_sheaf(self):
+    SQUARE_FAILURES = [
+        "{p q1 q2 r} covered by [{p q1 q2 r}, {q2 r}]: gluing failed",
+        "{p q1 q2 r} covered by [{p q1 q2 r}, {q1 r}, {q2 r}]: gluing failed",
+        "{p q1 q2 r} covered by [{p q1 q2 r}, {q2 r}, {r}]: gluing failed",
+        "{p q1 q2 r} covered by [{p q1 q2 r}, {q1 r}, {q2 r}, {r}]: gluing failed",
+    ]
+
+    def _fake_path_dependent_sheaf(self, field=QQ):
         from cellsheaf import CellularSheaf, hasse_edges
 
         base = square_poset()
-        one = Matrix.identity(QQ, 1)
+        one = Matrix.identity(field, 1)
         m = {
-            ("p", "q1"): Matrix.build(QQ, [[1]]),
-            ("p", "q2"): Matrix.build(QQ, [[1]]),
-            ("q1", "r"): Matrix.build(QQ, [[2]]),
-            ("q2", "r"): Matrix.build(QQ, [[3]]),
-            ("p", "r"): Matrix.build(QQ, [[2]]),  # picks one chain arbitrarily
+            ("p", "q1"): Matrix.build(field, [[1]]),
+            ("p", "q2"): Matrix.build(field, [[1]]),
+            ("q1", "r"): Matrix.build(field, [[2]]),
+            ("q2", "r"): Matrix.build(field, [[3]]),
+            ("p", "r"): Matrix.build(field, [[2]]),  # picks one chain arbitrarily
         }
         for e in base.elements:
             m[(e, e)] = one
-        return CellularSheaf(base, QQ, {e: 1 for e in base.elements}, m,
+        return CellularSheaf(base, field, {e: 1 for e in base.elements}, m,
                              hasse_edges(base))
 
     def test_basic_cover_suite_detects_inconsistent_data(self):
@@ -993,12 +1069,13 @@ class TestNegativeControls:
         assert not report.ok
         assert report.failures()
         assert report.summary() == "basic-cover-exactness: 13 covers checked, 4 failures"
-        assert [c.describe() for c in report.failures()] == [
-            "{p q1 q2 r} covered by [{p q1 q2 r}, {q2 r}]: gluing failed",
-            "{p q1 q2 r} covered by [{p q1 q2 r}, {q1 r}, {q2 r}]: gluing failed",
-            "{p q1 q2 r} covered by [{p q1 q2 r}, {q2 r}, {r}]: gluing failed",
-            "{p q1 q2 r} covered by [{p q1 q2 r}, {q1 r}, {q2 r}, {r}]: gluing failed",
-        ]
+        assert [c.describe() for c in report.failures()] == self.SQUARE_FAILURES
+
+    def test_basic_cover_suite_detects_inconsistent_data_over_gf7(self):
+        # the same square over GF(7), where psi negates its blocks as residues
+        report = verify_base_sheaf_axioms(self._fake_path_dependent_sheaf(PrimeField(7)))
+        assert report.summary() == "basic-cover-exactness: 13 covers checked, 4 failures"
+        assert [c.describe() for c in report.failures()] == self.SQUARE_FAILURES
 
     def test_sections_over_rejects_inconsistent_data(self):
         # the solve on minimal points expands through map(p, r) = [[2]];
