@@ -699,36 +699,47 @@ def is_exact_at(f: Matrix, g: Matrix) -> bool:
 
 
 def block_assemble(field, row_dims: Sequence[int], col_dims: Sequence[int],
-                   blocks: Mapping[tuple[int, int], Matrix],
-                   negated: Mapping[tuple[int, int], Matrix] | None = None) -> Matrix:
+                   blocks: Mapping[tuple[int, int], Matrix]) -> Matrix:
     """Assemble a matrix from a sparse grid of labeled blocks.
 
-    `blocks[(i, j)]` occupies row band i and column band j, and
-    `negated[(i, j)]` does so with its sign flipped; missing blocks are
-    zero. Every supplied block must match the band dimensions. Each block's
-    int rows are scaled to the lcm of the blocks' denominators, which keeps
-    the result in lowest terms: a prime dividing the lcm divides some
-    block's denominator to the full power, and that block has an entry the
-    prime does not divide.
+    `blocks[(i, j)]` occupies row band i and column band j; missing blocks
+    are zero. Every supplied block must match the band dimensions. Each
+    block's int rows are scaled to the lcm of the blocks' denominators,
+    which keeps the result in lowest terms: a prime dividing the lcm
+    divides some block's denominator to the full power, and that block has
+    an entry the prime does not divide.
     """
     row_off = [0, *accumulate(row_dims)]
     col_off = [0, *accumulate(col_dims)]
     total_r, total_c = row_off[-1], col_off[-1]
-    p = field.characteristic
-    groups = ((1, blocks), (-1, negated or {}))
-    common = lcm(*[blk._den for _, group in groups for blk in group.values()])
+    common = lcm(*[blk._den for blk in blocks.values()])
     grid = [[0] * total_c for _ in range(total_r)]
-    for sign, group in groups:
-        for (i, j), blk in group.items():
-            if blk.rows != row_dims[i] or blk.cols != col_dims[j]:
-                raise ShapeError(
-                    f"block ({i},{j}) is {blk.rows}x{blk.cols}, "
-                    f"band expects {row_dims[i]}x{col_dims[j]}"
-                )
-            s = sign * (common // blk._den)
-            c0, c1 = col_off[j], col_off[j + 1]
-            for r, row in zip(range(row_off[i], row_off[i + 1]), blk._ints):
-                if s != 1:
-                    row = [-x % p for x in row] if p else [s * x for x in row]
-                grid[r][c0:c1] = row
+    for (i, j), blk in blocks.items():
+        if blk.rows != row_dims[i] or blk.cols != col_dims[j]:
+            raise ShapeError(
+                f"block ({i},{j}) is {blk.rows}x{blk.cols}, "
+                f"band expects {row_dims[i]}x{col_dims[j]}"
+            )
+        s = common // blk._den
+        c0, c1 = col_off[j], col_off[j + 1]
+        for r, row in zip(range(row_off[i], row_off[i + 1]), blk._ints):
+            grid[r][c0:c1] = row if s == 1 else [s * x for x in row]
     return Matrix._make(field, total_r, total_c, tuple(map(tuple, grid)), common)
+
+
+def vstack(field, cols: int, blocks: Sequence[Matrix]) -> Matrix:
+    """The blocks, each with `cols` columns, stacked top to bottom.
+
+    The same matrix as `block_assemble` with one column band, without its
+    zero grid: each block's int rows are scaled to the lcm of the blocks'
+    denominators, and a block already over the lcm lends its rows as they
+    are.
+    """
+    common = lcm(*[blk._den for blk in blocks])
+    rows = []
+    for k, blk in enumerate(blocks):
+        if blk.cols != cols:
+            raise ShapeError(f"block {k} is {blk.rows}x{blk.cols}, expected {blk.rows}x{cols}")
+        s = common // blk._den
+        rows.extend(blk._ints if s == 1 else (tuple(s * x for x in row) for row in blk._ints))
+    return Matrix._make(field, len(rows), cols, tuple(rows), common)

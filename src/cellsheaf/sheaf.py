@@ -40,6 +40,7 @@ from .linalg import (
     block_assemble,
     is_exact_at,
     kernel_basis,
+    vstack,
 )
 from .order import Poset, as_poset, hasse_edges, iter_bits
 from .topology import (
@@ -639,8 +640,7 @@ def stalk_direct_limit(sheaf: CellularSheaf, point: str,
         [row[::-1][:d] for row in reversed(greedy._matrix._ints[r:])], greedy._matrix._den))
     pi = base.index(point)
     pts = star.sort_key()[1]
-    stacked = block_assemble(field, [dims[q] for q in pts], [dims[pi]],
-                             {(k, 0): sheaf._restrict(pi, q) for k, q in enumerate(pts)})
+    stacked = vstack(field, dims[pi], [sheaf._restrict(pi, q) for q in pts])
     spread = Matrix._make(field, d, dims[pi], *field.canonical(
         [stacked._ints[c] for c in spaces[0].basis.pivots()], stacked._den))
     return DirectLimitStalk(sheaf, point, tuple(nbhd), offsets, total, images, solve,
@@ -722,26 +722,17 @@ def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], .
     neither changes the kernel. Part and band dimensions are read off the
     maps.
 
-    phi has one column band, so its int rows are the maps' rows stacked
-    over the lcm of their denominators. Each row of psi is a zero row of
-    the full width with two slices written into it, -from_i and +from_j,
-    and each band is multiplied by the lcm of its own two denominators, so
-    that psi is int rows over 1. That is allowed: scaling a row of psi by a
-    nonzero factor changes neither its rank nor whether psi phi = 0, and
-    nothing else is asked of psi.
+    phi is the maps stacked. Each row of psi is a zero row of the full
+    width with two slices written into it, -from_i and +from_j, and each
+    band is multiplied by the lcm of its own two denominators, so that psi
+    is int rows over 1. That is allowed: scaling a row of psi by a nonzero
+    factor changes neither its rank nor whether psi phi = 0, and nothing
+    else is asked of psi.
     """
     p = field.characteristic
     part_dims = [m.rows for m in maps]
     starts = list(accumulate(part_dims, initial=0))
-    common = lcm(*[m._den for m in maps])
-    stacked = []
-    for i, m in enumerate(maps):
-        if m.cols != dim:
-            raise ShapeError(f"map to part {i} is {m.rows}x{m.cols}, expected "
-                             f"{m.rows}x{dim}")
-        s = common // m._den
-        stacked.extend(m._ints if s == 1 else [[s * x for x in row] for row in m._ints])
-    phi = Matrix._make(field, starts[-1], dim, tuple(stacked), common)
+    phi = vstack(field, dim, maps)
     rows = []
     for i, j, from_i, from_j in overlaps:
         if (from_i.rows, from_i.cols, from_j.cols) != (from_j.rows, part_dims[i], part_dims[j]):
@@ -807,16 +798,6 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
     opens = enumerate_opens(sheaf.base, max_elements)
     # each open's position in the sorted enumeration, which is sort_key order
     position = {V.mask: k for k, V in enumerate(opens)}
-    cache = sheaf._restriction_cache
-
-    def restrict(a: int, b: int) -> Matrix:
-        """The map Γ(a) -> Γ(b) between opens of the base, by mask; only a
-        miss goes through restriction_matrix."""
-        m = cache.get((a, b))
-        if m is None:
-            m = restriction_matrix(sheaf, opens[position[a]], opens[position[b]])
-        return m
-
     rng = random.Random(seed)
     considered = opens
     if open_budget is not None and len(opens) > open_budget:
@@ -849,10 +830,14 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
             add_cover(picked)
         dim_U = sections_over(sheaf, U).dim
         for cover in covers:
-            masks = [V.mask for V in cover]
-            maps = [restrict(u, v) for v in masks]
-            overlaps = [(i, j, restrict(a, a & b), restrict(b, a & b))
-                        for (i, a), (j, b) in combinations(enumerate(masks), 2)]
+            maps = [restriction_matrix(sheaf, U, Ui) for Ui in cover]
+            overlaps = []
+            for (i, Ui), (j, Uj) in combinations(enumerate(cover), 2):
+                inter = opens[position[Ui.mask & Uj.mask]]
+                overlaps.append((
+                    i, j, restriction_matrix(sheaf, Ui, inter),
+                    restriction_matrix(sheaf, Uj, inter),
+                ))
             checks.append(_check_cover(
                 sheaf.field, U.sorted_members, tuple(o.sorted_members for o in cover),
                 dim_U, maps, overlaps,

@@ -20,7 +20,7 @@ from cellsheaf import (
     subspace_from_rows,
 )
 
-from cellsheaf.linalg import PRIME_BOUND, _is_prime
+from cellsheaf.linalg import PRIME_BOUND, _is_prime, vstack
 
 from helpers import CORE_FIELDS, random_matrix
 from oracles import (
@@ -215,12 +215,12 @@ class TestIntegerCore:
         assert (g - g).is_zero() and g + h - h == g
         # two row bands of blocks with different denominators, one band
         # with a negated block and one with a missing block
-        grid = block_assemble(field, [c, c], [a, b], {(0, 0): g @ f, (1, 1): h},
-                              {(0, 1): g})
+        grid = block_assemble(field, [c, c], [a, b], {(0, 0): g @ f, (0, 1): -g, (1, 1): h})
         assert_canonical(grid, [
             *(list(p) + [-x for x in row] for p, row in zip(product, G)),
             *([field.zero] * a + list(row) for row in H),
         ])
+        assert_canonical(vstack(field, b, [g, h]), [*G, *H])
         assert is_exact_at(f, g) == (
             span_by_field_ops(field, columns, b) == kernel_by_field_ops(field, G, b))
 

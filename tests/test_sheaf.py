@@ -975,7 +975,7 @@ class TestCoverCheck:
             check([one, one], [(0, 1, one, column)])
         with pytest.raises(ShapeError, match="blocks 1x2 and 1x1, parts of dims 1 and 1"):
             check([one, one], [(0, 1, row, one)])
-        with pytest.raises(ShapeError, match="to part 0 is 1x2, expected 1x1"):
+        with pytest.raises(ShapeError, match="block 0 is 1x2, expected 1x1"):
             check([row], [])
 
 
