@@ -25,9 +25,7 @@ from .linalg import (
     PrimeField,
     QQ,
     SubspaceBasis,
-    block_assemble,
     field_from_name,
-    image_basis,
     is_exact_at,
     kernel_basis,
     subspace_from_rows,

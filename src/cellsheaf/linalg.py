@@ -26,10 +26,9 @@ where a caller reads them, and never stored: `Matrix.data` (read by
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ShapeError
 
@@ -671,11 +670,6 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
     return _basis(field, m.cols, vectors)
 
 
-def image_basis(m: Matrix) -> SubspaceBasis:
-    """Canonical basis of the column space, as vectors in the target."""
-    return _basis(m.field, m.rows, m._columns()[0])
-
-
 def is_exact_at(f: Matrix, g: Matrix) -> bool:
     """Exactness of A --f--> B --g--> C at B: image(f) = kernel(g).
 
@@ -698,42 +692,14 @@ def is_exact_at(f: Matrix, g: Matrix) -> bool:
     return f.rank() + g.rank() == g.cols
 
 
-def block_assemble(field, row_dims: Sequence[int], col_dims: Sequence[int],
-                   blocks: Mapping[tuple[int, int], Matrix]) -> Matrix:
-    """Assemble a matrix from a sparse grid of labeled blocks.
-
-    `blocks[(i, j)]` occupies row band i and column band j; missing blocks
-    are zero. Every supplied block must match the band dimensions. Each
-    block's int rows are scaled to the lcm of the blocks' denominators,
-    which keeps the result in lowest terms: a prime dividing the lcm
-    divides some block's denominator to the full power, and that block has
-    an entry the prime does not divide.
-    """
-    row_off = [0, *accumulate(row_dims)]
-    col_off = [0, *accumulate(col_dims)]
-    total_r, total_c = row_off[-1], col_off[-1]
-    common = lcm(*[blk._den for blk in blocks.values()])
-    grid = [[0] * total_c for _ in range(total_r)]
-    for (i, j), blk in blocks.items():
-        if blk.rows != row_dims[i] or blk.cols != col_dims[j]:
-            raise ShapeError(
-                f"block ({i},{j}) is {blk.rows}x{blk.cols}, "
-                f"band expects {row_dims[i]}x{col_dims[j]}"
-            )
-        s = common // blk._den
-        c0, c1 = col_off[j], col_off[j + 1]
-        for r, row in zip(range(row_off[i], row_off[i + 1]), blk._ints):
-            grid[r][c0:c1] = row if s == 1 else [s * x for x in row]
-    return Matrix._make(field, total_r, total_c, tuple(map(tuple, grid)), common)
-
-
 def vstack(field, cols: int, blocks: Sequence[Matrix]) -> Matrix:
     """The blocks, each with `cols` columns, stacked top to bottom.
 
-    The same matrix as `block_assemble` with one column band, without its
-    zero grid: each block's int rows are scaled to the lcm of the blocks'
+    Each block's int rows are scaled to the lcm of the blocks'
     denominators, and a block already over the lcm lends its rows as they
-    are.
+    are. That keeps the result in lowest terms: a prime dividing the lcm
+    divides some block's denominator to the full power, and that block has
+    an entry the prime does not divide.
     """
     common = lcm(*[blk._den for blk in blocks])
     rows = []

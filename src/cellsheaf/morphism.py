@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import lcm
 from operator import mul
 from typing import Mapping
 
 from .errors import NaturalityError, ShapeError, ValidationError
-from .linalg import Matrix, block_assemble
+from .linalg import Matrix
 from .sheaf import (
     CellularSheaf,
     DirectLimitStalk,
@@ -97,23 +98,30 @@ def zero_morphism(source: CellularSheaf, target: CellularSheaf) -> SheafMorphism
 
 
 def section_map(morphism: SheafMorphism, U: OpenSet) -> Matrix:
-    """Induced map between section spaces over U, in their canonical bases."""
+    """Induced map between section spaces over U, in their canonical bases.
+
+    Each source basis family is mapped point by point, on ints: the
+    component at x, over its denominator, is applied to the family's block
+    at x and scaled to the lcm of the components' denominators. The image
+    is a family of the target, its blocks in the same carrier order.
+    """
     src_space = sections_over(morphism.source, U)
     tgt_space = sections_over(morphism.target, U)
-    pts = U.sorted_members
-    field = morphism.source.field
-    pointwise = block_assemble(
-        field,
-        [morphism.target.dim(x) for x in pts],
-        [morphism.source.dim(x) for x in pts],
-        {(i, i): morphism.components[x] for i, x in enumerate(pts)},
-    )
-    # on ints: a source basis row b / b_den goes to (P b) / (P_den b_den)
+    elements = morphism.source.base.elements
+    blocks = [(off, morphism.components[elements[x]]) for x, off in src_space._offsets().items()]
+    common = lcm(*[m._den for _, m in blocks])
     basis = src_space.basis._matrix
     coordinates = tgt_space.basis._coordinates
-    return Matrix._of_columns(field, tgt_space.dim, [
-        coordinates([sum(map(mul, p_row, row)) for p_row in pointwise._ints])
-        for row in basis._ints], pointwise._den * basis._den)
+    columns = []
+    for row in basis._ints:
+        image: list = []
+        for off, m in blocks:
+            value = row[off: off + m.cols]
+            scale = common // m._den
+            image.extend([scale * sum(map(mul, m_row, value)) for m_row in m._ints])
+        columns.append(coordinates(image))
+    return Matrix._of_columns(morphism.source.field, tgt_space.dim, columns,
+                              common * basis._den)
 
 
 def stalk_map_direct_limit(morphism: SheafMorphism, p: str,
@@ -131,13 +139,16 @@ def stalk_map_direct_limit(morphism: SheafMorphism, p: str,
     field = morphism.source.field
     nbhd = src_limit.neighbourhoods
     starts = [src_limit.offsets[U.mask] for U in nbhd]
+    section_maps = {}  # by neighbourhood, as one may hold several free columns
     columns = []
     for free_col in src_limit.free_columns:
         # the one neighbourhood whose block holds the column: the last to
         # start at or before it, as a block of dimension 0 holds nothing
         k = bisect_right(starts, free_col) - 1
         U = nbhd[k]
-        section_columns, den = section_map(morphism, U)._columns()
+        if k not in section_maps:
+            section_maps[k] = section_map(morphism, U)._columns()
+        section_columns, den = section_maps[k]
         image = field.lift((section_columns[free_col - starts[k]],), den)[0]
         big_tgt = [field.zero] * tgt_limit.total
         off_tgt = tgt_limit.offsets[U.mask]  # each neighbourhood has its own block

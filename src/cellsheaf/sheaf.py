@@ -37,7 +37,6 @@ from .linalg import (
     QQ,
     SubspaceBasis,
     _basis,
-    block_assemble,
     is_exact_at,
     kernel_basis,
     vstack,
@@ -384,13 +383,8 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
             if o in seen:
                 continue
             seen.add(o)
-            B = restrict(o, x)
-            # A s_first - B s_o = 0, times both denominators
-            for a_row, b_row in zip(A._ints, B._ints):
-                row = [0] * total
-                row[offs[first]: offs[first] + A.cols] = [B._den * v for v in a_row]
-                row[offs[o]: offs[o] + B.cols] = [-A._den * v for v in b_row]
-                rows.append(row)
+            # A s_first = map(o, x) s_o
+            rows.extend(_difference_rows(field, total, restrict(o, x), offs[o], A, offs[first]))
     kernel = kernel_basis(Matrix._make(field, len(rows), total, *field.canonical(rows)))
     families = []
     if kernel.dim:
@@ -413,6 +407,24 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
     _check_families(sheaf, U, space.basis._matrix._ints, space.basis._matrix._den)
     sheaf._section_cache[u] = space
     return space
+
+
+def _difference_rows(field, width: int, a: Matrix, i0: int, b: Matrix, j0: int) -> list:
+    """The rows of b at column j0 minus a at column i0, each in a zero row of
+    `width` columns, times lcm(a._den, b._den) so that they are ints; over
+    GF(p) the negation is taken as residues. A scaled or negated row changes
+    neither the kernel nor the rank of the matrix it goes into."""
+    p = field.characteristic
+    common = lcm(a._den, b._den)  # 1 over GF(p)
+    s, t = common // a._den, common // b._den
+    i1, j1 = i0 + a.cols, j0 + b.cols
+    rows = []
+    for x, y in zip(a._ints, b._ints):
+        row = [0] * width
+        row[i0:i1] = [-v % p for v in x] if p else [-s * v for v in x]
+        row[j0:j1] = y if t == 1 else [t * v for v in y]
+        rows.append(row)
+    return rows
 
 
 def _block_starts(dims: Sequence[int], pts: Sequence[int]) -> tuple[dict[int, int], int]:
@@ -626,8 +638,7 @@ def stalk_direct_limit(sheaf: CellularSheaf, point: str,
         star_coords.append(through[0])
         for M in through[1:]:
             residuals.extend(col for col in (M - through[0])._columns()[0] if any(col))
-    images = block_assemble(field, [d], [S.dim for S in spaces],
-                            {(0, k): M for k, M in enumerate(star_coords)})
+    images = vstack(field, d, [M.transpose() for M in star_coords]).transpose()
     n = len(residuals)
     greedy = _basis(field, n + total, [
         [*(col[i] for col in residuals), *row[::-1]] for i, row in enumerate(images._ints)
@@ -722,14 +733,12 @@ def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], .
     neither changes the kernel. Part and band dimensions are read off the
     maps.
 
-    phi is the maps stacked. Each row of psi is a zero row of the full
-    width with two slices written into it, -from_i and +from_j, and each
-    band is multiplied by the lcm of its own two denominators, so that psi
-    is int rows over 1. That is allowed: scaling a row of psi by a nonzero
-    factor changes neither its rank nor whether psi phi = 0, and nothing
-    else is asked of psi.
+    phi is the maps stacked. Each band of psi is the difference rows of
+    from_j and from_i, each multiplied by the lcm of their two
+    denominators, so that psi is int rows over 1. That is allowed: scaling
+    a row of psi by a nonzero factor changes neither its rank nor whether
+    psi phi = 0, and nothing else is asked of psi.
     """
-    p = field.characteristic
     part_dims = [m.rows for m in maps]
     starts = list(accumulate(part_dims, initial=0))
     phi = vstack(field, dim, maps)
@@ -739,14 +748,7 @@ def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], .
             raise ShapeError(
                 f"band of parts {i} and {j} has blocks {from_i.rows}x{from_i.cols} and "
                 f"{from_j.rows}x{from_j.cols}, parts of dims {part_dims[i]} and {part_dims[j]}")
-        band = lcm(from_i._den, from_j._den)  # 1 over GF(p)
-        s, t = band // from_i._den, band // from_j._den
-        i0, i1, j0, j1 = starts[i], starts[i + 1], starts[j], starts[j + 1]
-        for a, b in zip(from_i._ints, from_j._ints):
-            row = [0] * starts[-1]
-            row[i0:i1] = [-x % p for x in a] if p else [-s * x for x in a]
-            row[j0:j1] = b if t == 1 else [t * x for x in b]
-            rows.append(row)
+        rows.extend(_difference_rows(field, starts[-1], from_i, starts[i], from_j, starts[j]))
     psi = Matrix._make(field, len(rows), starts[-1], tuple(rows))
     return CoverCheck(target, cover, phi.is_injective(), is_exact_at(phi, psi))
 

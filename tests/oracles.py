@@ -252,6 +252,30 @@ def restriction_matrix_by_field_ops(sheaf, U: OpenSet, V: OpenSet) -> Matrix:
     return Matrix(sheaf.field, target.dim, source.dim, data)
 
 
+def section_map_by_field_ops(morphism, U: OpenSet) -> Matrix:
+    """The map Γ(U) -> Γ(U) a morphism induces, in the canonical bases: each
+    source basis family times the dense block-diagonal matrix of the
+    components over U, in coordinates of the target basis."""
+    field = morphism.source.field
+    source = sections_over(morphism.source, U)
+    target = sections_over(morphism.target, U)
+    blocks = [morphism.components[x] for x in U.sorted_members]
+    height, width = sum(m.rows for m in blocks), sum(m.cols for m in blocks)
+    grid = [[field.zero] * width for _ in range(height)]
+    r0 = c0 = 0
+    for m in blocks:
+        for r, row in enumerate(m.data):
+            grid[r0 + r][c0: c0 + m.cols] = row
+        r0, c0 = r0 + m.rows, c0 + m.cols
+    columns = [
+        coordinates_by_field_ops(target.basis.rows, [
+            sum((x * v for x, v in zip(row, family)), field.zero) for row in grid])
+        for family in source.basis.rows
+    ]
+    data = list(zip(*columns)) if columns else [()] * target.dim
+    return Matrix(field, target.dim, source.dim, data)
+
+
 def first_incompatibility_by_field_ops(sheaf, U: OpenSet, families) -> str | None:
     """The message for the first family, and in it the first covering pair
     p < q inside U, whose value at q is not map(p, q) applied to its value

@@ -13,8 +13,6 @@ from cellsheaf import (
     PrimeField,
     QQ,
     ShapeError,
-    block_assemble,
-    image_basis,
     is_exact_at,
     kernel_basis,
     subspace_from_rows,
@@ -145,7 +143,7 @@ def assert_canonical(m, values):
 
 
 class TestIntegerCore:
-    """Elimination, products and block assembly on int rows, against field
+    """Elimination, products and stacking on int rows, against field
     arithmetic; every matrix result is checked to be canonical."""
 
     @pytest.mark.parametrize("field", CORE_FIELDS, ids=lambda f: f.name)
@@ -161,10 +159,10 @@ class TestIntegerCore:
         assert_canonical(f.transpose(), list(zip(*F)) or [()] * a)
         assert kernel_basis(f).rows == kernel_by_field_ops(field, F, a)
         columns = [list(col) for col in zip(*F)] if F else [[] for _ in range(a)]
-        assert image_basis(f).rows == span_by_field_ops(field, columns, b)
-        # reduce, contains and coordinates, on a vector of the span and on
-        # one drawn freely
-        span = image_basis(f)
+        # reduce, contains and coordinates on the column space, on a vector
+        # of the span and on one drawn freely
+        span = subspace_from_rows(field, b, columns)
+        assert span.rows == span_by_field_ops(field, columns, b)
         coeffs = data.draw(st.lists(field_entries(field), min_size=a, max_size=a))
         vectors = [
             [sum((x * v for x, v in zip(coeffs, row)), field.zero) for row in F],
@@ -213,13 +211,7 @@ class TestIntegerCore:
         for got, op in ((g + h, add), (g - h, sub)):
             assert_canonical(got, [list(map(op, r, s)) for r, s in zip(G, H)])
         assert (g - g).is_zero() and g + h - h == g
-        # two row bands of blocks with different denominators, one band
-        # with a negated block and one with a missing block
-        grid = block_assemble(field, [c, c], [a, b], {(0, 0): g @ f, (0, 1): -g, (1, 1): h})
-        assert_canonical(grid, [
-            *(list(p) + [-x for x in row] for p, row in zip(product, G)),
-            *([field.zero] * a + list(row) for row in H),
-        ])
+        # two blocks with different denominators
         assert_canonical(vstack(field, b, [g, h]), [*G, *H])
         assert is_exact_at(f, g) == (
             span_by_field_ops(field, columns, b) == kernel_by_field_ops(field, G, b))
@@ -288,7 +280,7 @@ class TestExactness:
             a, b, c = (rng.randint(0, 3) for _ in range(3))
             f = random_matrix(rng, b, a)
             g = random_matrix(rng, c, b)
-            literal = image_basis(f) == kernel_basis(g)
+            literal = subspace_from_rows(QQ, b, f.transpose().data) == kernel_basis(g)
             assert is_exact_at(f, g) == literal
 
 
@@ -313,14 +305,6 @@ class TestMatrixOps:
         b = Matrix.zeros(QQ, 2, 3)
         assert (a @ b).rows == 0 and (a @ b).cols == 3
         assert Matrix.zeros(QQ, 0, 0).is_invertible()
-
-    def test_block_assemble_diagonal(self):
-        blocks = {(0, 0): Matrix.identity(QQ, 1), (1, 1): Matrix.identity(QQ, 1)}
-        assert block_assemble(QQ, [1, 1], [1, 1], blocks) == Matrix.identity(QQ, 2)
-
-    def test_block_assemble_shape_check(self):
-        with pytest.raises(ShapeError):
-            block_assemble(QQ, [1], [2], {(0, 0): Matrix.identity(QQ, 1)})
 
 
 class TestFormat:

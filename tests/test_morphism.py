@@ -1,12 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cellsheaf.morphism
+import oracles
 from cellsheaf import (
     Matrix,
     NaturalityError,
     QQ,
-    block_assemble,
     build_morphism,
     build_poset,
     build_sheaf,
@@ -22,8 +26,15 @@ from cellsheaf import (
     stalk_map_direct_limit,
     zero_morphism,
 )
+from cellsheaf.linalg import vstack
 
-from helpers import random_morphisms
+from helpers import (
+    CORE_FIELDS,
+    random_morphisms,
+    random_natural_components,
+    random_poset,
+    random_sheaf,
+)
 from oracles import section_maps_all_injective, section_maps_all_invertible
 
 
@@ -116,6 +127,43 @@ class TestSectionMap:
                     right = section_map(mor, V) @ restriction_matrix(mor.source, U, V)
                     assert left == right
 
+    @staticmethod
+    def _invertible(rng, field, n):
+        """An invertible n x n matrix; over Q its entries have several
+        denominators."""
+        def entry():
+            if field == QQ:
+                return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 7, 10]))
+            return rng.randrange(field.p)
+
+        while True:
+            m = Matrix.build(field, [[entry() for _ in range(n)] for _ in range(n)], cols=n)
+            if m.is_invertible():
+                return m
+
+    @pytest.mark.parametrize("field", CORE_FIELDS, ids=lambda f: f.name)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_block_diagonal_product(self, field, seed):
+        # conjugating a sheaf by invertible point maps gives an isomorphic
+        # sheaf, and the twists, alone or after a natural map into the sheaf,
+        # give components whose denominators differ from point to point
+        rng = random.Random(seed)
+        base = random_poset(rng, rng.randint(1, 4))
+        src = random_sheaf(rng, base, field=field)
+        mid = random_sheaf(rng, base, field=field)
+        natural = random_natural_components(rng, src, mid)
+        twists = {x: self._invertible(rng, field, mid.dim(x)) for x in base.elements}
+        tgt = build_sheaf(base, mid.dims, {
+            (p, q): twists[q] @ mid.restriction(p, q) @ twists[p].inverse()
+            for p, q in mid.hasse}, field)
+        for mor in (build_morphism(mid, tgt, twists), build_morphism(
+                src, tgt, {x: twists[x] @ natural[x] for x in base.elements})):
+            for U in enumerate_opens(base):
+                got = section_map(mor, U)
+                want = oracles.section_map_by_field_ops(mor, U)
+                assert got == want and got.data == want.data
+
 
 class TestStalkMaps:
     def test_identity_and_zero(self):
@@ -129,6 +177,25 @@ class TestStalkMaps:
             for p in mor.source.base.elements:
                 induced, src_limit, tgt_limit = stalk_map_direct_limit(mor, p)
                 assert induced @ src_limit.witness == tgt_limit.witness @ mor.component(p)
+
+    def test_one_section_map_per_neighbourhood(self, monkeypatch):
+        # a neighbourhood may hold several free columns; its section map is
+        # made once, and only for the neighbourhoods that hold one
+        made = []
+
+        def spy(morphism, U):
+            made.append(U.mask)
+            return section_map(morphism, U)
+
+        monkeypatch.setattr(cellsheaf.morphism, "section_map", spy)
+        for mor in random_morphisms(random.Random(3), 30):
+            for p in mor.source.base.elements:
+                made.clear()
+                _, limit, _ = stalk_map_direct_limit(mor, p)
+                holding = {
+                    U.mask for U in limit.neighbourhoods for c in limit.free_columns
+                    if 0 <= c - limit.offsets[U.mask] < sections_over(mor.source, U).dim}
+                assert sorted(made) == sorted(holding)
 
 
 class TestClassify:
@@ -246,14 +313,8 @@ class TestExtendFromBasis:
             base = mor.source.base
             for U in enumerate_opens(base):
                 stars = [open_star(base, x) for x in U.sorted_members]
-                tgt_dims = [sections_over(mor.target, S).dim for S in stars]
-                stacked = block_assemble(
-                    QQ, tgt_dims, [sections_over(mor.target, U).dim],
-                    {
-                        (i, 0): restriction_matrix(mor.target, U, S)
-                        for i, S in enumerate(stars)
-                    },
-                )
+                stacked = vstack(QQ, sections_over(mor.target, U).dim, [
+                    restriction_matrix(mor.target, U, S) for S in stars])
                 assert stacked.is_injective()
                 candidate = section_map(mor, U)
                 for S in stars:

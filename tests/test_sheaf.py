@@ -446,6 +446,21 @@ class TestMinimalPointSolve:
         finally:
             cellsheaf.sheaf.kernel_basis = production
 
+    def test_maps_over_coprime_denominators(self):
+        # random sheaves seldom meet two maps over different denominators at
+        # one point; here each denominator has a prime the other lacks, so
+        # each equation row scales both of its blocks
+        base = build_poset("abc", [("a", "c"), ("b", "c")])
+        sheaf = build_sheaf(base, {"a": 2, "b": 2, "c": 2}, {
+            ("a", "c"): Matrix.build(QQ, [["1/2", 1], [0, "3/4"]]),
+            ("b", "c"): Matrix.build(QQ, [["1/3", 0], ["2/9", 1]]),
+        })
+        for U in enumerate_opens(base):
+            basis = sections_over(sheaf, U).basis
+            assert basis == sections_over_by_covers(sheaf, U)
+            assert basis == sections_over_all_pairs(sheaf, U)
+        assert sections_over(sheaf, whole_space(base)).dim == 2
+
     def test_constant_sheaf_on_14x14_product_grid(self):
         k, d = 14, 3
         names = [f"{i}_{j}" for i in range(k) for j in range(k)]
