@@ -31,6 +31,7 @@ from .errors import (
     UnknownElementError,
     ValidationError,
 )
+from .linalg import entry_text
 from .morphism import classify
 from .order import hasse_edges, quotient_to_poset
 from .sheaf import (
@@ -101,7 +102,7 @@ def _human(value) -> str:
 
 
 def _matrix_json(m) -> list[list[str]]:
-    return [[m.field.format(v) for v in row] for row in m.data]
+    return entry_text(m._ints, m._den)
 
 
 def _load(path: str) -> str:
@@ -214,11 +215,10 @@ def cmd_sections(args) -> Report:
     report.data["open"] = list(U.sorted_members)
     report.data["field"] = sheaf.field.name
     report.data["dim"] = space.dim
-    offsets, fmt = space.offsets(), sheaf.field.format
+    offsets, basis = space.offsets(), space.basis._matrix
     report.data["basis"] = [
-        {x: [fmt(v) for v in row[offsets[x]: offsets[x] + sheaf.dim(x)]]
-         for x in U.sorted_members}
-        for row in space.basis.rows
+        {x: row[offsets[x]: offsets[x] + sheaf.dim(x)] for x in U.sorted_members}
+        for row in entry_text(basis._ints, basis._den)
     ]
     return report
 

@@ -32,6 +32,12 @@ _IDENT = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.'-]*$")
 _BLOCK = re.compile(r"^\[\s*([a-z]+)(?:\s+(\S+))?\s*\]$")
 _ENTRY_TOKEN = re.compile(r"^-?\d+(?:/\d+)?$")
 _ROW = re.compile(r"\[([^\[\]]*)\][ \t,]*")
+# a whole well-formed literal in ASCII: rows of at least one entry, the
+# separators the row walk accepts between them. Its rows are then the
+# bracket pairs with no bracket inside, and its tokens hold no blank
+_ASCII_ROW = r"\[[ \t]*-?[0-9]+(?:/[0-9]+)?[ \t]*(?:,[ \t]*-?[0-9]+(?:/[0-9]+)?[ \t]*)*\]"
+_LITERAL = re.compile(rf"\[[ \t]*{_ASCII_ROW}(?:[ \t,]*{_ASCII_ROW})*[ \t]*\]")
+_ROW_BODY = re.compile(r"\[([^\[\]]*)\]")
 
 MAIN_SHEAF = "main"
 
@@ -113,17 +119,38 @@ def _split_pair(token: str, line: int) -> tuple[str, str]:
     return _check_ident(a.strip(), line), _check_ident(b.strip(), line)
 
 
+def _once(seen: set, key: str, block: str, line: int) -> None:
+    """Record a key that a block may give only once; a second one is an
+    error at its line, not a silent override."""
+    if key in seen:
+        raise DocumentError(f"duplicate key {key!r} in [{block}]", line)
+    seen.add(key)
+
+
 def _parse_matrix_value(text: str, line: int) -> MatrixLiteral:
     text = text.strip()
     if text == "id":
         return MatrixLiteral("id", (), line)
     if text == "zero":
         return MatrixLiteral("zero", (), line)
+    if _LITERAL.fullmatch(text):
+        bare = text.replace(" ", "").replace("\t", "")
+        rows = [tuple(body.split(",")) for body in _ROW_BODY.findall(bare)]
+    else:
+        rows = _walk_rows(text, line)
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DocumentError("matrix rows have differing lengths", line)
+    return MatrixLiteral("rows", tuple(rows), line)
+
+
+def _walk_rows(text: str, line: int) -> list:
+    """The rows of a literal that `_LITERAL` rejects: it is malformed, and
+    the error names where, or it holds non-ASCII digits or blanks."""
     if not (text.startswith("[") and text.endswith("]")):
         raise DocumentError("matrix value must be [[...], ...], id, or zero", line)
     inner = text[1:-1].strip()
     if not inner:
-        return MatrixLiteral("rows", (), line)
+        return []
     if not (inner.startswith("[") and inner.endswith("]")):
         raise DocumentError("matrix rows must be bracketed", line)
     # a row is a bracket pair with no bracket inside, then the separators
@@ -148,10 +175,7 @@ def _parse_matrix_value(text: str, line: int) -> MatrixLiteral:
                 raise DocumentError(f"bad matrix entry {tok!r}", line)
         rows.append(entries)
         pos = m.end()
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise DocumentError("matrix rows have differing lengths", line)
-    return MatrixLiteral("rows", tuple(rows), line)
+    return rows
 
 
 def parse_document(text: str) -> SheafDocument:
@@ -207,9 +231,11 @@ def parse_document(text: str) -> SheafDocument:
             if name in sheaf_specs:
                 raise DocumentError(f"duplicate sheaf {name!r}", header_line)
             spec = SheafSpec(name, header_line)
+            seen: set[str] = set()
             for key, value, lineno in entries:
                 parts = key.split() or [""]
                 if parts[0] == "field" and len(parts) == 1:
+                    _once(seen, key, kind, lineno)
                     spec.field_name = value
                 elif parts[0] == "dim" and len(parts) == 2:
                     el = _check_ident(parts[1], lineno)
@@ -241,7 +267,10 @@ def parse_document(text: str) -> SheafDocument:
             if name in open_specs:
                 raise DocumentError(f"duplicate open {name!r}", header_line)
             spec_o = OpenSpec(name, header_line)
+            seen = set()
             for key, value, lineno in entries:
+                if key in ("stars", "members"):
+                    _once(seen, key, kind, lineno)
                 if key == "stars":
                     spec_o.stars = tuple(_check_ident(t, lineno) for t in value.split())
                 elif key == "members":
@@ -261,11 +290,14 @@ def parse_document(text: str) -> SheafDocument:
             if name in morphism_specs:
                 raise DocumentError(f"duplicate morphism {name!r}", header_line)
             spec_m = MorphismSpec(name, header_line)
+            seen = set()
             for key, value, lineno in entries:
                 parts = key.split() or [""]
                 if parts[0] == "source" and len(parts) == 1:
+                    _once(seen, key, kind, lineno)
                     spec_m.source = _check_ident(value, lineno)
                 elif parts[0] == "target" and len(parts) == 1:
+                    _once(seen, key, kind, lineno)
                     spec_m.target = _check_ident(value, lineno)
                 elif parts[0] == "map" and len(parts) == 2:
                     el = _check_ident(parts[1], lineno)
@@ -319,6 +351,14 @@ def _realize_matrix(lit: MatrixLiteral, field, rows: int, cols: int,
             f"matrix for {edge_desc} is {got_rows}x{got_cols}, expected {rows}x{cols}",
             lit.line,
         )
+    # most literals hold only integers: their rows are the ints (residues
+    # over GF(p)) over 1. A `/` or a token past the digit limit makes `int`
+    # raise, and the entries are then read one by one
+    try:
+        return Matrix._make(field, rows, cols, *field.canonical(
+            [tuple(map(int, row)) for row in data]))
+    except ValueError:
+        pass
     # int rows: over Q over the lcm of all the entries' denominators, over
     # GF(p) the residues n * d^-1
     entries = [[_realize_entry(tok, field, lit.line) for tok in row] for row in data]

@@ -18,9 +18,10 @@ their int rows and denominators are, and every result is brought to lowest
 terms. A matrix keeps its rank once found. A subspace keeps the matrix of
 its basis; `reduce`, `contains` and `coordinates` lower the vector they are
 given. Field values (`fractions.Fraction` or GF(p) elements) are made only
-where a caller reads them, and never stored: `Matrix.data` (read by
-`repr` and the reports), `SubspaceBasis.rows`, and the vectors that
-`mul_vec`, `reduce` and `linear_combination` return.
+where a caller reads them, and never stored: `Matrix.data`,
+`SubspaceBasis.rows`, and the vectors that `mul_vec`, `reduce` and
+`linear_combination` return. `repr` and the reports format entries from
+the int rows with `entry_text`, making no field value to print.
 """
 
 from __future__ import annotations
@@ -55,6 +56,22 @@ def _decimal(n: int) -> str:
     return sign + head + "".join(f"{r:0{_CHUNK_DIGITS}d}" for r in reversed(chunks))
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """n/d for d > 0, in lowest terms: `n` when that denominator is 1,
+    `n/d` otherwise, the sign on n."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
+
+
+def entry_text(rows, den: int) -> list[list[str]]:
+    """The entries of int rows over a positive denominator as text. Over
+    GF(p) the rows are residues over 1, so each entry is its residue."""
+    if den == 1:
+        return [[_decimal(x) for x in row] for row in rows]
+    return [[_ratio_text(x, den) for x in row] for row in rows]
+
+
 class RationalField:
     """The field of rational numbers with Fraction entries."""
 
@@ -71,9 +88,7 @@ class RationalField:
         raise TypeError(f"cannot interpret {value!r} as a rational")
 
     def format(self, value) -> str:
-        if value.denominator == 1:
-            return _decimal(value.numerator)
-        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+        return _ratio_text(value.numerator, value.denominator)
 
     def lower(self, data) -> tuple:
         """(int rows, denominator) of rows of rationals. The denominator is
@@ -368,9 +383,7 @@ class Matrix:
 
     def __repr__(self):
         body = ", ".join(
-            "[" + ", ".join(self.field.format(v) for v in row) + "]"
-            for row in self.data
-        )
+            "[" + ", ".join(row) + "]" for row in entry_text(self._ints, self._den))
         return f"[{body}]"
 
     def __matmul__(self, other: "Matrix") -> "Matrix":

@@ -77,11 +77,26 @@ def build_morphism(source: CellularSheaf, target: CellularSheaf,
     if extra:
         raise ShapeError(f"components given for unknown elements {sorted(extra)}")
     for p, q in source.hasse:
-        left = target.restriction(p, q) @ components[p]
-        right = components[q] @ source.restriction(p, q)
-        if left != right:
-            raise NaturalityError(p, q, left, right)
+        a, b = target.restriction(p, q), components[p]
+        c, d = components[q], source.restriction(p, q)
+        if not _products_agree(a, b, c, d):
+            raise NaturalityError(p, q, a @ b, c @ d)
     return SheafMorphism(source, target, components)
+
+
+def _products_agree(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
+    """Whether a @ b == c @ d, on ints and with no product made: each int
+    dot product of one side is cross-multiplied by the other side's
+    denominator, and over GF(p) the two are compared mod p."""
+    p = a.field.characteristic
+    s, t = c._den * d._den, a._den * b._den
+    b_columns, d_columns = b._columns()[0], d._columns()[0]
+    for a_row, c_row in zip(a._ints, c._ints):
+        for b_col, d_col in zip(b_columns, d_columns):
+            diff = s * sum(map(mul, a_row, b_col)) - t * sum(map(mul, c_row, d_col))
+            if diff % p if p else diff:
+                return False
+    return True
 
 
 def identity_morphism(sheaf: CellularSheaf) -> SheafMorphism:

@@ -48,9 +48,16 @@ def random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
                         cols=cols)
 
 
-def random_invertible(rng: random.Random, n: int) -> Matrix:
+def random_invertible(rng: random.Random, n: int, field=QQ) -> Matrix:
+    """An invertible n x n matrix; over Q its entries have several
+    denominators."""
+    def entry():
+        if field == QQ:
+            return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 7, 10]))
+        return rng.randrange(field.p)
+
     while True:
-        m = random_matrix(rng, n, n)
+        m = Matrix.build(field, [[entry() for _ in range(n)] for _ in range(n)], cols=n)
         if m.is_invertible():
             return m
 
@@ -222,9 +229,11 @@ def random_natural_components(rng: random.Random, src, tgt):
 
 def twisted_copy(rng: random.Random, sheaf):
     """Same sheaf conjugated by random invertible point maps, plus the
-    conjugating morphism components (always an isomorphism)."""
+    conjugating morphism components (always an isomorphism). Over Q the
+    twists give maps into one point over different denominators, which
+    the sheaves of `random_sheaf` seldom have."""
     base = sheaf.base
-    twists = {p: random_invertible(rng, sheaf.dim(p)) for p in base.elements}
+    twists = {p: random_invertible(rng, sheaf.dim(p), sheaf.field) for p in base.elements}
     edge_maps = {
         (p, q): twists[q] @ sheaf.restriction(p, q) @ twists[p].inverse()
         for p, q in sheaf.hasse

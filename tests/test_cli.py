@@ -41,7 +41,7 @@ BAD_MODULI = [
 
 class TestCheck:
     @pytest.mark.parametrize(
-        "name", ["square", "span", "double_target", "fan"])
+        "name", ["square", "span", "double_target", "fan", "fractions"])
     def test_shipped_fixtures_pass(self, capsys, name):
         code, out = run(capsys, "check", fixture(f"{name}.sheaf"))
         assert code == 0
@@ -59,6 +59,19 @@ class TestCheck:
         code, out = run(capsys, "check", str(bad))
         assert code == 2
         assert "line 3" in out
+
+    @pytest.mark.parametrize("argv, body, message", [
+        (["check"], "[sheaf]\nfield = fp:5\nfield = q\ndim a = 1\n",
+         "line 5: duplicate key 'field' in [sheaf]"),
+        (["sections", "--open", "set:U"], "[sheaf]\ndim a = 1\n[open U]\nstars = a\nstars = a\n",
+         "line 7: duplicate key 'stars' in [open]"),
+    ])
+    def test_repeated_key_exits_two_with_line(self, capsys, tmp_path, argv, body, message):
+        doc = tmp_path / "repeated.sheaf"
+        doc.write_text("[poset]\nelements = a\n" + body)
+        code, out = run(capsys, argv[0], str(doc), *argv[1:])
+        assert code == 2
+        assert f"error: {message}\n" in out
 
     def test_shape_error_exits_two_with_location(self, capsys, tmp_path):
         bad = tmp_path / "shape.sheaf"

@@ -1,4 +1,6 @@
+import itertools
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -38,7 +40,7 @@ class TestParse:
         assert sheaf.restriction("p", "r") == Matrix.build(QQ, [[6, 6]])
 
     def test_all_shipped_fixtures_parse(self):
-        for name in ["square", "span", "double_target", "fan"]:
+        for name in ["square", "span", "double_target", "fan", "fractions"]:
             realized = parse_text(load(f"{name}.sheaf"))
             assert "main" in realized.sheaves
             assert "U" in realized.opens
@@ -118,7 +120,8 @@ class TestParseErrors:
             assert str(err.value) == f"line {line}: {message}"
 
     @settings(max_examples=2000, deadline=None)
-    @given(st.text(alphabet="[], \t0123456789/-xy\xa0", max_size=30),
+    # the non-ASCII digit and blanks are read by the row walk alone
+    @given(st.text(alphabet="[], \t0123456789/-xy\xa0\u0663\u2003", max_size=30),
            st.sampled_from([("", ""), ("[", "]"), ("[[", "]]")]),
            st.integers(1, 10_000))
     def test_row_pattern_reads_each_literal_as_the_walker_does(self, body, frame, line):
@@ -184,6 +187,23 @@ class TestParseErrors:
                 "[poset]\nelements = a b\nrelation = a<b\n"
                 "[sheaf]\ndim a = 1\ndim b = 1\nmap a->b = [[1]]\nmap a->b = [[2]]\n"
             )
+
+    @pytest.mark.parametrize("block, key, first, second", [
+        ("[sheaf]", "field", "fp:5", "q"),
+        ("[sheaf other]", "field", "q", "q"),
+        ("[open U]", "stars", "a", "b"),
+        ("[open U]", "members", "a", "a"),
+        ("[morphism f]", "source", "main", "other"),
+        ("[morphism f]", "target", "main", "main"),
+    ])
+    def test_repeated_single_value_key_names_its_line(self, block, key, first, second):
+        # the first value is not silently replaced by the second
+        text = (f"[poset]\nelements = a b\n{block}\n"
+                f"{key} = {first}\n{key} = {second}\n")
+        with pytest.raises(DocumentError) as err:
+            parse_document(text)
+        kind = block[1:-1].split()[0]
+        assert str(err.value) == f"line 5: duplicate key {key!r} in [{kind}]"
 
     def test_open_needs_exactly_one_of_stars_or_members(self):
         with pytest.raises(DocumentError):
@@ -294,6 +314,65 @@ class TestParseErrors:
         assert str(PRIME_BOUND) in str(err.value)
 
 
+# the interpreter's limit on the digits `int` reads from a string, 0 if none
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_REALIZE_FIELDS = [QQ, PrimeField(5), PrimeField(7), PrimeField(10**18 + 3)]
+
+
+@st.composite
+def literal_tokens(draw):
+    """Rows of entry tokens: integers only, or integers mixed with `n/d`
+    over denominators that may be 0 or a multiple of 5 or 7, and now and
+    then one token past the digit limit."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    integer = st.one_of(st.integers(-10**30, 10**30).map(str),
+                        st.sampled_from(["0", "-0", "007", "-12", "5", "-7"]))
+    entry = integer
+    if draw(st.booleans()):
+        entry = st.one_of(integer, st.builds("{}/{}".format, integer, st.integers(0, 60)))
+    tokens = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if _DIGIT_LIMIT and draw(st.integers(0, 9)) == 0:
+        too_long = draw(st.sampled_from(["", "-"])) + "7" * (_DIGIT_LIMIT + 1)
+        tokens[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = (
+            too_long + draw(st.sampled_from(["", "/3"])))
+    return tokens
+
+
+def first_entry_error(field, tokens):
+    """The message for the first token, row by row, that `field.coerce`
+    cannot read, in the words the parser uses; None if there is none."""
+    for tok in itertools.chain.from_iterable(tokens):
+        try:
+            field.coerce(tok)
+        except ValueError:  # past the digit limit
+            return f"entry {tok[:12]}... has too many digits ({len(tok)} characters)"
+        except ZeroDivisionError:
+            return f"entry {tok!r} divides by zero in {field!r}"
+    return None
+
+
+class TestRealizeEntries:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_REALIZE_FIELDS), literal_tokens(), st.integers(0, 3))
+    def test_realizes_each_entry_as_matrix_build_does(self, field, tokens, blank_lines):
+        rows, cols = len(tokens), len(tokens[0])
+        literal = "[" + ", ".join("[" + ", ".join(row) + "]" for row in tokens) + "]"
+        text = ("[poset]\nelements = a b\nrelation = a<b\n[sheaf]\n"
+                f"field = {field.name}\ndim a = {cols}\ndim b = {rows}\n"
+                + "\n" * blank_lines + f"map a->b = {literal}\n")
+        line = 8 + blank_lines
+        message = first_entry_error(field, tokens)
+        if message is not None:
+            with pytest.raises(DocumentError) as err:
+                parse_text(text)
+            assert str(err.value) == f"line {line}: {message}"
+            return
+        got = parse_text(text).sheaves["main"].restriction("a", "b")
+        expected = Matrix.build(field, tokens)
+        assert got == expected
+        assert got.data == expected.data
+
+
 class TestSemanticFailures:
     def test_non_antisymmetric_relation_is_a_validation_error(self):
         doc = parse_document(
@@ -319,7 +398,7 @@ class TestFieldOverride:
 
 class TestRender:
     def test_roundtrip_on_fixtures(self):
-        for name in ["square", "span", "double_target", "fan"]:
+        for name in ["square", "span", "double_target", "fan", "fractions"]:
             realized = parse_text(load(f"{name}.sheaf"))
             again = parse_text(render_document(realized))
             assert again.poset == realized.poset

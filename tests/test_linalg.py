@@ -18,7 +18,7 @@ from cellsheaf import (
     subspace_from_rows,
 )
 
-from cellsheaf.linalg import PRIME_BOUND, _is_prime, vstack
+from cellsheaf.linalg import PRIME_BOUND, _is_prime, entry_text, vstack
 
 from helpers import CORE_FIELDS, random_matrix
 from oracles import (
@@ -317,6 +317,21 @@ class TestFormat:
     ])
     def test_rationals_print_exactly_past_the_digit_limit(self, value, text):
         assert QQ.format(value) == text
+        m = Matrix(QQ, 1, 1, [[value]])
+        assert entry_text(m._ints, m._den) == [[text]]
+        assert repr(m) == f"[[{text}]]"
+
+    @pytest.mark.parametrize("field", CORE_FIELDS, ids=lambda f: f.name)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_entry_text_is_the_format_of_each_value(self, field, data):
+        # the rows share one denominator; each entry prints in lowest terms
+        rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        F = data.draw(field_rows(field, rows, cols))
+        m = Matrix(field, rows, cols, F)
+        expected = [[field.format(v) for v in row] for row in F]
+        assert entry_text(m._ints, m._den) == expected
+        assert repr(m) == "[" + ", ".join("[" + ", ".join(r) + "]" for r in expected) + "]"
 
 
 class TestSubspace:

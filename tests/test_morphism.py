@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,10 +29,12 @@ from cellsheaf.linalg import vstack
 
 from helpers import (
     CORE_FIELDS,
+    random_invertible,
     random_morphisms,
     random_natural_components,
     random_poset,
     random_sheaf,
+    twisted_copy,
 )
 from oracles import section_maps_all_injective, section_maps_all_invertible
 
@@ -72,6 +73,33 @@ class TestBuild:
         swap = Matrix.build(QQ, [[0, 1], [1, 0]])
         with pytest.raises(NaturalityError):
             build_morphism(sheaf, sheaf, {"a": swap, "b": swap})
+
+    @pytest.mark.parametrize("field", CORE_FIELDS, ids=lambda f: f.name)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_commutation_check_agrees_with_the_products(self, field, seed):
+        # the twists of a twisted copy are natural, over Q with components
+        # over several denominators; one component replaced at random most
+        # likely breaks a square, and the error names the first broken pair
+        # in Hasse order with both products
+        rng = random.Random(seed)
+        base = random_poset(rng, rng.randint(1, 4))
+        src = random_sheaf(rng, base, field=field)
+        tgt, components = twisted_copy(rng, src)
+        if rng.random() < 0.5:
+            x = rng.choice(base.elements)
+            components[x] = random_invertible(rng, src.dim(x), field)
+        products = [(p, q, tgt.restriction(p, q) @ components[p],
+                     components[q] @ src.restriction(p, q)) for p, q in src.hasse]
+        broken = [(p, q, left, right) for p, q, left, right in products if left != right]
+        if not broken:
+            assert build_morphism(src, tgt, components).components == components
+            return
+        with pytest.raises(NaturalityError) as err:
+            build_morphism(src, tgt, components)
+        p, q, left, right = broken[0]
+        assert (err.value.low, err.value.high, err.value.left, err.value.right) == (
+            p, q, left, right)
 
     def test_covering_pair_check_implies_all_pairs(self):
         rng = random.Random(0)
@@ -127,20 +155,6 @@ class TestSectionMap:
                     right = section_map(mor, V) @ restriction_matrix(mor.source, U, V)
                     assert left == right
 
-    @staticmethod
-    def _invertible(rng, field, n):
-        """An invertible n x n matrix; over Q its entries have several
-        denominators."""
-        def entry():
-            if field == QQ:
-                return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 7, 10]))
-            return rng.randrange(field.p)
-
-        while True:
-            m = Matrix.build(field, [[entry() for _ in range(n)] for _ in range(n)], cols=n)
-            if m.is_invertible():
-                return m
-
     @pytest.mark.parametrize("field", CORE_FIELDS, ids=lambda f: f.name)
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -153,7 +167,7 @@ class TestSectionMap:
         src = random_sheaf(rng, base, field=field)
         mid = random_sheaf(rng, base, field=field)
         natural = random_natural_components(rng, src, mid)
-        twists = {x: self._invertible(rng, field, mid.dim(x)) for x in base.elements}
+        twists = {x: random_invertible(rng, mid.dim(x), field) for x in base.elements}
         tgt = build_sheaf(base, mid.dims, {
             (p, q): twists[q] @ mid.restriction(p, q) @ twists[p].inverse()
             for p, q in mid.hasse}, field)
