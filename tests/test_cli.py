@@ -474,3 +474,93 @@ class TestFrontDoorFuzz:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main([argv[0], *common, *argv[1:]])
             assert code in (0, 1, 2), (argv, text)
+
+
+def _check(name, status, detail=""):
+    return {"name": name, "status": status, "detail": detail}
+
+
+def _exit_two(command, error):
+    """Text and JSON of a report that holds only an error."""
+    return (f"command: {command}\nseed: 0\nerror: {error}\n",
+            {"command": command, "seed": 0, "checks": [], "data": {}, "error": error})
+
+
+_NOT_OPEN_DOC = ("[poset]\nelements = a b\nrelation = a<b\n"
+                 "[sheaf]\ndim a = 1\ndim b = 1\nmap a->b = [[1]]\n[open U]\nmembers = a\n")
+_OTHER_DOC = ("[poset]\nelements = a b\nrelation = a<b\n"
+              "[sheaf other]\ndim a = 1\ndim b = 1\nmap a->b = [[2]]\n")
+_NO_SHEAF_DOC = "[poset]\nelements = a b\nrelation = a<b\n"
+_TWO_MORPHISMS_DOC = (
+    "[poset]\nelements = a b\nrelation = a<b\n"
+    "[sheaf]\ndim a = 1\ndim b = 1\nmap a->b = [[2]]\n"
+    "[morphism f]\nmap a = [[1]]\nmap b = [[1]]\n"
+    "[morphism g]\nmap a = [[2]]\nmap b = [[2]]\n"
+)
+_NOT_OPEN_TEXT = ("check open-valid: fail"
+                  " (set is not open: contains a but not its successor b)\nresult: FAIL\n")
+_NOT_OPEN_CHECKS = [
+    _check("open-valid", "fail", "set is not open: contains a but not its successor b")]
+
+# (id, fixture name or document text, argv after the file, exit code,
+#  text report, JSON report): the exits each command reaches through a
+# failed check, an error after a passed check, or a sheaf it has to choose
+PINNED_EXITS = [
+    ("non-open --open", "square.sheaf", ["sections", "--open", "p"], 1,
+     "command: sections\nseed: 0\ncheck document-valid: pass\ncheck open-valid: fail"
+     " (set is not open: contains p but not its successor q1)\nresult: FAIL\n",
+     {"command": "sections", "seed": 0, "checks": [
+         _check("document-valid", "pass"),
+         _check("open-valid", "fail",
+                "set is not open: contains p but not its successor q1")],
+      "data": {}}),
+    ("non-open [open] in check", _NOT_OPEN_DOC, ["check"], 1,
+     "command: check\nseed: 0\n" + _NOT_OPEN_TEXT,
+     {"command": "check", "seed": 0, "checks": _NOT_OPEN_CHECKS, "data": {}}),
+    ("non-open [open] in sections", _NOT_OPEN_DOC, ["sections", "--open", "set:U"], 1,
+     "command: sections\nseed: 0\n" + _NOT_OPEN_TEXT,
+     {"command": "sections", "seed": 0, "checks": _NOT_OPEN_CHECKS, "data": {}}),
+    ("unknown --point", "fan.sheaf", ["stalk", "--point", "nowhere"], 2,
+     *_exit_two("stalk", "unknown element 'nowhere'")),
+    ("one named sheaf, sections", _OTHER_DOC, ["sections", "--open", "star:a"], 0,
+     "command: sections\nseed: 0\ncheck document-valid: pass\ncheck open-valid: pass\n"
+     "open: [a, b]\nfield: q\ndim: 1\nbasis: [{a: [1], b: [2]}]\nresult: PASS\n",
+     {"command": "sections", "seed": 0,
+      "checks": [_check("document-valid", "pass"), _check("open-valid", "pass")],
+      "data": {"open": ["a", "b"], "field": "q", "dim": 1,
+               "basis": [{"a": ["1"], "b": ["2"]}]}}),
+    ("one named sheaf, stalk", _OTHER_DOC, ["stalk", "--point", "a"], 0,
+     "command: stalk\nseed: 0\ncheck document-valid: pass\n"
+     "check stalk-dimension: pass (point value dim 1, direct limit dim 1)\n"
+     "check stalk-witness-invertible: pass\npoint: a\ndim: 1\nwitness: [[1]]\n"
+     "result: PASS\n",
+     {"command": "stalk", "seed": 0, "checks": [
+         _check("document-valid", "pass"),
+         _check("stalk-dimension", "pass", "point value dim 1, direct limit dim 1"),
+         _check("stalk-witness-invertible", "pass")],
+      "data": {"point": "a", "dim": 1, "witness": [["1"]]}}),
+    ("no sheaf", _NO_SHEAF_DOC, ["stalk", "--point", "a"], 2,
+     *_exit_two("stalk", "document has no [sheaf] block")),
+    ("empty --open", "square.sheaf", ["sections", "--open", ","], 2,
+     *_exit_two("sections", "empty --open specification")),
+    ("unknown set:", "square.sheaf", ["sections", "--open", "set:nope"], 2,
+     *_exit_two("sections", "document defines no open named 'nope'")),
+    ("two morphisms, no --name", _TWO_MORPHISMS_DOC, ["morphism"], 2,
+     *_exit_two("morphism", "document defines several morphisms; pick one with --name")),
+]
+
+
+class TestPinnedExits:
+    @pytest.mark.parametrize("doc, argv, code, text, payload",
+                             [case[1:] for case in PINNED_EXITS],
+                             ids=[case[0] for case in PINNED_EXITS])
+    def test_full_report_and_exit_code(self, capsys, tmp_path, doc, argv, code, text,
+                                       payload):
+        if doc.endswith(".sheaf"):
+            path = fixture(doc)
+        else:
+            path = tmp_path / "doc.sheaf"
+            path.write_text(doc)
+        argv = [argv[0], str(path), *argv[1:]]
+        assert run(capsys, *argv) == (code, text)
+        assert run(capsys, *argv, "--json") == (code, json.dumps(payload, indent=2) + "\n")
