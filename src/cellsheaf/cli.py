@@ -15,7 +15,6 @@ import sys
 from .document import (
     MAIN_SHEAF,
     RealizedDocument,
-    SheafDocument,
     parse_document,
     realize,
     render_document,
@@ -24,12 +23,7 @@ from .errors import (
     CellSheafError,
     DocumentError,
     EnumerationLimitError,
-    FunctorialityError,
-    NaturalityError,
-    NotAntisymmetricError,
-    NotOpenError,
     UnknownElementError,
-    ValidationError,
 )
 from .linalg import entry_text
 from .morphism import classify
@@ -101,10 +95,6 @@ def _human(value) -> str:
     return str(value)
 
 
-def _matrix_json(m) -> list[list[str]]:
-    return entry_text(m._ints, m._den)
-
-
 def _load(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -115,26 +105,8 @@ def _load(path: str) -> str:
         raise DocumentError(f"cannot read {path}: not UTF-8 text") from None
 
 
-def _failure_name(exc: ValidationError) -> str:
-    if isinstance(exc, NotAntisymmetricError):
-        return "poset-antisymmetry"
-    if isinstance(exc, FunctorialityError):
-        return "functoriality"
-    if isinstance(exc, NaturalityError):
-        return "naturality"
-    if isinstance(exc, NotOpenError):
-        return "open-valid"
-    return "document-valid"
-
-
-def _realize_into(report: Report, doc: SheafDocument,
-                  field: str | None) -> RealizedDocument | None:
-    """Realize the document, recording semantic failures as failed checks."""
-    try:
-        realized = realize(doc, field)
-    except ValidationError as exc:
-        report.check(_failure_name(exc), False, str(exc))
-        return None
+def _realize(report: Report, doc, field: str | None) -> RealizedDocument:
+    realized = realize(doc, field)
     report.check("document-valid", True)
     return realized
 
@@ -144,14 +116,14 @@ def _main_sheaf(realized: RealizedDocument):
         return realized.sheaves[MAIN_SHEAF]
     if len(realized.sheaves) == 1:
         return next(iter(realized.sheaves.values()))
+    if realized.sheaves:
+        raise DocumentError(
+            "document has several named [sheaf] blocks and no unnamed one")
     raise DocumentError("document has no [sheaf] block")
 
 
-def cmd_check(args) -> Report:
-    report = Report("check", args.seed)
-    realized = _realize_into(report, parse_document(_load(args.file)), args.field)
-    if realized is None:
-        return report
+def cmd_check(report: Report, args) -> None:
+    realized = _realize(report, parse_document(_load(args.file)), args.field)
     report.check("poset-antisymmetry", True,
                  f"{len(realized.poset)} elements")
     for name in sorted(realized.sheaves):
@@ -173,7 +145,6 @@ def cmd_check(args) -> Report:
     for name in sorted(realized.morphisms):
         report.check(f"naturality:{name}", True)
     report.data["normalized_document"] = render_document(realized)
-    return report
 
 
 def _resolve_open(realized: RealizedDocument, spec: str) -> OpenSet:
@@ -199,35 +170,24 @@ def _resolve_open(realized: RealizedDocument, spec: str) -> OpenSet:
     return OpenSet(poset, members)
 
 
-def cmd_sections(args) -> Report:
-    report = Report("sections", args.seed)
-    realized = _realize_into(report, parse_document(_load(args.file)), args.field)
-    if realized is None:
-        return report
+def cmd_sections(report: Report, args) -> None:
+    realized = _realize(report, parse_document(_load(args.file)), args.field)
     sheaf = _main_sheaf(realized)
-    try:
-        U = _resolve_open(realized, args.open_spec)
-    except ValidationError as exc:
-        report.check("open-valid", False, str(exc))
-        return report
+    U = _resolve_open(realized, args.open_spec)
     report.check("open-valid", True)
     space = sections_over(sheaf, U)
     report.data["open"] = list(U.sorted_members)
     report.data["field"] = sheaf.field.name
     report.data["dim"] = space.dim
-    offsets, basis = space.offsets(), space.basis._matrix
+    offsets = space.offsets()
     report.data["basis"] = [
         {x: row[offsets[x]: offsets[x] + sheaf.dim(x)] for x in U.sorted_members}
-        for row in entry_text(basis._ints, basis._den)
+        for row in entry_text(space.basis._matrix)
     ]
-    return report
 
 
-def cmd_stalk(args) -> Report:
-    report = Report("stalk", args.seed)
-    realized = _realize_into(report, parse_document(_load(args.file)), args.field)
-    if realized is None:
-        return report
+def cmd_stalk(report: Report, args) -> None:
+    realized = _realize(report, parse_document(_load(args.file)), args.field)
     sheaf = _main_sheaf(realized)
     sheaf.base.index(args.point)
     stalk = stalk_at(sheaf, args.point, args.max_elements)
@@ -239,12 +199,10 @@ def cmd_stalk(args) -> Report:
     report.check("stalk-witness-invertible", stalk.iso_witness.is_invertible())
     report.data["point"] = args.point
     report.data["dim"] = stalk.theorem_dim
-    report.data["witness"] = _matrix_json(stalk.iso_witness)
-    return report
+    report.data["witness"] = entry_text(stalk.iso_witness)
 
 
-def cmd_quotient(args) -> Report:
-    report = Report("quotient", args.seed)
+def cmd_quotient(report: Report, args) -> None:
     doc = parse_document(_load(args.file))
     result = quotient_to_poset(doc.preorder)
     report.check("quotient-is-poset", result.quotient.is_poset())
@@ -254,11 +212,9 @@ def cmd_quotient(args) -> Report:
     report.data["hasse"] = [
         f"{a}<{b}" for a, b in hasse_edges(result.quotient)
     ]
-    return report
 
 
-def cmd_morphism(args) -> Report:
-    report = Report("morphism", args.seed)
+def cmd_morphism(report: Report, args) -> None:
     doc = parse_document(_load(args.file))
     if not doc.morphism_specs:
         raise DocumentError("document defines no morphisms")
@@ -270,10 +226,7 @@ def cmd_morphism(args) -> Report:
         name = next(iter(doc.morphism_specs))
     if name not in doc.morphism_specs:
         raise DocumentError(f"document defines no morphism named {name!r}")
-    realized = _realize_into(report, doc, args.field)
-    if realized is None:
-        return report
-    mor = realized.morphisms[name]
+    mor = _realize(report, doc, args.field).morphisms[name]
     report.check("naturality", True)
     flags = classify(mor)
     report.data["morphism"] = name
@@ -281,18 +234,8 @@ def cmd_morphism(args) -> Report:
     report.data["surjective"] = flags.surjective
     report.data["isomorphism"] = flags.isomorphism
     report.data["components"] = {
-        p: _matrix_json(mor.components[p]) for p in mor.source.base.elements
+        p: entry_text(mor.components[p]) for p in mor.source.base.elements
     }
-    return report
-
-
-_COMMANDS = {
-    "check": cmd_check,
-    "sections": cmd_sections,
-    "stalk": cmd_stalk,
-    "quotient": cmd_quotient,
-    "morphism": cmd_morphism,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -313,41 +256,44 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the document field: q or fp:<prime>")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("check", parents=[common],
-                   help="validate the document and verify the gluing laws")
+                   help="validate the document and verify the gluing laws"
+                   ).set_defaults(run=cmd_check)
     p_sections = sub.add_parser("sections", parents=[common],
                                 help="basis of the sections over an open set")
     p_sections.add_argument(
         "--open", required=True, dest="open_spec",
         help="comma-separated star:<x> / set:<name> items, or explicit members",
     )
+    p_sections.set_defaults(run=cmd_sections)
     p_stalk = sub.add_parser("stalk", parents=[common],
                              help="stalk dimensions and comparison witness")
     p_stalk.add_argument("--point", required=True)
+    p_stalk.set_defaults(run=cmd_stalk)
     sub.add_parser("quotient", parents=[common],
-                   help="poset quotient of the document's relation")
+                   help="poset quotient of the document's relation"
+                   ).set_defaults(run=cmd_quotient)
     p_mor = sub.add_parser("morphism", parents=[common],
                            help="naturality and classification of a morphism")
     p_mor.add_argument("--name", default=None)
+    p_mor.set_defaults(run=cmd_morphism)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. A semantic failure is recorded on the command's
+    report as the failed check its error names and exits 1; malformed input
+    exits 2 with a report that holds only the error."""
     args = _build_parser().parse_args(argv)
-    as_json = args.json
+    report = Report(args.command, args.seed)
     try:
-        report = _COMMANDS[args.command](args)
+        args.run(report, args)
     except (DocumentError, UnknownElementError, EnumerationLimitError) as exc:
         report = Report(args.command, args.seed)
         report.error = str(exc)
-        report.emit(as_json)
-        return 2
     except CellSheafError as exc:
-        report = Report(args.command, args.seed)
-        report.check("document-valid", False, str(exc))
-        report.emit(as_json)
-        return 1
-    report.emit(as_json)
-    return 0 if report.ok else 1
+        report.check(exc.check, False, str(exc))
+    report.emit(args.json)
+    return 2 if report.error is not None else 0 if report.ok else 1
 
 
 if __name__ == "__main__":

@@ -201,7 +201,9 @@ def parse_document(text: str) -> SheafDocument:
         current.append((key.strip(), value.strip(), lineno))
 
     elements: list[str] = []
+    element_lines: list[int] = []
     pairs: list[tuple[str, str]] = []
+    pair_lines: list[int] = []
     poset_seen = False
     sheaf_specs: dict[str, SheafSpec] = {}
     open_specs: dict[str, OpenSpec] = {}
@@ -218,9 +220,11 @@ def parse_document(text: str) -> SheafDocument:
                 if key == "elements":
                     for tok in value.split():
                         elements.append(_check_ident(tok, lineno))
+                        element_lines.append(lineno)
                 elif key in ("relation", "hasse"):
                     for tok in value.replace(",", " ").split():
                         pairs.append(_split_pair(tok, lineno))
+                        pair_lines.append(lineno)
                 else:
                     raise DocumentError(f"unknown key {key!r} in [poset]", lineno)
             if not elements:
@@ -312,10 +316,17 @@ def parse_document(text: str) -> SheafDocument:
 
     if not poset_seen:
         raise DocumentError("document has no [poset] block")
-    try:
-        preorder = build_preorder(elements, pairs)
-    except Exception as exc:  # duplicate elements / unknown endpoints
-        raise DocumentError(str(exc)) from None
+    known = set(elements)
+    for (a, b), lineno in zip(pairs, pair_lines):
+        for x in (a, b):
+            if x not in known:
+                raise DocumentError(f"unknown element {x!r} in relation pair", lineno)
+    seen: set[str] = set()
+    for el, lineno in zip(elements, element_lines):
+        if el in seen:
+            raise DocumentError(f"duplicate element {el!r}", lineno)
+        seen.add(el)
+    preorder = build_preorder(elements, pairs)
     for name, spec in sheaf_specs.items():
         for el in spec.dims:
             if el not in preorder:

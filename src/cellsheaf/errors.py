@@ -2,7 +2,10 @@
 
 The CLI maps these onto exit codes: malformed input (DocumentError,
 UnknownElementError, EnumerationLimitError) exits 2, semantic failures
-(ValidationError and subclasses) exit 1.
+(ValidationError and subclasses) exit 1. Each class names, in its `check`
+attribute, the report check that an error of its kind fails: a broken
+order, chain or naturality square fails its own law, a member list that
+is not up-closed fails `open-valid`, and anything else `document-valid`.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 
 class CellSheafError(Exception):
     """Base class for every error raised by this package."""
+
+    check = "document-valid"
 
 
 class DocumentError(CellSheafError):
@@ -47,6 +52,8 @@ class ValidationError(CellSheafError):
 class NotAntisymmetricError(ValidationError):
     """A preorder was used where a poset is required."""
 
+    check = "poset-antisymmetry"
+
     def __init__(self, x: str, y: str):
         self.x = x
         self.y = y
@@ -55,6 +62,8 @@ class NotAntisymmetricError(ValidationError):
 
 class NotOpenError(ValidationError):
     """A member set is not up-closed; carries one witness pair."""
+
+    check = "open-valid"
 
     def __init__(self, element: str, successor: str):
         self.element = element
@@ -66,6 +75,8 @@ class NotOpenError(ValidationError):
 
 class FunctorialityError(ValidationError):
     """Two chains between the same pair compose to different matrices."""
+
+    check = "functoriality"
 
     def __init__(self, low: str, high: str, left, right):
         self.low = low
@@ -80,6 +91,8 @@ class FunctorialityError(ValidationError):
 
 class NaturalityError(ValidationError):
     """A morphism component square fails to commute on a covering pair."""
+
+    check = "naturality"
 
     def __init__(self, low: str, high: str, left, right):
         self.low = low

@@ -64,12 +64,12 @@ def _ratio_text(n: int, d: int) -> str:
     return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
 
-def entry_text(rows, den: int) -> list[list[str]]:
-    """The entries of int rows over a positive denominator as text. Over
-    GF(p) the rows are residues over 1, so each entry is its residue."""
-    if den == 1:
-        return [[_decimal(x) for x in row] for row in rows]
-    return [[_ratio_text(x, den) for x in row] for row in rows]
+def entry_text(m: Matrix) -> list[list[str]]:
+    """The entries of a matrix as text, read from its int rows. Over GF(p)
+    the rows are residues over 1, so each entry is its residue."""
+    if m._den == 1:
+        return [[_decimal(x) for x in row] for row in m._ints]
+    return [[_ratio_text(x, m._den) for x in row] for row in m._ints]
 
 
 class RationalField:
@@ -382,8 +382,7 @@ class Matrix:
         return hash((self.field, self.rows, self.cols, self._ints, self._den))
 
     def __repr__(self):
-        body = ", ".join(
-            "[" + ", ".join(row) + "]" for row in entry_text(self._ints, self._den))
+        body = ", ".join("[" + ", ".join(row) + "]" for row in entry_text(self))
         return f"[{body}]"
 
     def __matmul__(self, other: "Matrix") -> "Matrix":

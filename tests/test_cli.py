@@ -352,6 +352,21 @@ class TestMorphism:
         assert code == 2
 
 
+class TestSheafChoice:
+    @pytest.mark.parametrize("argv", [["sections", "--open", "star:a"],
+                                      ["stalk", "--point", "a"]])
+    @pytest.mark.parametrize("sheaves, message", [
+        ("", "document has no [sheaf] block"),
+        ("[sheaf s]\ndim a = 1\n[sheaf t]\ndim a = 1\n",
+         "document has several named [sheaf] blocks and no unnamed one"),
+    ])
+    def test_no_sheaf_to_use_names_why(self, capsys, tmp_path, argv, sheaves, message):
+        doc = tmp_path / "doc.sheaf"
+        doc.write_text("[poset]\nelements = a\n" + sheaves)
+        code, out = run(capsys, argv[0], str(doc), *argv[1:])
+        assert (code, out) == (2, f"command: {argv[0]}\nseed: 0\nerror: {message}\n")
+
+
 class TestModuleEntry:
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         src = str(Path(cellsheaf.__file__).resolve().parent.parent)

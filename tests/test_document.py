@@ -188,6 +188,20 @@ class TestParseErrors:
                 "[sheaf]\ndim a = 1\ndim b = 1\nmap a->b = [[1]]\nmap a->b = [[2]]\n"
             )
 
+    @pytest.mark.parametrize("poset, message", [
+        ("elements = a b\nrelation = a<z\n", "line 3: unknown element 'z' in relation pair"),
+        ("elements = a b\nrelation = a<b\nhasse = z<=a\n",
+         "line 4: unknown element 'z' in relation pair"),
+        ("elements = a b a\n", "line 2: duplicate element 'a'"),
+        ("elements = a b\nelements = c a b\n", "line 3: duplicate element 'a'"),
+        # an unknown endpoint is reported before a duplicate element
+        ("elements = a a\nrelation = a<z\n", "line 3: unknown element 'z' in relation pair"),
+    ])
+    def test_relation_and_element_errors_name_their_line(self, poset, message):
+        with pytest.raises(DocumentError) as err:
+            parse_document("[poset]\n" + poset)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("block, key, first, second", [
         ("[sheaf]", "field", "fp:5", "q"),
         ("[sheaf other]", "field", "q", "q"),

@@ -318,7 +318,7 @@ class TestFormat:
     def test_rationals_print_exactly_past_the_digit_limit(self, value, text):
         assert QQ.format(value) == text
         m = Matrix(QQ, 1, 1, [[value]])
-        assert entry_text(m._ints, m._den) == [[text]]
+        assert entry_text(m) == [[text]]
         assert repr(m) == f"[[{text}]]"
 
     @pytest.mark.parametrize("field", CORE_FIELDS, ids=lambda f: f.name)
@@ -330,7 +330,7 @@ class TestFormat:
         F = data.draw(field_rows(field, rows, cols))
         m = Matrix(field, rows, cols, F)
         expected = [[field.format(v) for v in row] for row in F]
-        assert entry_text(m._ints, m._den) == expected
+        assert entry_text(m) == expected
         assert repr(m) == "[" + ", ".join("[" + ", ".join(r) + "]" for r in expected) + "]"
 
 

@@ -506,16 +506,21 @@ class TestLoweredSectionSpaces:
                 return rational(rng)
             return field.coerce(rng.choice([rng.randint(-3, 3), rng.randrange(field.p)]))
 
-        base = random_poset(rng, rng.randint(1, 5))
-        sheaf = random_sheaf(rng, base, field=field)
-        if twist:
-            sheaf = twisted_copy(rng, sheaf)[0]
+        base = random_poset(rng, rng.randint(2, 5))
+        plain = random_sheaf(rng, base, field=field)
+        twisted = twisted_copy(rng, plain)[0]
+        sheaf = twisted if twist else plain
         opens = enumerate_opens(base)
+        # every open, each with one open inside it, so that many equation
+        # bands are written; over Q the twisted copy's maps into one point
+        # have different denominators, so its bands are scaled on both sides
+        for W in opens:
+            assert sections_over(twisted, W).basis == sections_over_by_covers(twisted, W)
+            V = rng.choice([X for X in opens if X <= W])
+            got = restriction_matrix(sheaf, W, V)
+            want = oracles.restriction_matrix_by_field_ops(sheaf, W, V)
+            assert got == want and got.data == want.data
         U = rng.choice(opens[len(opens) // 2:])  # the larger half
-        V = rng.choice([W for W in opens if W <= U])
-        got = restriction_matrix(sheaf, U, V)
-        want = oracles.restriction_matrix_by_field_ops(sheaf, U, V)
-        assert got == want and got.data == want.data
 
         basis = sections_over(sheaf, U).basis
         width = basis.ambient_dim
