@@ -202,6 +202,74 @@ class TestParseErrors:
             parse_document("[poset]\n" + poset)
         assert str(err.value) == message
 
+    # Each key naming an element is refused with the same text and line
+    # whether or not the [poset] block came first: an invalid identifier
+    # while the blocks are read, an unknown element once they all are.
+    POSET = "[poset]\nelements = a b\nrelation = a<b\n"
+    SHEAF = "[sheaf]\ndim a = 1\ndim b = 1\n"
+
+    @pytest.mark.parametrize("poset_first", [True, False])
+    @pytest.mark.parametrize("key, message", [
+        ("map a->b!", "invalid identifier 'b!'"),
+        ("map a!->b", "invalid identifier 'a!'"),
+        ("map a->zz", "unknown element in map a->zz"),
+        ("map zz->b", "unknown element in map zz->b"),
+    ])
+    def test_map_key_errors_name_their_line(self, key, message, poset_first):
+        sheaf = self.SHEAF + f"{key} = [[1]]\n"
+        text = self.POSET + sheaf if poset_first else sheaf + self.POSET
+        line = 7 if poset_first else 4
+        with pytest.raises(DocumentError) as err:
+            parse_document(text)
+        assert str(err.value) == f"line {line}: {message}"
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("key, message", [
+        ("dim zz", "line 5: unknown element 'zz'"),
+        ("dim a!", "line 5: invalid identifier 'a!'"),
+    ])
+    def test_dim_key_errors_name_their_line(self, key, message):
+        text = self.POSET + f"[sheaf]\n{key} = 1\n"
+        with pytest.raises(DocumentError) as err:
+            parse_document(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("key, message", [
+        ("map a!", "line 8: invalid identifier 'a!'"),
+        ("map ->", "line 8: invalid identifier '->'"),
+        ("map zz", "line 8: unknown element 'zz' in morphism 'f'"),
+    ])
+    def test_morphism_map_key_errors_name_their_line(self, key, message):
+        text = self.POSET + self.SHEAF + f"[morphism f]\n{key} = [[1]]\n"
+        with pytest.raises(DocumentError) as err:
+            parse_document(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        # an invalid identifier is found while the blocks are read, so it is
+        # reported before an unknown element on any line, earlier or later
+        ("[poset]\nelements = a b\nrelation = a<b!\nrelation = a<zz\n",
+         "line 3: invalid identifier 'b!'"),
+        ("[poset]\nelements = a b\nrelation = a<zz\nrelation = a!<b\n",
+         "line 4: invalid identifier 'a!'"),
+        ("[sheaf]\ndim a = 1\nmap a->zz = [[1]]\n[poset]\nelements = a b\nrelation = a<b!\n",
+         "line 6: invalid identifier 'b!'"),
+        ("[poset]\nelements = a b\n[sheaf]\ndim zz = 1\n[morphism f]\nmap a! = [[1]]\n",
+         "line 6: invalid identifier 'a!'"),
+        # unknown elements: relation pairs first, then sheaf keys, then
+        # morphism keys
+        ("[morphism f]\nmap zz = [[1]]\n[sheaf]\nmap a->yy = [[1]]\n"
+         "[poset]\nelements = a b\nrelation = a<xx\n",
+         "line 7: unknown element 'xx' in relation pair"),
+        ("[morphism f]\nmap zz = [[1]]\n[sheaf]\nmap a->yy = [[1]]\n"
+         "[poset]\nelements = a b\n",
+         "line 4: unknown element in map a->yy"),
+    ])
+    def test_the_first_of_several_faults_is_reported(self, text, message):
+        with pytest.raises(DocumentError) as err:
+            parse_document(text)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("block, key, first, second", [
         ("[sheaf]", "field", "fp:5", "q"),
         ("[sheaf other]", "field", "q", "q"),
