@@ -96,27 +96,22 @@ class RealizedDocument:
     morphism_ends: dict[str, tuple[str, str]]   # name -> (source, target) sheaf names
 
 
-def _strip(line: str) -> str:
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return line.strip()
-
-
 def _check_ident(token: str, line: int) -> str:
     if not _IDENT.match(token):
         raise DocumentError(f"invalid identifier {token!r}", line)
     return token
 
 
-def _split_pair(token: str, line: int) -> tuple[str, str]:
+def _split_pair(token: str, known: set, line: int) -> tuple[str, str]:
     if "<=" in token:
         a, b = token.split("<=", 1)
     elif "<" in token:
         a, b = token.split("<", 1)
     else:
         raise DocumentError(f"relation token {token!r} must look like x<y", line)
-    return _check_ident(a.strip(), line), _check_ident(b.strip(), line)
+    a, b = a.strip(), b.strip()
+    return (a if a in known else _check_ident(a, line),
+            b if b in known else _check_ident(b, line))
 
 
 def _once(seen: set, key: str, block: str, line: int) -> None:
@@ -182,7 +177,7 @@ def parse_document(text: str) -> SheafDocument:
     blocks: list[tuple[str, str | None, int, list[tuple[str, str, int]]]] = []
     current: list[tuple[str, str, int]] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("["):
@@ -202,6 +197,9 @@ def parse_document(text: str) -> SheafDocument:
 
     elements: list[str] = []
     element_lines: list[int] = []
+    # the elements listed so far, each a checked identifier: a key naming
+    # one of them needs no second check, and any other token gets one
+    known: set[str] = set()
     pairs: list[tuple[str, str]] = []
     pair_lines: list[int] = []
     poset_seen = False
@@ -221,9 +219,10 @@ def parse_document(text: str) -> SheafDocument:
                     for tok in value.split():
                         elements.append(_check_ident(tok, lineno))
                         element_lines.append(lineno)
+                        known.add(tok)
                 elif key in ("relation", "hasse"):
                     for tok in value.replace(",", " ").split():
-                        pairs.append(_split_pair(tok, lineno))
+                        pairs.append(_split_pair(tok, known, lineno))
                         pair_lines.append(lineno)
                 else:
                     raise DocumentError(f"unknown key {key!r} in [poset]", lineno)
@@ -242,7 +241,9 @@ def parse_document(text: str) -> SheafDocument:
                     _once(seen, key, kind, lineno)
                     spec.field_name = value
                 elif parts[0] == "dim" and len(parts) == 2:
-                    el = _check_ident(parts[1], lineno)
+                    el = parts[1]
+                    if el not in known:
+                        _check_ident(el, lineno)
                     if el in spec.dims:
                         raise DocumentError(f"duplicate dim for {el!r}", lineno)
                     try:
@@ -255,8 +256,11 @@ def parse_document(text: str) -> SheafDocument:
                 elif parts[0] == "map" and len(parts) == 2:
                     if "->" not in parts[1]:
                         raise DocumentError("map key must look like `map p->q`", lineno)
-                    a, b = parts[1].split("->", 1)
-                    edge = (_check_ident(a, lineno), _check_ident(b, lineno))
+                    a, b = edge = tuple(parts[1].split("->", 1))
+                    if a not in known:
+                        _check_ident(a, lineno)
+                    if b not in known:
+                        _check_ident(b, lineno)
                     if edge in spec.maps:
                         raise DocumentError(
                             f"duplicate map for {a}->{b}", lineno)
@@ -304,7 +308,9 @@ def parse_document(text: str) -> SheafDocument:
                     _once(seen, key, kind, lineno)
                     spec_m.target = _check_ident(value, lineno)
                 elif parts[0] == "map" and len(parts) == 2:
-                    el = _check_ident(parts[1], lineno)
+                    el = parts[1]
+                    if el not in known:
+                        _check_ident(el, lineno)
                     if el in spec_m.maps:
                         raise DocumentError(f"duplicate map for {el!r}", lineno)
                     spec_m.maps[el] = _parse_matrix_value(value, lineno)
@@ -316,7 +322,6 @@ def parse_document(text: str) -> SheafDocument:
 
     if not poset_seen:
         raise DocumentError("document has no [poset] block")
-    known = set(elements)
     for (a, b), lineno in zip(pairs, pair_lines):
         for x in (a, b):
             if x not in known:
@@ -416,6 +421,8 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
         except ValueError as exc:
             raise DocumentError(f"--field: {exc}") from None
     sheaves: dict[str, CellularSheaf] = {}
+    edges = hasse_edges(poset) if doc.sheaf_specs else []
+    edge_set = set(edges)
     for name, spec in doc.sheaf_specs.items():
         field = override
         if field is None:
@@ -429,8 +436,6 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
                 raise DocumentError(
                     f"sheaf {name!r} gives no dimension for {el!r}", spec.line)
             dims[el] = spec.dims[el][0]
-        edges = hasse_edges(poset)
-        edge_set = set(edges)
         for pair, lit in spec.maps.items():
             if pair not in edge_set:
                 raise DocumentError(
@@ -456,7 +461,7 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
             if x not in poset:
                 raise DocumentError(
                     f"unknown element {x!r} in open {name!r}", spec_o.line)
-        opens[name] = (OpenSet(poset, frozenset(points)) if spec_o.stars is None
+        opens[name] = (OpenSet(poset, points) if spec_o.stars is None
                        else union_of_stars(poset, points))
 
     morphisms: dict[str, SheafMorphism] = {}
@@ -474,16 +479,17 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
                 spec_m.line,
             )
         components = {}
-        for el in poset.elements:
+        # both sheaves live on `poset`, so their dims are in carrier order
+        for el, rows, cols in zip(poset.elements, tgt._dims, src._dims):
             lit = spec_m.maps.get(el)
             if lit is None:
-                if src.dim(el) == 0 or tgt.dim(el) == 0:
-                    components[el] = Matrix.zeros(src.field, tgt.dim(el), src.dim(el))
+                if rows == 0 or cols == 0:
+                    components[el] = Matrix.zeros(src.field, rows, cols)
                     continue
                 raise DocumentError(
                     f"morphism {name!r} is missing `map {el}`", spec_m.line)
             components[el] = _realize_matrix(
-                lit, src.field, tgt.dim(el), src.dim(el), f"morphism map at {el}")
+                lit, src.field, rows, cols, f"morphism map at {el}")
         morphisms[name] = build_morphism(src, tgt, components)
         morphism_ends[name] = (spec_m.source, spec_m.target)
     return RealizedDocument(poset, sheaves, opens, morphisms, morphism_ends)

@@ -29,8 +29,9 @@ class PreOrder:
     The relation is held as bitmask rows over carrier positions: bit j of
     `_up[i]` is set when elements[i] <= elements[j], and bit i of
     `_down[j]` under the same condition. `_up` is given to the constructor
-    and `_down` derived from it once. These two tuples of ints are the one
-    form of the relation that other modules rely on.
+    and `_down` derived from it once; build_preorder closes both from the
+    generating pairs and hands them over through `_closed`. These two tuples
+    of ints are the one form of the relation that other modules rely on.
     """
 
     __slots__ = ("elements", "_idx", "_up", "_down", "_hash")
@@ -56,6 +57,15 @@ class PreOrder:
                 down[j] |= bit
         self._down = tuple(down)
         self._hash = hash((self.elements, self._up))
+
+    @classmethod
+    def _closed(cls, elements: tuple, idx: dict, up: list, down: list) -> "PreOrder":
+        """The preorder whose rows `up` and `down` are already closed and
+        transposed to each other; nothing is checked."""
+        self = object.__new__(cls)
+        self.elements, self._idx, self._up, self._down = elements, idx, tuple(up), tuple(down)
+        self._hash = hash((elements, self._up))
+        return self
 
     def index(self, x: str) -> int:
         try:
@@ -139,21 +149,75 @@ def build_preorder(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) ->
     elements = tuple(elements)
     idx = {e: i for i, e in enumerate(elements)}
     n = len(elements)
-    # row i is a bitmask of the j with i <= j
-    rows = [1 << i for i in range(n)]
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
     for x, y in pairs:
         if x not in idx:
             raise UnknownElementError(f"unknown element {x!r} in relation pair")
         if y not in idx:
             raise UnknownElementError(f"unknown element {y!r} in relation pair")
-        rows[idx[x]] |= 1 << idx[y]
-    # Warshall closure: i <= k and k <= j give i <= j
-    for k in range(n):
-        bit, row_k = 1 << k, rows[k]
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= row_k
-    return PreOrder(elements, rows)
+        i, j = idx[x], idx[y]
+        succ[i].append(j)
+        pred[j].append(i)
+    if len(idx) != n:
+        raise ValidationError("duplicate element identifiers")
+    # the up-set of i is what i reaches along the pairs, its down-set what
+    # reaches i: the same closure over the reversed pairs
+    return PreOrder._closed(elements, idx, _reach(succ), _reach(pred))
+
+
+def _reach(succ: list[list[int]]) -> list[int]:
+    """Row v: the bitmask of v and of every point reachable from v.
+
+    One iterative pass of Tarjan's strongly connected components. A
+    component is emitted after every component it reaches, so its row is
+    its members' bits or-ed with the finished rows of their successors; a
+    successor inside the component has no row yet and adds nothing. A row
+    is 0 exactly while its point is visited but its component not emitted.
+    """
+    n = len(succ)
+    rows = [0] * n
+    number = [0] * n      # visit number, from 1; 0 while unvisited
+    low = [0] * n         # least visit number reached on the open stack
+    at = [0] * n          # position on `stack`
+    stack: list[int] = []
+    count = 0
+    for root in range(n):
+        if number[root]:
+            continue
+        count += 1
+        number[root] = low[root] = count
+        at[root] = len(stack)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, todo = work[-1]
+            for w in todo:
+                if not number[w]:
+                    count += 1
+                    number[w] = low[w] = count
+                    at[w] = len(stack)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if not rows[w] and number[w] < low[v]:
+                    low[v] = number[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == number[v]:
+                    members = stack[at[v]:]
+                    del stack[at[v]:]
+                    row = 0
+                    for m in members:
+                        row |= 1 << m
+                    for m in members:
+                        for w in succ[m]:
+                            row |= rows[w]
+                    for m in members:
+                        rows[m] = row
+    return rows
 
 
 def build_poset(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Poset:
@@ -263,19 +327,40 @@ def hasse_edges(p: PreOrder) -> list[tuple[str, str]]:
 
     Pairs are ordered by the index of x, then of y. The reduction is done
     once per Poset instance; every call returns a fresh list. A preorder
-    that is not antisymmetric raises NotAntisymmetricError.
+    that is not antisymmetric raises NotAntisymmetricError. Its cost is a
+    binary search of a few mask ands per covering pair: no step walks the
+    bits of the relation.
     """
     p = as_poset(p)
     if p._hasse is None:
-        elements = p.elements
-        # above[i] is a bitmask of the j with i < j; the covers of i are
-        # the points above it that lie above nothing else above it
-        above = [row & ~(1 << i) for i, row in enumerate(p._up)]
+        elements, up, down = p.elements, p._up, p._down
+        n = len(elements)
+        # a point strictly below another has the smaller down-set, so the
+        # points ranked by down-set size are a linear extension; prefix[k]
+        # is the mask of the first k of them
+        ranked = sorted(range(n), key=lambda i: down[i].bit_count())
+        prefix = [0] * (n + 1)
+        for k, i in enumerate(ranked):
+            prefix[k + 1] = prefix[k] | 1 << i
         edges = []
-        for i, up in enumerate(above):
-            through = 0
-            for j in iter_bits(up):
-                through |= above[j]
-            edges.extend((elements[i], elements[j]) for j in iter_bits(up & ~through))
+        for i, row in enumerate(up):
+            # peel minimal points off the strict up-set of i: each is a
+            # cover, and it takes every point above it out with it
+            rest, covers, lo = row & ~(1 << i), 0, 0
+            while rest:
+                # the first ranked point in rest is minimal there: find the
+                # least k with rest & prefix[k], given rest & prefix[lo] == 0
+                hi = n
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if rest & prefix[mid]:
+                        hi = mid
+                    else:
+                        lo = mid
+                j = ranked[hi - 1]
+                covers |= 1 << j
+                rest &= ~up[j]
+                lo = hi
+            edges.extend((elements[i], elements[j]) for j in iter_bits(covers))
         p._hasse = tuple(edges)
     return list(p._hasse)

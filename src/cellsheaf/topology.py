@@ -33,12 +33,13 @@ class OpenSet:
     __slots__ = ("space", "mask", "_key", "_sorted", "_members")
 
     def __init__(self, space: PreOrder, members: Iterable[str]):
-        members = frozenset(members)
+        # the members in the order given, so the first unknown one is named
+        members = tuple(members)
         mask = _mask_of(space, members)
         witness = _violation(space, mask)
         if witness is not None:
             raise NotOpenError(*witness)
-        self.space, self.mask, self._members = space, mask, members
+        self.space, self.mask, self._members = space, mask, frozenset(members)
         self._key = self._sorted = None
 
     @classmethod

@@ -132,6 +132,61 @@ class TestBuildPreorder:
             build_preorder(["a", "a"], [])
 
 
+@st.composite
+def closure_cases(draw, max_n: int = 40):
+    """(carrier, generating pairs): a shuffled carrier, arbitrary pairs, and
+    now and then a cycle through some of the points and self-pairs."""
+    n = draw(st.integers(1, max_n))
+    labels = [f"x{i}" for i in range(n)]
+    carrier = draw(st.permutations(labels))
+    point = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(point, point), max_size=2 * n))
+    if draw(st.booleans()):
+        pairs = [(a, b) for a, b in pairs if a < b]
+    loop = draw(st.lists(point, max_size=6))
+    pairs += list(zip(loop, loop[1:] + loop[:1]))
+    pairs += [(a, a) for a in draw(st.lists(point, max_size=3))]
+    pairs = draw(st.permutations(pairs))
+    return carrier, [(labels[a], labels[b]) for a, b in pairs]
+
+
+class TestClosurePass:
+    """build_preorder's rows and hasse_edges against the table oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(closure_cases())
+    def test_rows_match_the_table_closure(self, case):
+        carrier, pairs = case
+        p = build_preorder(carrier, pairs)
+        leq = closure_by_table(carrier, pairs)
+        assert list(p._up) == [sum(1 << j for j, v in enumerate(row) if v) for row in leq]
+        # the public constructor derives _down from _up bit by bit
+        assert p._down == PreOrder(p.elements, p._up)._down
+        assert hash(p) == hash(PreOrder(p.elements, p._up))
+        q = quotient_to_poset(p).quotient
+        assert hasse_edges(q) == hasse_edges_by_scan(q)
+        if p.is_poset():
+            assert hasse_edges(p) == hasse_edges_by_scan(p)
+
+    @pytest.mark.parametrize("top_first", [False, True])
+    def test_3000_point_chain_has_its_closed_forms(self, top_first):
+        n = 3000
+        chain = [f"c{i}" for i in range(n)]
+        carrier = chain[::-1] if top_first else chain
+        p = build_poset(carrier, list(zip(chain, chain[1:])))
+        full = (1 << n) - 1
+        if top_first:
+            # position k holds c(n-1-k): above it the positions 0..k
+            up = [(1 << k + 1) - 1 for k in range(n)]
+            covers = [(carrier[k], carrier[k - 1]) for k in range(1, n)]
+        else:
+            up = [full ^ ((1 << k) - 1) for k in range(n)]
+            covers = list(zip(chain, chain[1:]))
+        assert p._up == tuple(up)
+        assert p._down == tuple(full ^ row | 1 << k for k, row in enumerate(up))
+        assert hasse_edges(p) == covers
+
+
 class TestRows:
     def test_rows_of_a_chain(self):
         p = build_preorder("abc", [("a", "b"), ("b", "c")])

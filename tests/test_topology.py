@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cellsheaf
 from cellsheaf import (
     EnumerationLimitError,
     MonotoneMap,
@@ -97,6 +102,22 @@ class TestIsOpen:
             OpenSet(square(), frozenset(["q1"]))
         assert err.value.element == "q1"
         assert err.value.successor == "r"
+
+    def test_first_unknown_member_is_named_under_every_hash_seed(self):
+        # the members are read in the order given, not in a set's order,
+        # which would depend on the string-hash seed of the process
+        code = ("from cellsheaf import OpenSet, build_poset\n"
+                "try:\n"
+                "    OpenSet(build_poset(['a', 'b'], [('a', 'b')]), ['zz', 'yy', 'xx'])\n"
+                "except Exception as exc:\n"
+                "    print(type(exc).__name__, exc)\n")
+        src = str(Path(cellsheaf.__file__).resolve().parent.parent)
+        for hash_seed in "0123":
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src})
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == "UnknownElementError unknown element 'zz'\n", hash_seed
 
     def test_unions_and_intersections_exhaustive(self):
         rng = random.Random(3)
