@@ -238,44 +238,55 @@ def cmd_morphism(report: Report, args) -> None:
     }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for `argv`. When argv[0] names a command, only that
+    command's subparser is added, since parsing hands every later argument
+    to it; otherwise (no command, a help flag, an unknown word) all are, so
+    the top-level help and errors list every command."""
+    # (name, help, run, extra arguments as (flag, keywords)). Built per call,
+    # so each `run` is the cmd_* the module holds then, and a wrapper put on
+    # the module (perfbench's tracer) sees every command
+    commands = [
+        ("check", "validate the document and verify the gluing laws", cmd_check, []),
+        ("sections", "basis of the sections over an open set", cmd_sections, [
+            ("--open", dict(required=True, dest="open_spec",
+                            help="comma-separated star:<x> / set:<name> items,"
+                                 " or explicit members")),
+        ]),
+        ("stalk", "stalk dimensions and comparison witness", cmd_stalk,
+         [("--point", dict(required=True))]),
+        ("quotient", "poset quotient of the document's relation", cmd_quotient, []),
+        ("morphism", "naturality and classification of a morphism", cmd_morphism,
+         [("--name", dict(default=None))]),
+    ]
+    names = [name for name, *_ in commands]
     parser = argparse.ArgumentParser(
         prog="cellsheaf",
         description="Exact computations with cellular sheaves on finite posets",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("file", help="sheaf document")
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled covers (default 0)")
-    common.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS,
-                        dest="max_elements",
-                        help="enumeration guard for open-set listings"
-                             f" (default {DEFAULT_MAX_ELEMENTS})")
-    common.add_argument("--field", default=None,
-                        help="override the document field: q or fp:<prime>")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("check", parents=[common],
-                   help="validate the document and verify the gluing laws"
-                   ).set_defaults(run=cmd_check)
-    p_sections = sub.add_parser("sections", parents=[common],
-                                help="basis of the sections over an open set")
-    p_sections.add_argument(
-        "--open", required=True, dest="open_spec",
-        help="comma-separated star:<x> / set:<name> items, or explicit members",
-    )
-    p_sections.set_defaults(run=cmd_sections)
-    p_stalk = sub.add_parser("stalk", parents=[common],
-                             help="stalk dimensions and comparison witness")
-    p_stalk.add_argument("--point", required=True)
-    p_stalk.set_defaults(run=cmd_stalk)
-    sub.add_parser("quotient", parents=[common],
-                   help="poset quotient of the document's relation"
-                   ).set_defaults(run=cmd_quotient)
-    p_mor = sub.add_parser("morphism", parents=[common],
-                           help="naturality and classification of a morphism")
-    p_mor.add_argument("--name", default=None)
-    p_mor.set_defaults(run=cmd_morphism)
+    if argv and argv[0] in names:
+        commands = [c for c in commands if c[0] == argv[0]]
+        # an error about arguments left over prints the top-level usage,
+        # which still lists every command
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(names) + "}")
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, run, extra in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file", help="sheaf document")
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for sampled covers (default 0)")
+        p.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS,
+                       dest="max_elements",
+                       help="enumeration guard for open-set listings"
+                            f" (default {DEFAULT_MAX_ELEMENTS})")
+        p.add_argument("--field", default=None,
+                       help="override the document field: q or fp:<prime>")
+        for flag, keywords in extra:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(run=run)
     return parser
 
 
@@ -283,7 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command. A semantic failure is recorded on the command's
     report as the failed check its error names and exits 1; malformed input
     exits 2 with a report that holds only the error."""
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     report = Report(args.command, args.seed)
     try:
         args.run(report, args)

@@ -283,8 +283,10 @@ def quotient_to_poset(p: PreOrder) -> QuotientResult:
     """Collapse each class {y : x <= y <= x} to its first-listed representative.
 
     On the closed relation these classes are exactly the strongly connected
-    components of the relation digraph. The induced order on representatives
-    is antisymmetric by construction.
+    components of the relation digraph. The quotient is the closure of the
+    pairs from each representative to the classes that cover its own, so
+    its order is antisymmetric by construction, and no step walks the bits
+    of the relation.
     """
     elements, up, down = p.elements, p._up, p._down
     classes: list[tuple[str, ...]] = []
@@ -296,9 +298,12 @@ def quotient_to_poset(p: PreOrder) -> QuotientResult:
             seen |= cls
             classes.append(tuple(map(elements.__getitem__, iter_bits(cls))))
             reps.append(i)
-    position = {i: k for k, i in enumerate(reps)}
-    rows = [sum(1 << position[j] for j in iter_bits(up[i]) if j in position) for i in reps]
-    quotient = Poset([elements[i] for i in reps], rows)
+    # each point _covers keeps is the first listed of its class: a representative
+    pairs = [(elements[i], elements[j])
+             for i, covers in zip(reps, _covers(up, down, reps)) for j in iter_bits(covers)]
+    quotient = build_poset([elements[i] for i in reps], pairs)
+    # the pairs are the quotient's covering pairs, in hasse_edges' order
+    quotient._hasse = tuple(pairs)
     projection = MonotoneMap(p, quotient, {y: cls[0] for cls in classes for y in cls})
     return QuotientResult(quotient, projection, tuple(classes))
 
@@ -327,40 +332,51 @@ def hasse_edges(p: PreOrder) -> list[tuple[str, str]]:
 
     Pairs are ordered by the index of x, then of y. The reduction is done
     once per Poset instance; every call returns a fresh list. A preorder
-    that is not antisymmetric raises NotAntisymmetricError. Its cost is a
-    binary search of a few mask ands per covering pair: no step walks the
-    bits of the relation.
+    that is not antisymmetric raises NotAntisymmetricError.
     """
     p = as_poset(p)
     if p._hasse is None:
-        elements, up, down = p.elements, p._up, p._down
-        n = len(elements)
-        # a point strictly below another has the smaller down-set, so the
-        # points ranked by down-set size are a linear extension; prefix[k]
-        # is the mask of the first k of them
-        ranked = sorted(range(n), key=lambda i: down[i].bit_count())
-        prefix = [0] * (n + 1)
-        for k, i in enumerate(ranked):
-            prefix[k + 1] = prefix[k] | 1 << i
-        edges = []
-        for i, row in enumerate(up):
-            # peel minimal points off the strict up-set of i: each is a
-            # cover, and it takes every point above it out with it
-            rest, covers, lo = row & ~(1 << i), 0, 0
-            while rest:
-                # the first ranked point in rest is minimal there: find the
-                # least k with rest & prefix[k], given rest & prefix[lo] == 0
-                hi = n
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if rest & prefix[mid]:
-                        hi = mid
-                    else:
-                        lo = mid
-                j = ranked[hi - 1]
-                covers |= 1 << j
-                rest &= ~up[j]
-                lo = hi
-            edges.extend((elements[i], elements[j]) for j in iter_bits(covers))
-        p._hasse = tuple(edges)
+        elements = p.elements
+        p._hasse = tuple(
+            (elements[i], elements[j])
+            for i, covers in enumerate(_covers(p._up, p._down, range(len(elements))))
+            for j in iter_bits(covers))
     return list(p._hasse)
+
+
+def _covers(up: Sequence[int], down: Sequence[int], points: Iterable[int]) -> list[int]:
+    """For each of `points`, the mask of the first-listed point of each
+    class that is minimal among the points strictly above its own class; on
+    a poset, exactly its covers. Its cost is a binary search of a few mask
+    ands per cover: no step walks the bits of the relation.
+    """
+    n = len(up)
+    # a point strictly below another has the smaller down-set, so the points
+    # ranked by down-set size are a linear extension; points of one class
+    # have one down-set, so the stable sort ranks them in carrier order.
+    # prefix[k] is the mask of the first k ranked points
+    ranked = sorted(range(n), key=lambda i: down[i].bit_count())
+    prefix = [0] * (n + 1)
+    for k, i in enumerate(ranked):
+        prefix[k + 1] = prefix[k] | 1 << i
+    out = []
+    for i in points:
+        # peel minimal points off the strict up-set of i: each is a cover,
+        # and it takes its class and every point above it out with it
+        rest, covers, lo = up[i] & ~down[i], 0, 0
+        while rest:
+            # the first ranked point in rest is minimal there: find the
+            # least k with rest & prefix[k], given rest & prefix[lo] == 0
+            hi = n
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if rest & prefix[mid]:
+                    hi = mid
+                else:
+                    lo = mid
+            j = ranked[hi - 1]
+            covers |= 1 << j
+            rest &= ~up[j]
+            lo = hi
+        out.append(covers)
+    return out

@@ -14,6 +14,7 @@ from cellsheaf import (
     Matrix,
     MonotoneMap,
     OpenSet,
+    Poset,
     PreOrder,
     QQ,
     ValidationError,
@@ -349,6 +350,26 @@ def hasse_edges_by_scan(p: PreOrder) -> list[tuple[str, str]]:
             edges.append((x, y))
     edges.sort(key=lambda e: (p.index(e[0]), p.index(e[1])))
     return edges
+
+
+def quotient_by_scan(p: PreOrder) -> tuple[tuple, Poset, dict]:
+    """(classes, quotient, projection mapping) of the poset quotient: each
+    representative's row read off every bit of its `_up` row, and the
+    quotient's `_down` derived bit by bit by the public constructor."""
+    elements, up, down = p.elements, p._up, p._down
+    n = len(elements)
+    classes, reps, seen = [], [], 0
+    for i in range(n):
+        if not seen >> i & 1:
+            cls = up[i] & down[i]
+            seen |= cls
+            classes.append(tuple(elements[j] for j in range(n) if cls >> j & 1))
+            reps.append(i)
+    position = {i: k for k, i in enumerate(reps)}
+    rows = [sum(1 << position[j] for j in range(n) if up[i] >> j & 1 and j in position)
+            for i in reps]
+    quotient = Poset([elements[i] for i in reps], rows)
+    return tuple(classes), quotient, {y: cls[0] for cls in classes for y in cls}
 
 
 def build_sheaf_eager(base, dims, edge_maps, field=QQ, check: bool = True) -> dict:

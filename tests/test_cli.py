@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cellsheaf
-from cellsheaf import CellSheafError, parse_text
+from cellsheaf import CellSheafError, cli, parse_text
 from cellsheaf.cli import main
 from cellsheaf.linalg import PRIME_BOUND
 
@@ -379,6 +379,48 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert "result: PASS" in proc.stdout
+
+
+_COMMANDS = ["check", "sections", "stalk", "quotient", "morphism"]
+_SQUARE = fixture("square.sheaf")
+_PARSER_ARGVS = (
+    [[], ["-h"], ["--help"], ["bogus"], ["-h", "check"]]
+    + [[cmd, "--help"] for cmd in _COMMANDS]
+    + [[cmd] for cmd in _COMMANDS]
+    + [["sections", _SQUARE], ["stalk", _SQUARE],
+       ["check", _SQUARE, "--seed", "q"], ["check", _SQUARE, "--bogus"],
+       ["quotient", _SQUARE, "extra"], ["--json", "check", _SQUARE],
+       ["morphism", _SQUARE, "--name"]]
+    + [["check", _SQUARE, "--json", "--seed", "3", "--max-elements", "9"],
+       ["sections", _SQUARE, "--open", "set:U", "--field", "fp:5"],
+       ["stalk", _SQUARE, "--point", "q1"],
+       ["quotient", _SQUARE],
+       ["morphism", _SQUARE, "--name", "f"]]
+)
+
+
+class TestParser:
+    """A command builds only its own subparser; the full parser, built for
+    an argv that names no command, is the reference on each interpreter."""
+
+    @staticmethod
+    def _outcome(parser, argv, capsys):
+        try:
+            return ("parsed", parser.parse_args(argv))
+        except SystemExit as exc:
+            out, err = capsys.readouterr()
+            return ("exit", exc.code, out, err)
+
+    @pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
+    def test_same_outcome_as_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = self._outcome(cli._build_parser(argv), argv, capsys)
+        assert got == self._outcome(cli._build_parser([]), argv, capsys)
+
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["stalk", fixture("fan.sheaf"), "--point", "q", "--json"]
+        monkeypatch.setattr(sys, "argv", ["cellsheaf", *argv])
+        assert (main(), capsys.readouterr().out) == run(capsys, *argv)
 
 
 class TestDeterminism:

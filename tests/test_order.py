@@ -23,12 +23,13 @@ from cellsheaf import (
     quotient_to_poset,
 )
 
-from helpers import posets, random_monotone_map, random_poset, random_preorder
+from helpers import posets, preorders, random_monotone_map, random_poset, random_preorder
 from oracles import (
     closure_by_table,
     first_antisymmetry_failure,
     hasse_edges_by_scan,
     open_violation_by_scan,
+    quotient_by_scan,
 )
 
 
@@ -323,6 +324,29 @@ class TestQuotient:
             oracle = {frozenset(c) for c in nx.strongly_connected_components(g)}
             ours = {frozenset(cls) for cls in quotient_to_poset(p).classes}
             assert ours == oracle
+
+    @settings(max_examples=200, deadline=None)
+    @given(preorders(max_n=8))
+    def test_matches_the_bit_scan_quotient(self, p):
+        classes, quotient, mapping = quotient_by_scan(p)
+        q = quotient_to_poset(p)
+        assert q.classes == classes
+        assert q.quotient.elements == quotient.elements
+        assert (q.quotient._up, q.quotient._down) == (quotient._up, quotient._down)
+        assert q.projection.mapping == mapping
+        assert hasse_edges(q.quotient) == hasse_edges_by_scan(quotient)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_3000_point_chain_of_cycles(self, n):
+        # 3,000 points in cycles of n, each cycle below the next
+        names = [f"c{i}" for i in range(3000)]
+        cycles = [names[k:k + n] for k in range(0, len(names), n)]
+        pairs = [(a, b) for c in cycles for a, b in zip(c, c[1:] + c[:1])]
+        pairs += [(c[-1], d[0]) for c, d in zip(cycles, cycles[1:])]
+        q = quotient_to_poset(build_preorder(names, pairs))
+        assert q.classes == tuple(map(tuple, cycles))
+        reps = [c[0] for c in cycles]
+        assert hasse_edges(q.quotient) == list(zip(reps, reps[1:]))
 
     def test_idempotent_up_to_isomorphism(self):
         rng = random.Random(4)
