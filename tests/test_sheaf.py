@@ -862,6 +862,72 @@ class TestAxiomReports:
         assert r1.checks == r2.checks
         assert r1.ok
 
+    def test_drawn_covers_are_pinned(self):
+        """The covers each seed draws, in report order, as 'target | cover':
+        a change to how the draws consume the generator shows here."""
+        from cellsheaf import parse_text
+        from helpers import FIXTURES
+
+        sheaf = parse_text((FIXTURES / "double_target.sheaf").read_text()).sheaves["main"]
+        drawn = {seed: [
+            " ".join(c.target) + " | " + ", ".join(" ".join(o) for o in c.cover)
+            for c in verify_sheaf_axioms_extended(sheaf, covers_per_open=2, seed=seed).checks
+        ] for seed in (0, 3)}
+        assert drawn[0] == [
+            " | ",
+            "q1 | q1",
+            "q2 | q2",
+            "q1 q2 | q1, q2",
+            "q1 q2 | q1, q1 q2",
+            "q1 q2 | q1, q2, q1 q2",
+            "p1 q1 q2 | q1, q2, p1 q1 q2",
+            "p1 q1 q2 | q1 q2, p1 q1 q2",
+            "p1 q1 q2 | q1, q1 q2, p1 q1 q2",
+            "p2 q1 q2 | q1, q2, p2 q1 q2",
+            "p2 q1 q2 | q1 q2, p2 q1 q2",
+            "p2 q1 q2 | q1, q2, q1 q2, p2 q1 q2",
+            "p3 q1 q2 | q1, q2, p3 q1 q2",
+            "p3 q1 q2 | q2, p3 q1 q2",
+            "p3 q1 q2 | q1, q1 q2, p3 q1 q2",
+            "p1 p2 q1 q2 | q1, q2, p1 q1 q2, p2 q1 q2",
+            "p1 p2 q1 q2 | p1 p2 q1 q2",
+            "p1 p2 q1 q2 | q1, q2, p1 q1 q2, p1 p2 q1 q2",
+            "p1 p3 q1 q2 | q1, q2, p1 q1 q2, p3 q1 q2",
+            "p1 p3 q1 q2 | q1 q2, p1 p3 q1 q2",
+            "p2 p3 q1 q2 | q1, q2, p2 q1 q2, p3 q1 q2",
+            "p2 p3 q1 q2 | q2, p2 p3 q1 q2",
+            "p2 p3 q1 q2 | q1, q1 q2, p2 q1 q2, p2 p3 q1 q2",
+            "p1 p2 p3 q1 q2 | q1, q2, p1 q1 q2, p2 q1 q2, p3 q1 q2",
+            "p1 p2 p3 q1 q2 | q2, p1 q1 q2, p2 q1 q2, p3 q1 q2, p2 p3 q1 q2",
+            "p1 p2 p3 q1 q2 | p1 q1 q2, p2 p3 q1 q2",
+        ]
+        assert drawn[3] == [
+            " | ",
+            "q1 | q1",
+            "q2 | q2",
+            "q1 q2 | q1, q2",
+            "q1 q2 | q1, q2, q1 q2",
+            "p1 q1 q2 | q1, q2, p1 q1 q2",
+            "p1 q1 q2 | q2, q1 q2, p1 q1 q2",
+            "p1 q1 q2 | q1 q2, p1 q1 q2",
+            "p2 q1 q2 | q1, q2, p2 q1 q2",
+            "p3 q1 q2 | q1, q2, p3 q1 q2",
+            "p3 q1 q2 | q1 q2, p3 q1 q2",
+            "p3 q1 q2 | q1, q2, q1 q2, p3 q1 q2",
+            "p1 p2 q1 q2 | q1, q2, p1 q1 q2, p2 q1 q2",
+            "p1 p2 q1 q2 | q1, q2, q1 q2, p1 q1 q2, p2 q1 q2",
+            "p1 p2 q1 q2 | q2, p1 q1 q2, p2 q1 q2",
+            "p1 p3 q1 q2 | q1, q2, p1 q1 q2, p3 q1 q2",
+            "p1 p3 q1 q2 | q1 q2, p1 q1 q2, p1 p3 q1 q2",
+            "p1 p3 q1 q2 | q1 q2, p1 q1 q2, p3 q1 q2, p1 p3 q1 q2",
+            "p2 p3 q1 q2 | q1, q2, p2 q1 q2, p3 q1 q2",
+            "p2 p3 q1 q2 | q2, q1 q2, p2 q1 q2, p3 q1 q2",
+            "p2 p3 q1 q2 | q1 q2, p2 q1 q2, p3 q1 q2",
+            "p1 p2 p3 q1 q2 | q1, q2, p1 q1 q2, p2 q1 q2, p3 q1 q2",
+            "p1 p2 p3 q1 q2 | p1 q1 q2, p3 q1 q2, p2 p3 q1 q2",
+            "p1 p2 p3 q1 q2 | p1 q1 q2, p2 q1 q2, p3 q1 q2",
+        ]
+
     def test_extended_on_random_sheaves(self):
         rng = random.Random(10)
         for i in range(10):
