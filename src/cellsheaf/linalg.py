@@ -168,7 +168,7 @@ class FpElement:
             return NotImplemented
         if other.value == 0:
             raise ZeroDivisionError("division by zero in GF(p)")
-        return FpElement(self.value * pow(other.value, self.p - 2, self.p), self.p)
+        return FpElement(self.value * pow(other.value, -1, self.p), self.p)
 
     def __neg__(self):
         return FpElement(-self.value, self.p)
@@ -520,7 +520,7 @@ def _rref(field, rows: list, cols: int, full: bool = True) -> list[int]:
         pv = lead[c]
         if p:
             if pv != 1:
-                inv = pow(pv, p - 2, p)
+                inv = pow(pv, -1, p)
                 lead = [x * inv % p for x in lead]
                 pv = 1
         elif pv < 0:

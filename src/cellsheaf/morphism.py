@@ -20,6 +20,7 @@ from .linalg import Matrix
 from .sheaf import (
     CellularSheaf,
     DirectLimitStalk,
+    _check_carrier,
     sections_over,
     stalk_direct_limit,
 )
@@ -34,6 +35,7 @@ class SheafMorphism:
         self.source = source
         self.target = target
         self.components = dict(components)
+        self._section_maps: dict[int, Matrix] = {}  # section_map's memo, by mask
 
     def component(self, p: str) -> Matrix:
         self.source.base.index(p)
@@ -118,8 +120,14 @@ def section_map(morphism: SheafMorphism, U: OpenSet) -> Matrix:
     Each source basis family is mapped point by point, on ints: the
     component at x, over its denominator, is applied to the family's block
     at x and scaled to the lcm of the components' denominators. The image
-    is a family of the target, its blocks in the same carrier order.
+    is a family of the target, its blocks in the same carrier order. The
+    result is memoised on the morphism.
     """
+    if U.space is not morphism.source.base:
+        _check_carrier(morphism.source, U)
+    cached = morphism._section_maps.get(U.mask)
+    if cached is not None:
+        return cached
     src_space = sections_over(morphism.source, U)
     tgt_space = sections_over(morphism.target, U)
     elements = morphism.source.base.elements
@@ -135,8 +143,9 @@ def section_map(morphism: SheafMorphism, U: OpenSet) -> Matrix:
             scale = common // m._den
             image.extend([scale * sum(map(mul, m_row, value)) for m_row in m._ints])
         columns.append(coordinates(image))
-    return Matrix._of_columns(morphism.source.field, tgt_space.dim, columns,
-                              common * basis._den)
+    result = morphism._section_maps[U.mask] = Matrix._of_columns(
+        morphism.source.field, tgt_space.dim, columns, common * basis._den)
+    return result
 
 
 def stalk_map_direct_limit(morphism: SheafMorphism, p: str,

@@ -410,10 +410,11 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
 
 
 def _difference_rows(field, width: int, a: Matrix, i0: int, b: Matrix, j0: int) -> list:
-    """The rows of b at column j0 minus a at column i0, each in a zero row of
-    `width` columns, times lcm(a._den, b._den) so that they are ints; over
-    GF(p) the negation is taken as residues. A scaled or negated row changes
-    neither the kernel nor the rank of the matrix it goes into."""
+    """The rows of b at column j0 minus a at column i0, each a tuple of
+    `width` columns, zero elsewhere, times lcm(a._den, b._den) so that they
+    are ints; over GF(p) the negation is taken as residues. A scaled or
+    negated row changes neither the kernel nor the rank of the matrix it
+    goes into."""
     p = field.characteristic
     common = lcm(a._den, b._den)  # 1 over GF(p)
     s, t = common // a._den, common // b._den
@@ -423,7 +424,7 @@ def _difference_rows(field, width: int, a: Matrix, i0: int, b: Matrix, j0: int) 
         row = [0] * width
         row[i0:i1] = [-v % p for v in x] if p else [-s * v for v in x]
         row[j0:j1] = y if t == 1 else [t * v for v in y]
-        rows.append(row)
+        rows.append(tuple(row))
     return rows
 
 
@@ -723,7 +724,8 @@ class AxiomReport:
 
 
 def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], ...],
-                 dim: int, maps: Sequence[Matrix], overlaps: Iterable[tuple]) -> CoverCheck:
+                 dim: int, maps: Sequence[Matrix], overlaps: Iterable[tuple],
+                 memo: dict | None = None) -> CoverCheck:
     """Exactness of 0 -> F(U) --phi--> prod F(U_i) --psi--> prod F(U_i & U_j).
 
     `maps[i]` sends F(U), of dimension `dim`, to part i. Each overlap
@@ -738,6 +740,11 @@ def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], .
     denominators, so that psi is int rows over 1. That is allowed: scaling
     a row of psi by a nonzero factor changes neither its rank nor whether
     psi phi = 0, and nothing else is asked of psi.
+
+    The outcome is a function of `dim`, phi's int rows and psi's int rows
+    alone (phi's denominator only scales phi), so it is looked up in
+    `memo` under those, and decided only when it is not there yet. A memo
+    serves one field.
     """
     part_dims = [m.rows for m in maps]
     starts = list(accumulate(part_dims, initial=0))
@@ -750,7 +757,13 @@ def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], .
                 f"{from_j.rows}x{from_j.cols}, parts of dims {part_dims[i]} and {part_dims[j]}")
         rows.extend(_difference_rows(field, starts[-1], from_i, starts[i], from_j, starts[j]))
     psi = Matrix._make(field, len(rows), starts[-1], tuple(rows))
-    return CoverCheck(target, cover, phi.is_injective(), is_exact_at(phi, psi))
+    if memo is None:
+        memo = {}
+    key = (dim, phi._ints, psi._ints)
+    outcome = memo.get(key)
+    if outcome is None:
+        outcome = memo[key] = phi.is_injective(), is_exact_at(phi, psi)
+    return CoverCheck(target, cover, *outcome)
 
 
 def verify_base_sheaf_axioms(sheaf: CellularSheaf,
@@ -763,25 +776,35 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
     basic opens inside each pairwise intersection. Failure on a valid sheaf
     indicates a bug in the assembly, so callers should treat any failure as
     fatal.
+
+    Each map F(p -> x) is read once per star of p, and the bands of each
+    pair of stars once per call; an exact sequence met again is not
+    decided again (see `_check_cover`).
     """
     base = sheaf.base
     if len(base) > max_elements:
         raise EnumerationLimitError(len(base), max_elements)
     up, dims, restrict = base._up, sheaf._dims, sheaf._restrict
     stars = [tuple(map(base.elements.__getitem__, iter_bits(row))) for row in up]
+    bands: dict[tuple[int, int], list] = {}  # by pair of centers x < y
+    memo: dict = {}
     checks = []
     for pi in range(len(base)):
-        others = [i for i in iter_bits(up[pi]) if i != pi]
+        to_part = {i: restrict(pi, i) for i in iter_bits(up[pi])}
+        others = [i for i in to_part if i != pi]
         for size in range(len(others) + 1):
             for combo in combinations(others, size):
                 centers = sorted((pi,) + combo)
                 overlaps = []
                 for (i, xi), (j, yi) in combinations(enumerate(centers), 2):
-                    for w in iter_bits(up[xi] & up[yi]):
-                        overlaps.append((i, j, restrict(xi, w), restrict(yi, w)))
+                    band = bands.get((xi, yi))
+                    if band is None:
+                        band = bands[xi, yi] = [(restrict(xi, w), restrict(yi, w))
+                                                for w in iter_bits(up[xi] & up[yi])]
+                    overlaps.extend((i, j, a, b) for a, b in band)
                 checks.append(_check_cover(
                     sheaf.field, stars[pi], tuple(stars[i] for i in centers), dims[pi],
-                    [restrict(pi, i) for i in centers], overlaps,
+                    [to_part[i] for i in centers], overlaps, memo,
                 ))
     return AxiomReport("basic-cover-exactness", checks)
 
@@ -795,53 +818,56 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
     seeded random covers (patched with stars so they really cover); when the
     open lattice is larger than open_budget, the opens themselves are
     sampled. Deterministic for a fixed seed.
+
+    Covers are drawn as sets of masks, the first draw of each kept in
+    order. Each map F(U) -> F(V) is read once per U, and each band
+    (F(V) -> F(V & W), F(W) -> F(V & W)) once per call; an exact sequence
+    met again is not decided again (see `_check_cover`).
     """
     up = sheaf.base._up
     opens = enumerate_opens(sheaf.base, max_elements)
-    # each open's position in the sorted enumeration, which is sort_key order
-    position = {V.mask: k for k, V in enumerate(opens)}
+    # each open by its mask; the enumeration is in sort_key order
+    by_mask = {V.mask: V for V in opens}
+    position = {v: k for k, v in enumerate(by_mask)}
     rng = random.Random(seed)
     considered = opens
     if open_budget is not None and len(opens) > open_budget:
         considered = sorted(rng.sample(opens, open_budget), key=OpenSet.sort_key)
+    bands: dict[tuple[int, int], tuple] = {}  # by the masks of V and W
+    memo: dict = {}
     checks = []
     for U in considered:
         u = U.mask
-        outside = ~u
-        sub_opens = [V for V in opens if V.mask and not V.mask & outside]
-        covers: list[tuple[OpenSet, ...]] = []
-        seen = set()
-
-        def add_cover(masks: Iterable[int]):
-            key = frozenset(masks)
-            if key not in seen:
-                seen.add(key)
-                covers.append(tuple(opens[k] for k in sorted(map(position.__getitem__, key))))
-
-        add_cover(up[x] for x in iter_bits(u))
+        sub_opens = [v for v in by_mask if v and not v & ~u]
+        covers = {frozenset(up[x] for x in iter_bits(u)): None}  # kept in draw order
         for _ in range(covers_per_open):
             if not sub_opens:
                 break
             count = rng.randint(1, min(4, len(sub_opens)))
-            picked = [V.mask for V in rng.sample(sub_opens, count)]
-            covered = 0
+            picked = rng.sample(sub_opens, count)
+            left_out = u
             for m in picked:
-                covered |= m
-            # patch with the stars of the points left out
-            picked.extend(up[x] for x in iter_bits(u & ~covered))
-            add_cover(picked)
+                left_out &= ~m
+            if left_out:  # patch with the stars of the points left out
+                picked.extend(up[x] for x in iter_bits(left_out))
+            covers.setdefault(frozenset(picked))
         dim_U = sections_over(sheaf, U).dim
-        for cover in covers:
-            maps = [restriction_matrix(sheaf, U, Ui) for Ui in cover]
+        to_part: dict[int, Matrix] = {}  # F(U) -> F(V) by the mask of V
+        for drawn in covers:
+            parts = sorted(drawn, key=position.__getitem__)
+            for v in parts:
+                if v not in to_part:
+                    to_part[v] = restriction_matrix(sheaf, U, by_mask[v])
             overlaps = []
-            for (i, Ui), (j, Uj) in combinations(enumerate(cover), 2):
-                inter = opens[position[Ui.mask & Uj.mask]]
-                overlaps.append((
-                    i, j, restriction_matrix(sheaf, Ui, inter),
-                    restriction_matrix(sheaf, Uj, inter),
-                ))
+            for (i, v), (j, w) in combinations(enumerate(parts), 2):
+                band = bands.get((v, w))
+                if band is None:
+                    inter = by_mask[v & w]
+                    band = bands[v, w] = (restriction_matrix(sheaf, by_mask[v], inter),
+                                          restriction_matrix(sheaf, by_mask[w], inter))
+                overlaps.append((i, j, *band))
             checks.append(_check_cover(
-                sheaf.field, U.sorted_members, tuple(o.sorted_members for o in cover),
-                dim_U, maps, overlaps,
+                sheaf.field, U.sorted_members, tuple(by_mask[v].sorted_members for v in parts),
+                dim_U, [to_part[v] for v in parts], overlaps, memo,
             ))
     return AxiomReport("open-cover-exactness", checks)

@@ -6,8 +6,10 @@ and shares no code with the production path it cross-checks.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
+from itertools import combinations
 
 from cellsheaf import (
     FunctorialityError,
@@ -203,6 +205,79 @@ def cover_check_by_field_ops(field, dim: int, maps, overlaps) -> tuple[bool, boo
     rank_psi = len(gauss_jordan(field, psi, width)[1])
     vanishes = not any(x for row in product_by_field_ops(field, psi, phi, dim) for x in row)
     return rank_phi == dim, vanishes and rank_phi + rank_psi == width
+
+
+def base_cover_checks_by_loop(sheaf) -> list[tuple]:
+    """(target, cover, injective, exact_middle) of every basic cover of every
+    star, in the order of `verify_base_sheaf_axioms`: the covers of the star
+    of p are the sets of stars of points above p that include p's own, and
+    each cover is decided afresh by the dense assembly."""
+    base, elements = sheaf.base, sheaf.base.elements
+    star = {x: open_star(base, x).sorted_members for x in elements}
+    out = []
+    for p in elements:
+        others = [x for x in star[p] if x != p]
+        for size in range(len(others) + 1):
+            for combo in combinations(others, size):
+                centers = sorted((p, *combo), key=base.index)
+                overlaps = [
+                    (i, j, sheaf.restriction(x, w), sheaf.restriction(y, w))
+                    for (i, x), (j, y) in combinations(enumerate(centers), 2)
+                    for w in star[x] if w in star[y]]
+                out.append((star[p], tuple(star[x] for x in centers), *cover_check_by_field_ops(
+                    sheaf.field, sheaf.dim(p), [sheaf.restriction(p, x) for x in centers],
+                    overlaps)))
+    return out
+
+
+def extended_cover_checks_by_loop(sheaf, covers_per_open: int, seed: int,
+                                  open_budget: int | None = None) -> list[tuple]:
+    """(target, cover, injective, exact_middle) of each check that
+    `verify_sheaf_axioms_extended` makes, drawn by its seeded loop over
+    lists of opens, every map read and every cover decided afresh by the
+    dense assembly."""
+    base = sheaf.base
+    opens = enumerate_opens(base)
+    position = {V.mask: k for k, V in enumerate(opens)}
+    star_mask = {x: open_star(base, x).mask for x in base.elements}
+    rng = random.Random(seed)
+    considered = opens
+    if open_budget is not None and len(opens) > open_budget:
+        considered = sorted(rng.sample(opens, open_budget), key=OpenSet.sort_key)
+    out = []
+    for U in considered:
+        sub_opens = [V for V in opens if V.mask and not V.mask & ~U.mask]
+        covers, seen = [], set()
+
+        def add_cover(masks):
+            key = frozenset(masks)
+            if key not in seen:
+                seen.add(key)
+                covers.append(tuple(opens[k] for k in sorted(map(position.__getitem__, key))))
+
+        add_cover(star_mask[x] for x in U.sorted_members)
+        for _ in range(covers_per_open):
+            if not sub_opens:
+                break
+            count = rng.randint(1, min(4, len(sub_opens)))
+            picked = [V.mask for V in rng.sample(sub_opens, count)]
+            covered = 0
+            for m in picked:
+                covered |= m
+            picked.extend(star_mask[x] for x in U.sorted_members
+                          if not covered >> base.index(x) & 1)
+            add_cover(picked)
+        dim_U = sections_over(sheaf, U).dim
+        for cover in covers:
+            overlaps = [
+                (i, j, restriction_matrix(sheaf, Ui, Ui.intersection(Uj)),
+                 restriction_matrix(sheaf, Uj, Ui.intersection(Uj)))
+                for (i, Ui), (j, Uj) in combinations(enumerate(cover), 2)]
+            out.append((U.sorted_members, tuple(V.sorted_members for V in cover),
+                        *cover_check_by_field_ops(
+                            sheaf.field, dim_U, [restriction_matrix(sheaf, U, V) for V in cover],
+                            overlaps)))
+    return out
 
 
 def inverse_by_field_ops(field, rows, n):

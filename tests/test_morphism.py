@@ -211,6 +211,29 @@ class TestStalkMaps:
                     if 0 <= c - limit.offsets[U.mask] < sections_over(mor.source, U).dim}
                 assert sorted(made) == sorted(holding)
 
+    def test_section_maps_are_made_once_per_morphism_and_open(self, monkeypatch):
+        # the direct limits at different points share neighbourhoods, so a
+        # section map is asked for again; it is solved once per pair
+        asked, solved = [], []
+
+        def spy_map(morphism, U):
+            asked.append((id(morphism), U.mask))
+            return section_map(morphism, U)
+
+        def spy_sections(sheaf, U):
+            solved.append(U.mask)
+            return sections_over(sheaf, U)
+
+        monkeypatch.setattr(cellsheaf.morphism, "section_map", spy_map)
+        monkeypatch.setattr(cellsheaf.morphism, "sections_over", spy_sections)
+        morphisms = random_morphisms(random.Random(3), 30)
+        for mor in morphisms:
+            for p in mor.source.base.elements:
+                stalk_map_direct_limit(mor, p)
+        pairs = len(set(asked))
+        assert len(asked) > pairs  # 82 requests for 44 pairs
+        assert len(solved) == 2 * pairs  # the source and the target space once each
+
 
 class TestClassify:
     def test_identity_is_isomorphism(self):

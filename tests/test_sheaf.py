@@ -1080,6 +1080,41 @@ class TestCoverCheck:
         with pytest.raises(ShapeError, match="block 0 is 1x2, expected 1x1"):
             check([row], [])
 
+    def test_a_shared_memo_answers_as_the_dense_assembly(self):
+        """Cover data with repeats through one memo per field: each draw as
+        it is, again, with every part divided by one factor (phi's ints kept
+        when nothing cancels, its denominator scaled), and with every band
+        zeroed (psi with zero rows)."""
+        for field in (QQ, PrimeField(5), PrimeField(1000000000000000003)):
+            rng = random.Random(5)
+            memo, calls = {}, 0
+            for _ in range(80):
+                dim, maps, overlaps = random_cover_data(rng, field)
+                factor = Fraction(1, rng.choice([2, 3, 7]))
+                scaled = [m.scale(factor) for m in maps]
+                zeroed = [(i, j, Matrix.zeros(field, a.rows, a.cols),
+                           Matrix.zeros(field, b.rows, b.cols)) for i, j, a, b in overlaps]
+                for parts, bands in ((maps, overlaps), (maps, overlaps), (scaled, overlaps),
+                                     (maps, zeroed), (scaled, zeroed)):
+                    check = cellsheaf.sheaf._check_cover(field, (), (), dim, parts, bands, memo)
+                    calls += 1
+                    assert (check.injective, check.exact_middle) == \
+                        oracles.cover_check_by_field_ops(field, dim, parts, bands)
+            assert len(memo) < calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(posets(), st.sampled_from(CORE_FIELDS), st.integers(0, 2**32 - 1),
+           st.sampled_from([None, 1, 4]))
+    def test_verifiers_match_the_loops_that_decide_every_cover(self, base, field, seed, budget):
+        sheaf = random_sheaf(random.Random(seed), base, field=field)
+        report = verify_base_sheaf_axioms(sheaf)
+        assert [(c.target, c.cover, c.injective, c.exact_middle) for c in report.checks] == \
+            oracles.base_cover_checks_by_loop(sheaf)
+        report = verify_sheaf_axioms_extended(sheaf, covers_per_open=6, seed=seed % 7,
+                                              open_budget=budget)
+        assert [(c.target, c.cover, c.injective, c.exact_middle) for c in report.checks] == \
+            oracles.extended_cover_checks_by_loop(sheaf, 6, seed % 7, budget)
+
 
 class TestOpenBudget:
     """`open_budget` samples the opens to check when there are more of them."""
