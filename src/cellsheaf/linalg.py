@@ -613,12 +613,23 @@ class SubspaceBasis:
         p = self.field.characteristic
         return [x % p for x in out] if p else out
 
-    def _coordinates(self, v: Sequence[int]) -> list:
-        """The entries of an int vector v at the pivots, which are its
-        coordinates when v lies in the subspace; ValueError if it does not."""
-        if any(self._residual(v)):
-            raise ValueError("vector does not lie in the subspace")
-        return [v[c] for c in self._pivots]
+    def _coordinates_at(self, rows: Iterable[Sequence[int]], at: Sequence[int]) -> list:
+        """The coordinates of each int row's vector v, where entry j of v is
+        row[at[j]]: the row's entries at the pivots' places. v is never made;
+        the membership residual runs at the off-pivot places, and a row whose
+        v does not lie in the subspace raises ValueError."""
+        pivots = [at[c] for c in self._pivots]
+        free = [(at[j], col) for j, col in self._off_pivots()]
+        den, p = self._matrix._den, self.field.characteristic
+        out = []
+        for row in rows:
+            coords = [row[i] for i in pivots]
+            for i, col in free:
+                x = den * row[i] - sum(map(mul, coords, col))
+                if x % p if p else x:
+                    raise ValueError("vector does not lie in the subspace")
+            out.append(coords)
+        return out
 
     def reduce(self, vec: Sequence) -> tuple:
         """Subtract the projection onto the subspace along pivot coordinates."""
@@ -633,7 +644,7 @@ class SubspaceBasis:
 
     def coordinates(self, vec: Sequence) -> tuple:
         """Coordinates of `vec` in this basis; ValueError if outside."""
-        self._coordinates(self.field.lower((vec,))[0][0])
+        self._coordinates_at(self.field.lower((vec,))[0], range(self.ambient_dim))
         return tuple(vec[c] for c in self._pivots)
 
     def linear_combination(self, coords: Sequence) -> tuple:
@@ -658,8 +669,10 @@ def subspace_from_rows(field, ambient_dim: int, rows: Iterable[Sequence]) -> Sub
     return _basis(field, ambient_dim, list(field.lower(rows)[0]))
 
 
-def kernel_basis(m: Matrix) -> SubspaceBasis:
-    """Canonical basis of the right kernel {v : m v = 0}."""
+def _null_vectors(m: Matrix) -> list:
+    """Int vectors spanning the right kernel {v : m v = 0}, one per free
+    column of one elimination of m, not yet in canonical form. Over GF(p)
+    they are residues."""
     field = m.field
     rows = list(m._ints)
     pivots = _rref(field, rows, m.cols)
@@ -679,7 +692,12 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
                 x = -row[fc] * (common // den)
                 v[pc] = x % p if p else x
         vectors.append(v)
-    return _basis(field, m.cols, vectors)
+    return vectors
+
+
+def kernel_basis(m: Matrix) -> SubspaceBasis:
+    """Canonical basis of the right kernel {v : m v = 0}."""
+    return _basis(m.field, m.cols, _null_vectors(m))
 
 
 def is_exact_at(f: Matrix, g: Matrix) -> bool:

@@ -131,18 +131,19 @@ def section_map(morphism: SheafMorphism, U: OpenSet) -> Matrix:
     src_space = sections_over(morphism.source, U)
     tgt_space = sections_over(morphism.target, U)
     elements = morphism.source.base.elements
-    blocks = [(off, morphism.components[elements[x]]) for x, off in src_space._offsets().items()]
+    blocks = [(off, morphism.components[elements[x]]) for x, off in src_space.starts.items()]
     common = lcm(*[m._den for _, m in blocks])
     basis = src_space.basis._matrix
-    coordinates = tgt_space.basis._coordinates
-    columns = []
+    images = []
     for row in basis._ints:
         image: list = []
         for off, m in blocks:
             value = row[off: off + m.cols]
             scale = common // m._den
             image.extend([scale * sum(map(mul, m_row, value)) for m_row in m._ints])
-        columns.append(coordinates(image))
+        images.append(image)
+    target = tgt_space.basis
+    columns = target._coordinates_at(images, range(target.ambient_dim))
     result = morphism._section_maps[U.mask] = Matrix._of_columns(
         morphism.source.field, tgt_space.dim, columns, common * basis._den)
     return result

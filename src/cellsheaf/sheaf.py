@@ -37,8 +37,8 @@ from .linalg import (
     QQ,
     SubspaceBasis,
     _basis,
+    _null_vectors,
     is_exact_at,
-    kernel_basis,
     vstack,
 )
 from .order import Poset, as_poset, hasse_edges, iter_bits
@@ -274,7 +274,9 @@ class Section:
                 )
             coerced[x] = vals
         _check_families(
-            sheaf, open, *sheaf.field.lower([[v for vals in coerced.values() for v in vals]]))
+            sheaf, *sheaf.field.lower([[v for vals in coerced.values() for v in vals]]),
+            _block_starts(sheaf._dims, open.sort_key()[1])[0],
+            _covering_pairs(sheaf, open.mask))
         self.sheaf = sheaf
         self.open = open
         self.components = coerced
@@ -303,11 +305,18 @@ class Section:
 
 @dataclass
 class SectionSpace:
-    """Canonical basis of the sections over one open set."""
+    """Canonical basis of the sections over one open set, with `starts`,
+    where each point's block starts in a family, by carrier index (laid out
+    from the open when not given)."""
 
     sheaf: CellularSheaf
     open: OpenSet
     basis: SubspaceBasis
+    starts: dict[int, int] | None = None
+
+    def __post_init__(self):
+        if self.starts is None:
+            self.starts = _block_starts(self.sheaf._dims, self.open.sort_key()[1])[0]
 
     @property
     def dim(self) -> int:
@@ -315,15 +324,11 @@ class SectionSpace:
 
     def offsets(self) -> dict[str, int]:
         elements = self.sheaf.base.elements
-        return {elements[x]: off for x, off in self._offsets().items()}
-
-    def _offsets(self) -> dict[int, int]:
-        """Where each point's block starts in a family, by carrier index."""
-        return _block_starts(self.sheaf._dims, self.open.sort_key()[1])[0]
+        return {elements[x]: off for x, off in self.starts.items()}
 
     def vector_as_section(self, vec: Sequence) -> Section:
         elements, dims = self.sheaf.base.elements, self.sheaf._dims
-        comps = {elements[x]: tuple(vec[o: o + dims[x]]) for x, o in self._offsets().items()}
+        comps = {elements[x]: tuple(vec[o: o + dims[x]]) for x, o in self.starts.items()}
         return Section(self.sheaf, self.open, comps)
 
     def basis_sections(self) -> list[Section]:
@@ -349,14 +354,17 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
     inside U, k >= 2, one block of equations map(o(y1), x) s_o(y1) =
     map(o(yi), x) s_o(yi) is added for each owner not yet seen at x; by
     induction from the bottom, every minimal point below x then gives x the
-    same value. The kernel is expanded to all of U by s_x = map(o(x), x)
-    s_o(x) and put in canonical form, so the basis is the reduced echelon
-    basis of the families (points in carrier order). All of this runs on
-    lowered forms; a family is scaled freely, as only its span is kept.
+    same value. The null vectors of one elimination of these equations are
+    expanded to all of U by s_x = map(o(x), x) s_o(x), and a second
+    elimination puts the families in canonical form, so the basis is the
+    reduced echelon basis of the families (points in carrier order). All of
+    this runs on lowered forms; a family is scaled freely, as only its span
+    is kept.
 
     The expansion is right only for functorial data, so every basis family
     is checked along each covering pair inside U: hand-built data whose
-    chains compose inconsistently raises ValidationError.
+    chains compose inconsistently raises ValidationError. U is laid out
+    once, for the unknowns, that check and the space.
     """
     if U.space is not sheaf.base:
         _check_carrier(sheaf, U)
@@ -367,10 +375,16 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
     field, dims, restrict = sheaf.field, sheaf._dims, sheaf._restrict
     pts = U.sort_key()[1]  # carrier indices, in carrier order
     lower = {x: [y for y in sheaf._lower[x] if u >> y & 1] for x in pts}
-    minimal = [x for x in pts if not lower[x]]
-    offs, total = _block_starts(dims, minimal)
+    # one pass lays out a family over U and the unknowns, the minimal points
+    starts, offs, owner = {}, {}, {}
+    width = total = 0
+    for x in pts:
+        starts[x] = width
+        width += dims[x]
+        if not lower[x]:
+            offs[x], owner[x] = total, x
+            total += dims[x]
     rows = []
-    owner = {m: m for m in minimal}
     for x in sheaf._order:
         if not (u >> x & 1 and lower[x]):
             continue
@@ -385,12 +399,13 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
             seen.add(o)
             # A s_first = map(o, x) s_o
             rows.extend(_difference_rows(field, total, restrict(o, x), offs[o], A, offs[first]))
-    kernel = kernel_basis(Matrix._make(field, len(rows), total, *field.canonical(rows)))
+    # difference rows are ints over 1, residues over GF(p): in lowest terms
+    null = _null_vectors(Matrix._make(field, len(rows), total, tuple(rows)))
     families = []
-    if kernel.dim:
+    if null:
         expand = {x: restrict(owner[x], x) for x in pts if owner[x] != x}
         common = lcm(*[m._den for m in expand.values()])
-        for vec in kernel._matrix._ints:
+        for vec in null:
             family: list = []
             for x in pts:
                 o = owner[x]
@@ -402,10 +417,10 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
                     scale = common // m._den
                     family.extend([scale * sum(map(mul, row, value)) for row in m._ints])
             families.append(family)
-    families = list(field.canonical(families)[0])
-    space = SectionSpace(sheaf, U, _basis(field, sum(map(dims.__getitem__, pts)), families))
-    _check_families(sheaf, U, space.basis._matrix._ints, space.basis._matrix._den)
-    sheaf._section_cache[u] = space
+    basis = _basis(field, width, list(field.canonical(families)[0]))
+    pairs = sorted((y, x) for x in pts for y in lower[x])  # as _covering_pairs gives them
+    _check_families(sheaf, basis._matrix._ints, basis._matrix._den, starts, pairs)
+    space = sheaf._section_cache[u] = SectionSpace(sheaf, U, basis, starts)
     return space
 
 
@@ -440,13 +455,13 @@ def _covering_pairs(sheaf: CellularSheaf, mask: int) -> list[tuple[int, int]]:
     return sorted((y, x) for x in iter_bits(mask) for y in lower[x] if mask >> y & 1)
 
 
-def _check_families(sheaf: CellularSheaf, U: OpenSet, families: Sequence, den: int):
-    """Check each family (int rows over `den`, points of U in carrier order)
-    along each covering pair inside U, on ints; values are lifted only for
-    the message of a failure."""
+def _check_families(sheaf: CellularSheaf, families: Sequence, den: int,
+                    offs: Mapping[int, int], covering_pairs: Iterable[tuple[int, int]]):
+    """Check each family (int rows over `den`, the block of point x at
+    offs[x]) along each covering pair (a, b) of an open, in the order
+    given, on ints; values are lifted only for the message of a failure."""
     p = sheaf.field.characteristic
-    offs = _block_starts(sheaf._dims, U.sort_key()[1])[0]
-    pairs = [(a, b, sheaf._restrict(a, b)) for a, b in _covering_pairs(sheaf, U.mask)]
+    pairs = [(a, b, sheaf._restrict(a, b)) for a, b in covering_pairs]
     for vec in families:
         for a, b, m in pairs:
             at_a = vec[offs[a]: offs[a] + m.cols]
@@ -477,7 +492,13 @@ def restrict_section(section: Section, smaller: OpenSet) -> Section:
 
 
 def restriction_matrix(sheaf: CellularSheaf, U: OpenSet, V: OpenSet) -> Matrix:
-    """Matrix of the restriction map between section spaces, in their bases."""
+    """Matrix of the restriction map between section spaces, in their bases.
+
+    Column j of a family over V is column at[j] of a family over U, so each
+    basis family over U is read in place: its coordinates over V are its
+    entries at the places of the target basis's pivots, once its entries at
+    the off-pivot places pass the membership residual.
+    """
     if U.space is not sheaf.base or V.space is not sheaf.base:
         _check_carrier(sheaf, U, V)
     key = (U.mask, V.mask)
@@ -488,11 +509,11 @@ def restriction_matrix(sheaf: CellularSheaf, U: OpenSet, V: OpenSet) -> Matrix:
         raise ValidationError("restriction target is not contained in the source open")
     SU = sections_over(sheaf, U)
     SV = sections_over(sheaf, V)
-    offs, dims = SU._offsets(), sheaf._dims
-    take = [i for x in V.sort_key()[1] for i in range(offs[x], offs[x] + dims[x])]
-    basis, coordinates = SU.basis._matrix, SV.basis._coordinates
-    result = Matrix._of_columns(sheaf.field, SV.dim, [
-        coordinates([row[i] for i in take]) for row in basis._ints], basis._den)
+    starts, dims = SU.starts, sheaf._dims
+    at = [i for x in V.sort_key()[1] for i in range(starts[x], starts[x] + dims[x])]
+    basis = SU.basis._matrix
+    result = Matrix._of_columns(
+        sheaf.field, SV.dim, SV.basis._coordinates_at(basis._ints, at), basis._den)
     sheaf._restriction_cache[key] = result
     return result
 
@@ -725,7 +746,7 @@ class AxiomReport:
 
 def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], ...],
                  dim: int, maps: Sequence[Matrix], overlaps: Iterable[tuple],
-                 memo: dict | None = None) -> CoverCheck:
+                 memo: dict | None = None, whole: bool = False) -> CoverCheck:
     """Exactness of 0 -> F(U) --phi--> prod F(U_i) --psi--> prod F(U_i & U_j).
 
     `maps[i]` sends F(U), of dimension `dim`, to part i. Each overlap
@@ -741,6 +762,11 @@ def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], .
     a row of psi by a nonzero factor changes neither its rank nor whether
     psi phi = 0, and nothing else is asked of psi.
 
+    `whole` says that a part is U itself, whose map is the identity. phi
+    then holds an identity block, so its rank is `dim`, recorded on phi
+    without an elimination; psi's rank and the product test are still
+    computed.
+
     The outcome is a function of `dim`, phi's int rows and psi's int rows
     alone (phi's denominator only scales phi), so it is looked up in
     `memo` under those, and decided only when it is not there yet. A memo
@@ -749,6 +775,8 @@ def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], .
     part_dims = [m.rows for m in maps]
     starts = list(accumulate(part_dims, initial=0))
     phi = vstack(field, dim, maps)
+    if whole:
+        phi._rank = dim
     rows = []
     for i, j, from_i, from_j in overlaps:
         if (from_i.rows, from_i.cols, from_j.cols) != (from_j.rows, part_dims[i], part_dims[j]):
@@ -779,7 +807,8 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
 
     Each map F(p -> x) is read once per star of p, and the bands of each
     pair of stars once per call; an exact sequence met again is not
-    decided again (see `_check_cover`).
+    decided again, and phi, which holds the identity of the star of p, is
+    not eliminated (see `_check_cover`).
     """
     base = sheaf.base
     if len(base) > max_elements:
@@ -804,7 +833,7 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
                     overlaps.extend((i, j, a, b) for a, b in band)
                 checks.append(_check_cover(
                     sheaf.field, stars[pi], tuple(stars[i] for i in centers), dims[pi],
-                    [to_part[i] for i in centers], overlaps, memo,
+                    [to_part[i] for i in centers], overlaps, memo, whole=True,
                 ))
     return AxiomReport("basic-cover-exactness", checks)
 
@@ -822,7 +851,8 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
     Covers are drawn as sets of masks, the first draw of each kept in
     order. Each map F(U) -> F(V) is read once per U, and each band
     (F(V) -> F(V & W), F(W) -> F(V & W)) once per call; an exact sequence
-    met again is not decided again (see `_check_cover`).
+    met again is not decided again, and phi is not eliminated when U is
+    itself a part of the cover (see `_check_cover`).
     """
     up = sheaf.base._up
     opens = enumerate_opens(sheaf.base, max_elements)
@@ -868,6 +898,6 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
                 overlaps.append((i, j, *band))
             checks.append(_check_cover(
                 sheaf.field, U.sorted_members, tuple(by_mask[v].sorted_members for v in parts),
-                dim_U, [to_part[v] for v in parts], overlaps, memo,
+                dim_U, [to_part[v] for v in parts], overlaps, memo, whole=u in drawn,
             ))
     return AxiomReport("open-cover-exactness", checks)

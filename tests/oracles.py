@@ -10,6 +10,8 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
+from operator import mul
 
 from cellsheaf import (
     FunctorialityError,
@@ -19,6 +21,7 @@ from cellsheaf import (
     Poset,
     PreOrder,
     QQ,
+    SectionSpace,
     ValidationError,
     enumerate_opens,
     hasse_edges,
@@ -30,6 +33,8 @@ from cellsheaf import (
     section_map,
     sections_over,
 )
+from cellsheaf.linalg import _basis
+from cellsheaf.sheaf import _block_starts, _check_families, _covering_pairs, _difference_rows
 
 _ENTRY = re.compile(r"-?\d+(?:/\d+)?")
 
@@ -524,6 +529,85 @@ def sections_over_all_pairs(sheaf, U: OpenSet):
     pts = U.sorted_members
     return _sections_from_pairs(
         sheaf, U, [(p, q) for p in pts for q in pts if sheaf.base.lt(p, q)])
+
+
+def sections_over_three_eliminations(sheaf, U: OpenSet) -> SectionSpace:
+    """The minimal-point solve of `sections_over` with three eliminations
+    and nothing cached: the equalizer on the minimal points of U is solved
+    by `kernel_basis`, which eliminates it and then puts its null vectors
+    in canonical form; that basis is expanded to all of U, and a third
+    elimination puts the families in canonical form. The families are
+    checked along the covering pairs of U, and the space is laid out from
+    the open."""
+    field, dims, restrict = sheaf.field, sheaf._dims, sheaf._restrict
+    u = U.mask
+    pts = U.sort_key()[1]
+    lower = {x: [y for y in sheaf._lower[x] if u >> y & 1] for x in pts}
+    minimal = [x for x in pts if not lower[x]]
+    offs, total = _block_starts(dims, minimal)
+    rows = []
+    owner = {m: m for m in minimal}
+    for x in sheaf._order:
+        if not (u >> x & 1 and lower[x]):
+            continue
+        owners = [owner[y] for y in lower[x]]
+        owner[x] = min(owners)
+        first = owners[0]
+        A = restrict(first, x)
+        seen = {first}
+        for o in owners[1:]:
+            if o not in seen:
+                seen.add(o)
+                rows.extend(_difference_rows(
+                    field, total, restrict(o, x), offs[o], A, offs[first]))
+    kernel = kernel_basis(Matrix._make(field, len(rows), total, *field.canonical(rows)))
+    families = []
+    if kernel.dim:
+        expand = {x: restrict(owner[x], x) for x in pts if owner[x] != x}
+        common = lcm(*[m._den for m in expand.values()])
+        for vec in kernel._matrix._ints:
+            family: list = []
+            for x in pts:
+                o = owner[x]
+                value = vec[offs[o]: offs[o] + dims[o]]
+                if o == x:
+                    family.extend(common * v for v in value)
+                else:
+                    m = expand[x]
+                    family.extend((common // m._den) * sum(map(mul, row, value))
+                                  for row in m._ints)
+            families.append(family)
+    families = list(field.canonical(families)[0])
+    space = SectionSpace(sheaf, U, _basis(field, sum(map(dims.__getitem__, pts)), families))
+    _check_families(sheaf, space.basis._matrix._ints, space.basis._matrix._den,
+                    _block_starts(dims, pts)[0], _covering_pairs(sheaf, u))
+    return space
+
+
+def restriction_matrix_by_restricted_copy(source: SectionSpace, target: SectionSpace) -> Matrix:
+    """The restriction from the source's open to the target's, in their
+    bases: each basis family of the source is copied down to the target's
+    points, laid out from the open, and the copy's coordinates are its
+    entries at the target's pivots once its residual off them vanishes;
+    ValueError when a copy does not lie in the target space."""
+    dims = source.sheaf._dims
+    offs = _block_starts(dims, source.open.sort_key()[1])[0]
+    take = [i for x in target.open.sort_key()[1] for i in range(offs[x], offs[x] + dims[x])]
+    basis = source.basis._matrix
+    columns = []
+    for row in basis._ints:
+        copy = [row[i] for i in take]
+        if any(target.basis._residual(copy)):
+            raise ValueError("vector does not lie in the subspace")
+        columns.append([copy[c] for c in target.basis.pivots()])
+    return Matrix._of_columns(source.sheaf.field, target.dim, columns, basis._den)
+
+
+def restriction_matrix_three_eliminations(sheaf, U: OpenSet, V: OpenSet) -> Matrix:
+    """`restriction_matrix` from the three-elimination solve and the
+    restricted copy, nothing cached."""
+    return restriction_matrix_by_restricted_copy(
+        sections_over_three_eliminations(sheaf, U), sections_over_three_eliminations(sheaf, V))
 
 
 def _quotient_coords(relation_rows, pivots, free_columns, big) -> tuple:

@@ -424,13 +424,13 @@ class TestMinimalPointSolve:
     def test_matches_both_oracles_on_a_smaller_system(self, base, field, seed):
         sheaf = random_sheaf(random.Random(seed), base, field=field)
         solved = []
-        production = cellsheaf.sheaf.kernel_basis
+        production = cellsheaf.sheaf._null_vectors
 
         def recording(m):
             solved.append(m)
             return production(m)
 
-        cellsheaf.sheaf.kernel_basis = recording
+        cellsheaf.sheaf._null_vectors = recording
         try:
             for U in enumerate_opens(base):
                 solved.clear()
@@ -445,7 +445,7 @@ class TestMinimalPointSolve:
                                  if p in U.members and q in U.members)
                 assert m.rows <= cover_rows
         finally:
-            cellsheaf.sheaf.kernel_basis = production
+            cellsheaf.sheaf._null_vectors = production
 
     @settings(max_examples=100, deadline=None)
     @given(posets(max_n=7, shuffled=True), st.integers(0, 2**32 - 1))
@@ -557,13 +557,15 @@ class TestLoweredSectionSpaces:
         families = [*basis.rows, [entry() for _ in range(width)]]
         space = SectionSpace(sheaf, U, subspace_from_rows(field, width, families))
         message = oracles.first_incompatibility_by_field_ops(sheaf, U, space.basis.rows)
+        check = functools.partial(
+            cellsheaf.sheaf._check_families, sheaf, space.basis._matrix._ints,
+            space.basis._matrix._den, space.starts,
+            cellsheaf.sheaf._covering_pairs(sheaf, U.mask))
         if message is None:
-            cellsheaf.sheaf._check_families(
-                sheaf, U, space.basis._matrix._ints, space.basis._matrix._den)
+            check()
         else:
             with pytest.raises(ValidationError) as err:
-                cellsheaf.sheaf._check_families(
-                    sheaf, U, space.basis._matrix._ints, space.basis._matrix._den)
+                check()
             assert str(err.value) == message
 
     def test_incompatible_data_names_the_pair_and_both_values(self):
@@ -573,6 +575,101 @@ class TestLoweredSectionSpaces:
             sections_over(fake, whole_space(fake.base))
         assert str(err.value) == (
             "family is not compatible along q2 <= r: [Fraction(3, 1)] vs [Fraction(2, 1)]")
+
+
+class TestSolveAgainstThreeEliminations:
+    """`sections_over` solves with two eliminations and keeps its layout,
+    and `restriction_matrix` reads each family at the target's pivots; the
+    three-elimination solve and the restricted copy in tests/oracles.py
+    must give the same bases, layouts, matrices and direct limits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(posets(shuffled=True), st.sampled_from(CORE_FIELDS), st.integers(0, 2**32 - 1))
+    def test_bases_layouts_restrictions_and_limits_agree(self, base, field, seed):
+        sheaf = random_sheaf(random.Random(seed), base, field=field)
+        opens = enumerate_opens(base)
+        want = {U.mask: oracles.sections_over_three_eliminations(sheaf, U) for U in opens}
+        for U in opens:
+            space = sections_over(sheaf, U)
+            assert space.basis == want[U.mask].basis
+            assert space.starts == want[U.mask].starts
+            assert space.offsets() == want[U.mask].offsets()
+        for U, V in itertools.product(opens, repeat=2):
+            if V <= U:
+                assert restriction_matrix(sheaf, U, V) == \
+                    oracles.restriction_matrix_by_restricted_copy(want[U.mask], want[V.mask])
+        with mock.patch.object(cellsheaf.sheaf, "sections_over",
+                               oracles.sections_over_three_eliminations), \
+                mock.patch.object(cellsheaf.sheaf, "restriction_matrix",
+                                  oracles.restriction_matrix_three_eliminations):
+            limits = [stalk_direct_limit(sheaf, x) for x in base.elements]
+        for x, limit in zip(base.elements, limits):
+            got = stalk_direct_limit(sheaf, x)
+            assert (got.free_columns, got.total, got.solve, got.witness) == \
+                (limit.free_columns, limit.total, limit.solve, limit.witness)
+
+    @settings(max_examples=30, deadline=None)
+    @given(posets(shuffled=True), st.sampled_from(CORE_FIELDS), st.integers(0, 2**32 - 1))
+    def test_each_solve_checks_its_basis_along_every_covering_pair_once(self, base, field,
+                                                                       seed):
+        sheaf = random_sheaf(random.Random(seed), base, field=field)
+        calls = []
+        check = cellsheaf.sheaf._check_families
+
+        def recording(sheaf, families, den, offs, pairs):
+            calls.append((families, dict(offs), list(pairs)))
+            return check(sheaf, families, den, offs, pairs)
+
+        with mock.patch.object(cellsheaf.sheaf, "_check_families", recording):
+            for U in enumerate_opens(base):
+                calls.clear()
+                basis = sections_over(sheaf, U).basis
+                sections_over(sheaf, U)
+                assert calls == [(basis._matrix._ints,
+                                  cellsheaf.sheaf._block_starts(sheaf._dims, U.sort_key()[1])[0],
+                                  cellsheaf.sheaf._covering_pairs(sheaf, U.mask))]
+
+    def test_a_family_leaving_the_target_space_raises(self):
+        # sections over {b, c} of the constant chain a < b < c agree at b and
+        # c; the family (1, 1, 2) over the whole chain does not restrict to one
+        base = build_poset("abc", [("a", "b"), ("b", "c")])
+        sheaf = constant_sheaf(base, 1)
+        U, V = whole_space(base), open_star(base, "b")
+        fake = SectionSpace(sheaf, U, subspace_from_rows(QQ, 3, [[1, 1, 2]]))
+        with pytest.raises(ValueError) as want:
+            oracles.restriction_matrix_by_restricted_copy(fake, sections_over(sheaf, V))
+        sheaf._section_cache[U.mask] = fake
+        with pytest.raises(ValueError) as got:
+            restriction_matrix(sheaf, U, V)
+        assert str(got.value) == str(want.value) == "vector does not lie in the subspace"
+
+    @settings(max_examples=60, deadline=None)
+    @given(posets(shuffled=True), st.sampled_from(CORE_FIELDS), st.integers(0, 2**32 - 1))
+    def test_an_added_family_raises_exactly_when_the_copy_does(self, base, field, seed):
+        # a basis over U with one random family added: the restricted copy
+        # and the read at the pivots fail together or agree
+        rng = random.Random(seed)
+        sheaf = random_sheaf(rng, base, field=field)
+        opens = enumerate_opens(base)
+        U = rng.choice(opens)
+        V = rng.choice([W for W in opens if W <= U])
+        space = sections_over(sheaf, U)
+        width = space.basis.ambient_dim
+        extra = [field.coerce(rng.randint(-2, 2)) for _ in range(width)]
+        fake = SectionSpace(sheaf, U, subspace_from_rows(
+            field, width, [*space.basis.rows, extra]))
+        target = fake if V == U else sections_over(sheaf, V)
+        try:
+            want = oracles.restriction_matrix_by_restricted_copy(fake, target)
+        except ValueError as err:
+            want = str(err)
+        sheaf._section_cache[U.mask] = fake
+        sheaf._restriction_cache.clear()
+        try:
+            got = restriction_matrix(sheaf, U, V)
+        except ValueError as err:
+            got = str(err)
+        assert got == want
 
 
 class TestRestrictAndGlue:
@@ -1101,6 +1198,35 @@ class TestCoverCheck:
                     assert (check.injective, check.exact_middle) == \
                         oracles.cover_check_by_field_ops(field, dim, parts, bands)
             assert len(memo) < calls
+
+    @pytest.mark.parametrize("name", ["square", "fan", "double_target", "fractions"])
+    def test_phi_holding_the_star_is_never_eliminated(self, name):
+        # every basic cover of the star of p holds that star, whose block of
+        # phi is the identity: phi's rank is recorded, and only psi's ranks
+        # are found by elimination
+        from cellsheaf import parse_text
+        from helpers import FIXTURES
+        realized = parse_text((FIXTURES / f"{name}.sheaf").read_text())
+        sheaf = next(iter(realized.sheaves.values()))
+        eliminated, phis = [], []
+        rank, exact = Matrix.rank, cellsheaf.sheaf.is_exact_at
+
+        def counting_rank(m):
+            if m._rank is None:
+                eliminated.append(m)
+            return rank(m)
+
+        def recording(f, g):
+            phis.append(f)
+            return exact(f, g)
+
+        with mock.patch.object(Matrix, "rank", counting_rank), \
+                mock.patch.object(cellsheaf.sheaf, "is_exact_at", recording):
+            report = verify_base_sheaf_axioms(sheaf)
+        assert phis and eliminated
+        assert not any(m is phi for m in eliminated for phi in phis)
+        assert [(c.target, c.cover, c.injective, c.exact_middle) for c in report.checks] == \
+            oracles.base_cover_checks_by_loop(sheaf)
 
     @settings(max_examples=60, deadline=None)
     @given(posets(), st.sampled_from(CORE_FIELDS), st.integers(0, 2**32 - 1),
