@@ -669,35 +669,42 @@ def subspace_from_rows(field, ambient_dim: int, rows: Iterable[Sequence]) -> Sub
     return _basis(field, ambient_dim, list(field.lower(rows)[0]))
 
 
-def _null_vectors(m: Matrix) -> list:
-    """Int vectors spanning the right kernel {v : m v = 0}, one per free
-    column of one elimination of m, not yet in canonical form. Over GF(p)
-    they are residues."""
-    field = m.field
-    rows = list(m._ints)
-    pivots = _rref(field, rows, m.cols)
+def kernel_basis(m: Matrix) -> SubspaceBasis:
+    """Canonical basis of the right kernel {v : m v = 0}, from one
+    elimination of m with its columns reversed.
+
+    In the reversed order, each free column f of the reduced echelon form
+    gives a null vector that is `common` at f, zero at every other free
+    column, and at the pivot of row r minus row r's entry at f, scaled by
+    `common` over the pivot. Row r is zero before its pivot, so those
+    entries lie at pivots before f. Read back in m's column order, the
+    vector starts at f and is zero at every other free column, so these
+    vectors, by f, are the reduced echelon basis of the kernel with no
+    second elimination.
+    """
+    field, n = m.field, m.cols
+    rows = [row[::-1] for row in m._ints]
+    pivots = _rref(field, rows, n)
     dens = [row[c] for row, c in zip(rows, pivots)]
-    common = lcm(*dens)
+    common = lcm(*dens)  # 1 over GF(p)
     p = field.characteristic
     pivot_set = set(pivots)
-    vectors = []
-    for fc in range(m.cols):
+    last = n - 1
+    vectors, leads = [], []
+    for fc in range(last, -1, -1):  # free columns from the last: leads ascend
         if fc in pivot_set:
             continue
-        # x[fc] = common, and each pivot unknown solves its reduced row
-        v = [0] * m.cols
-        v[fc] = common
+        v = [0] * n
+        v[last - fc] = common
         for row, pc, den in zip(rows, pivots, dens):
             if row[fc]:
                 x = -row[fc] * (common // den)
-                v[pc] = x % p if p else x
-        vectors.append(v)
-    return vectors
-
-
-def kernel_basis(m: Matrix) -> SubspaceBasis:
-    """Canonical basis of the right kernel {v : m v = 0}."""
-    return _basis(m.field, m.cols, _null_vectors(m))
+                v[last - pc] = x % p if p else x
+        vectors.append(tuple(v))
+        leads.append(last - fc)
+    # over 1 (always so over GF(p)) the int rows are in lowest terms as made
+    ints, den = field.canonical(vectors, common) if common > 1 else (tuple(vectors), 1)
+    return SubspaceBasis(field, n, Matrix._make(field, len(vectors), n, ints, den), leads)
 
 
 def is_exact_at(f: Matrix, g: Matrix) -> bool:

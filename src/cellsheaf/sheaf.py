@@ -19,7 +19,7 @@ finite enumeration.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from itertools import accumulate, combinations, count
 from math import lcm
 from operator import mul
@@ -37,8 +37,8 @@ from .linalg import (
     QQ,
     SubspaceBasis,
     _basis,
-    _null_vectors,
     is_exact_at,
+    kernel_basis,
     vstack,
 )
 from .order import Poset, as_poset, hasse_edges, iter_bits
@@ -276,7 +276,7 @@ class Section:
         _check_families(
             sheaf, *sheaf.field.lower([[v for vals in coerced.values() for v in vals]]),
             _block_starts(sheaf._dims, open.sort_key()[1])[0],
-            _covering_pairs(sheaf, open.mask))
+            _covering_pairs(sheaf, open))
         self.sheaf = sheaf
         self.open = open
         self.components = coerced
@@ -306,17 +306,16 @@ class Section:
 @dataclass
 class SectionSpace:
     """Canonical basis of the sections over one open set, with `starts`,
-    where each point's block starts in a family, by carrier index (laid out
-    from the open when not given)."""
+    where each point's block starts in a family, by carrier index, laid out
+    once from the open."""
 
     sheaf: CellularSheaf
     open: OpenSet
     basis: SubspaceBasis
-    starts: dict[int, int] | None = None
+    starts: dict[int, int] = dataclass_field(init=False)
 
     def __post_init__(self):
-        if self.starts is None:
-            self.starts = _block_starts(self.sheaf._dims, self.open.sort_key()[1])[0]
+        self.starts = _block_starts(self.sheaf._dims, self.open.sort_key()[1])[0]
 
     @property
     def dim(self) -> int:
@@ -354,7 +353,7 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
     inside U, k >= 2, one block of equations map(o(y1), x) s_o(y1) =
     map(o(yi), x) s_o(yi) is added for each owner not yet seen at x; by
     induction from the bottom, every minimal point below x then gives x the
-    same value. The null vectors of one elimination of these equations are
+    same value. The kernel of these equations (one elimination) is
     expanded to all of U by s_x = map(o(x), x) s_o(x), and a second
     elimination puts the families in canonical form, so the basis is the
     reduced echelon basis of the families (points in carrier order). All of
@@ -362,9 +361,9 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
     is kept.
 
     The expansion is right only for functorial data, so every basis family
-    is checked along each covering pair inside U: hand-built data whose
-    chains compose inconsistently raises ValidationError. U is laid out
-    once, for the unknowns, that check and the space.
+    is checked along each covering pair inside U, on the space's layout:
+    hand-built data whose chains compose inconsistently raises
+    ValidationError.
     """
     if U.space is not sheaf.base:
         _check_carrier(sheaf, U)
@@ -375,16 +374,10 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
     field, dims, restrict = sheaf.field, sheaf._dims, sheaf._restrict
     pts = U.sort_key()[1]  # carrier indices, in carrier order
     lower = {x: [y for y in sheaf._lower[x] if u >> y & 1] for x in pts}
-    # one pass lays out a family over U and the unknowns, the minimal points
-    starts, offs, owner = {}, {}, {}
-    width = total = 0
-    for x in pts:
-        starts[x] = width
-        width += dims[x]
-        if not lower[x]:
-            offs[x], owner[x] = total, x
-            total += dims[x]
+    minimal = [x for x in pts if not lower[x]]
+    offs, total = _block_starts(dims, minimal)
     rows = []
+    owner = {m: m for m in minimal}
     for x in sheaf._order:
         if not (u >> x & 1 and lower[x]):
             continue
@@ -400,12 +393,12 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
             # A s_first = map(o, x) s_o
             rows.extend(_difference_rows(field, total, restrict(o, x), offs[o], A, offs[first]))
     # difference rows are ints over 1, residues over GF(p): in lowest terms
-    null = _null_vectors(Matrix._make(field, len(rows), total, tuple(rows)))
+    kernel = kernel_basis(Matrix._make(field, len(rows), total, tuple(rows)))
     families = []
-    if null:
+    if kernel.dim:
         expand = {x: restrict(owner[x], x) for x in pts if owner[x] != x}
         common = lcm(*[m._den for m in expand.values()])
-        for vec in null:
+        for vec in kernel._matrix._ints:
             family: list = []
             for x in pts:
                 o = owner[x]
@@ -417,10 +410,11 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
                     scale = common // m._den
                     family.extend([scale * sum(map(mul, row, value)) for row in m._ints])
             families.append(family)
-    basis = _basis(field, width, list(field.canonical(families)[0]))
-    pairs = sorted((y, x) for x in pts for y in lower[x])  # as _covering_pairs gives them
-    _check_families(sheaf, basis._matrix._ints, basis._matrix._den, starts, pairs)
-    space = sheaf._section_cache[u] = SectionSpace(sheaf, U, basis, starts)
+    width = sum(map(dims.__getitem__, pts))
+    space = SectionSpace(sheaf, U, _basis(field, width, list(field.canonical(families)[0])))
+    _check_families(sheaf, space.basis._matrix._ints, space.basis._matrix._den, space.starts,
+                    _covering_pairs(sheaf, U))
+    sheaf._section_cache[u] = space
     return space
 
 
@@ -445,14 +439,17 @@ def _difference_rows(field, width: int, a: Matrix, i0: int, b: Matrix, j0: int) 
 
 def _block_starts(dims: Sequence[int], pts: Sequence[int]) -> tuple[dict[int, int], int]:
     """Where each point's block starts in a vector over `pts`, and its length."""
-    starts = list(accumulate([dims[x] for x in pts], initial=0))
-    return dict(zip(pts, starts)), starts[-1]
+    starts, width = {}, 0
+    for x in pts:
+        starts[x] = width
+        width += dims[x]
+    return starts, width
 
 
-def _covering_pairs(sheaf: CellularSheaf, mask: int) -> list[tuple[int, int]]:
-    """The covering pairs inside `mask`, in `hasse_edges` order."""
-    lower = sheaf._lower
-    return sorted((y, x) for x in iter_bits(mask) for y in lower[x] if mask >> y & 1)
+def _covering_pairs(sheaf: CellularSheaf, U: OpenSet) -> list[tuple[int, int]]:
+    """The covering pairs inside U, in `hasse_edges` order."""
+    lower, u = sheaf._lower, U.mask
+    return sorted((y, x) for x in U.sort_key()[1] for y in lower[x] if u >> y & 1)
 
 
 def _check_families(sheaf: CellularSheaf, families: Sequence, den: int,
@@ -746,7 +743,7 @@ class AxiomReport:
 
 def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], ...],
                  dim: int, maps: Sequence[Matrix], overlaps: Iterable[tuple],
-                 memo: dict | None = None, whole: bool = False) -> CoverCheck:
+                 memo: dict | None = None) -> CoverCheck:
     """Exactness of 0 -> F(U) --phi--> prod F(U_i) --psi--> prod F(U_i & U_j).
 
     `maps[i]` sends F(U), of dimension `dim`, to part i. Each overlap
@@ -762,10 +759,9 @@ def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], .
     a row of psi by a nonzero factor changes neither its rank nor whether
     psi phi = 0, and nothing else is asked of psi.
 
-    `whole` says that a part is U itself, whose map is the identity. phi
-    then holds an identity block, so its rank is `dim`, recorded on phi
-    without an elimination; psi's rank and the product test are still
-    computed.
+    When U is itself a part of the cover, its map is the identity, so phi
+    holds an identity block and its rank is `dim`, recorded on phi without
+    an elimination; psi's rank and the product test are still computed.
 
     The outcome is a function of `dim`, phi's int rows and psi's int rows
     alone (phi's denominator only scales phi), so it is looked up in
@@ -775,7 +771,7 @@ def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], .
     part_dims = [m.rows for m in maps]
     starts = list(accumulate(part_dims, initial=0))
     phi = vstack(field, dim, maps)
-    if whole:
+    if target in cover:
         phi._rank = dim
     rows = []
     for i, j, from_i, from_j in overlaps:
@@ -833,7 +829,7 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
                     overlaps.extend((i, j, a, b) for a, b in band)
                 checks.append(_check_cover(
                     sheaf.field, stars[pi], tuple(stars[i] for i in centers), dims[pi],
-                    [to_part[i] for i in centers], overlaps, memo, whole=True,
+                    [to_part[i] for i in centers], overlaps, memo,
                 ))
     return AxiomReport("basic-cover-exactness", checks)
 
@@ -898,6 +894,6 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
                 overlaps.append((i, j, *band))
             checks.append(_check_cover(
                 sheaf.field, U.sorted_members, tuple(by_mask[v].sorted_members for v in parts),
-                dim_U, [to_part[v] for v in parts], overlaps, memo, whole=u in drawn,
+                dim_U, [to_part[v] for v in parts], overlaps, memo,
             ))
     return AxiomReport("open-cover-exactness", checks)

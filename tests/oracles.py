@@ -33,7 +33,7 @@ from cellsheaf import (
     section_map,
     sections_over,
 )
-from cellsheaf.linalg import _basis
+from cellsheaf.linalg import _basis, _rref
 from cellsheaf.sheaf import _block_starts, _check_families, _covering_pairs, _difference_rows
 
 _ENTRY = re.compile(r"-?\d+(?:/\d+)?")
@@ -531,14 +531,36 @@ def sections_over_all_pairs(sheaf, U: OpenSet):
         sheaf, U, [(p, q) for p in pts for q in pts if sheaf.base.lt(p, q)])
 
 
+def kernel_basis_by_two_eliminations(m: Matrix):
+    """The canonical basis of the right kernel of m: the null vectors of
+    one elimination of m, one per free column, put in canonical form by a
+    second elimination."""
+    field = m.field
+    rows = list(m._ints)
+    pivots = _rref(field, rows, m.cols)
+    dens = [row[c] for row, c in zip(rows, pivots)]
+    common = lcm(*dens)
+    p = field.characteristic
+    vectors = []
+    for fc in sorted(set(range(m.cols)) - set(pivots)):
+        v = [0] * m.cols
+        v[fc] = common
+        for row, pc, den in zip(rows, pivots, dens):
+            if row[fc]:
+                x = -row[fc] * (common // den)
+                v[pc] = x % p if p else x
+        vectors.append(v)
+    return _basis(field, m.cols, vectors)
+
+
 def sections_over_three_eliminations(sheaf, U: OpenSet) -> SectionSpace:
     """The minimal-point solve of `sections_over` with three eliminations
-    and nothing cached: the equalizer on the minimal points of U is solved
-    by `kernel_basis`, which eliminates it and then puts its null vectors
-    in canonical form; that basis is expanded to all of U, and a third
-    elimination puts the families in canonical form. The families are
-    checked along the covering pairs of U, and the space is laid out from
-    the open."""
+    and nothing cached: the equalizer on the minimal points of U is
+    eliminated and its null vectors put in canonical form by a second
+    elimination (`kernel_basis_by_two_eliminations`); that basis is
+    expanded to all of U, and a third elimination puts the families in
+    canonical form. The families are checked along the covering pairs of
+    U, and the space is laid out from the open."""
     field, dims, restrict = sheaf.field, sheaf._dims, sheaf._restrict
     u = U.mask
     pts = U.sort_key()[1]
@@ -560,7 +582,8 @@ def sections_over_three_eliminations(sheaf, U: OpenSet) -> SectionSpace:
                 seen.add(o)
                 rows.extend(_difference_rows(
                     field, total, restrict(o, x), offs[o], A, offs[first]))
-    kernel = kernel_basis(Matrix._make(field, len(rows), total, *field.canonical(rows)))
+    kernel = kernel_basis_by_two_eliminations(
+        Matrix._make(field, len(rows), total, *field.canonical(rows)))
     families = []
     if kernel.dim:
         expand = {x: restrict(owner[x], x) for x in pts if owner[x] != x}
@@ -580,7 +603,7 @@ def sections_over_three_eliminations(sheaf, U: OpenSet) -> SectionSpace:
     families = list(field.canonical(families)[0])
     space = SectionSpace(sheaf, U, _basis(field, sum(map(dims.__getitem__, pts)), families))
     _check_families(sheaf, space.basis._matrix._ints, space.basis._matrix._den,
-                    _block_starts(dims, pts)[0], _covering_pairs(sheaf, u))
+                    _block_starts(dims, pts)[0], _covering_pairs(sheaf, U))
     return space
 
 

@@ -25,6 +25,7 @@ from oracles import (
     coordinates_by_field_ops,
     gauss_jordan,
     inverse_by_field_ops,
+    kernel_basis_by_two_eliminations,
     kernel_by_field_ops,
     product_by_field_ops,
     reduce_by_field_ops,
@@ -241,6 +242,18 @@ class TestKernel:
     @given(matrices())
     def test_rank_nullity(self, m):
         assert m.rank() + kernel_basis(m).dim == m.cols
+
+    @pytest.mark.parametrize("field", CORE_FIELDS, ids=lambda f: f.name)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_elimination_gives_the_canonical_null_vectors(self, field, data):
+        # the reversed-column elimination against the null vectors of a
+        # forward elimination put in canonical form by a second one
+        rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 6))
+        m = Matrix(field, rows, cols, data.draw(field_rows(field, rows, cols)))
+        got, want = kernel_basis(m), kernel_basis_by_two_eliminations(m)
+        assert got == want and got.pivots() == want.pivots()
+        assert_canonical(got._matrix, want.rows)
 
     @settings(max_examples=60, deadline=None)
     @given(matrices())

@@ -424,13 +424,13 @@ class TestMinimalPointSolve:
     def test_matches_both_oracles_on_a_smaller_system(self, base, field, seed):
         sheaf = random_sheaf(random.Random(seed), base, field=field)
         solved = []
-        production = cellsheaf.sheaf._null_vectors
+        production = cellsheaf.sheaf.kernel_basis
 
         def recording(m):
             solved.append(m)
             return production(m)
 
-        cellsheaf.sheaf._null_vectors = recording
+        cellsheaf.sheaf.kernel_basis = recording
         try:
             for U in enumerate_opens(base):
                 solved.clear()
@@ -445,7 +445,7 @@ class TestMinimalPointSolve:
                                  if p in U.members and q in U.members)
                 assert m.rows <= cover_rows
         finally:
-            cellsheaf.sheaf._null_vectors = production
+            cellsheaf.sheaf.kernel_basis = production
 
     @settings(max_examples=100, deadline=None)
     @given(posets(max_n=7, shuffled=True), st.integers(0, 2**32 - 1))
@@ -560,7 +560,7 @@ class TestLoweredSectionSpaces:
         check = functools.partial(
             cellsheaf.sheaf._check_families, sheaf, space.basis._matrix._ints,
             space.basis._matrix._den, space.starts,
-            cellsheaf.sheaf._covering_pairs(sheaf, U.mask))
+            cellsheaf.sheaf._covering_pairs(sheaf, U))
         if message is None:
             check()
         else:
@@ -627,7 +627,7 @@ class TestSolveAgainstThreeEliminations:
                 sections_over(sheaf, U)
                 assert calls == [(basis._matrix._ints,
                                   cellsheaf.sheaf._block_starts(sheaf._dims, U.sort_key()[1])[0],
-                                  cellsheaf.sheaf._covering_pairs(sheaf, U.mask))]
+                                  cellsheaf.sheaf._covering_pairs(sheaf, U))]
 
     def test_a_family_leaving_the_target_space_raises(self):
         # sections over {b, c} of the constant chain a < b < c agree at b and
