@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from math import lcm
 
 from .errors import DocumentError
-from .linalg import Matrix, field_from_name
+from .linalg import _INTEGER, Matrix, field_from_name
 from .morphism import SheafMorphism, build_morphism
 from .order import PreOrder, as_poset, build_preorder, hasse_edges
 from .sheaf import CellularSheaf, build_sheaf
@@ -206,6 +206,16 @@ def parse_document(text: str) -> SheafDocument:
     sheaf_specs: dict[str, SheafSpec] = {}
     open_specs: dict[str, OpenSpec] = {}
     morphism_specs: dict[str, MorphismSpec] = {}
+    # each distinct literal text is read once: a repeat shares the rows of
+    # the first use and keeps its own line
+    literals: dict[str, MatrixLiteral] = {}
+
+    def literal(value: str, line: int) -> MatrixLiteral:
+        first = literals.get(value)
+        if first is None:
+            first = literals[value] = _parse_matrix_value(value, line)
+            return first
+        return MatrixLiteral(first.kind, first.rows, line)
 
     for kind, label, header_line, entries in blocks:
         if kind == "poset":
@@ -247,6 +257,8 @@ def parse_document(text: str) -> SheafDocument:
                     if el in spec.dims:
                         raise DocumentError(f"duplicate dim for {el!r}", lineno)
                     try:
+                        if not _INTEGER.fullmatch(value):
+                            raise ValueError
                         d = int(value)
                     except ValueError:
                         raise DocumentError("dimension must be an integer", lineno)
@@ -264,7 +276,7 @@ def parse_document(text: str) -> SheafDocument:
                     if edge in spec.maps:
                         raise DocumentError(
                             f"duplicate map for {a}->{b}", lineno)
-                    spec.maps[edge] = _parse_matrix_value(value, lineno)
+                    spec.maps[edge] = literal(value, lineno)
                 else:
                     raise DocumentError(f"unknown key {key!r} in [sheaf]", lineno)
             sheaf_specs[name] = spec
@@ -313,7 +325,7 @@ def parse_document(text: str) -> SheafDocument:
                         _check_ident(el, lineno)
                     if el in spec_m.maps:
                         raise DocumentError(f"duplicate map for {el!r}", lineno)
-                    spec_m.maps[el] = _parse_matrix_value(value, lineno)
+                    spec_m.maps[el] = literal(value, lineno)
                 else:
                     raise DocumentError(f"unknown key {key!r} in [morphism]", lineno)
             morphism_specs[name] = spec_m
@@ -421,6 +433,10 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
         except ValueError as exc:
             raise DocumentError(f"--field: {exc}") from None
     sheaves: dict[str, CellularSheaf] = {}
+    # field -> {(kind, literal rows, rows, cols): Matrix}: a literal becomes
+    # a matrix once per field and shape, as a use at a shape already made
+    # passes the same checks. A matrix is immutable, so maps may share it
+    matrices: dict = {}
     edges = hasse_edges(poset) if doc.sheaf_specs else []
     edge_set = set(edges)
     for name, spec in doc.sheaf_specs.items():
@@ -443,6 +459,7 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
                     lit.line,
                 )
         edge_maps = {}
+        made = matrices.setdefault(field, {})
         for p, q in edges:
             lit = spec.maps.get((p, q))
             if lit is None:
@@ -450,8 +467,11 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
                     continue
                 raise DocumentError(
                     f"sheaf {name!r} is missing `map {p}->{q}`", spec.line)
-            edge_maps[(p, q)] = _realize_matrix(
-                lit, field, dims[q], dims[p], f"{p}->{q}")
+            key = (lit.kind, lit.rows, dims[q], dims[p])
+            m = made.get(key)
+            if m is None:
+                m = made[key] = _realize_matrix(lit, field, dims[q], dims[p], f"{p}->{q}")
+            edge_maps[(p, q)] = m
         sheaves[name] = build_sheaf(poset, dims, edge_maps, field)
 
     opens: dict[str, OpenSet] = {}
@@ -479,6 +499,7 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
                 spec_m.line,
             )
         components = {}
+        made = matrices.setdefault(src.field, {})
         # both sheaves live on `poset`, so their dims are in carrier order
         for el, rows, cols in zip(poset.elements, tgt._dims, src._dims):
             lit = spec_m.maps.get(el)
@@ -488,8 +509,12 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
                     continue
                 raise DocumentError(
                     f"morphism {name!r} is missing `map {el}`", spec_m.line)
-            components[el] = _realize_matrix(
-                lit, src.field, rows, cols, f"morphism map at {el}")
+            key = (lit.kind, lit.rows, rows, cols)
+            m = made.get(key)
+            if m is None:
+                m = made[key] = _realize_matrix(
+                    lit, src.field, rows, cols, f"morphism map at {el}")
+            components[el] = m
         morphisms[name] = build_morphism(src, tgt, components)
         morphism_ends[name] = (spec_m.source, spec_m.target)
     return RealizedDocument(poset, sheaves, opens, morphisms, morphism_ends)

@@ -26,6 +26,7 @@ the int rows with `entry_text`, making no field value to print.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -194,6 +195,9 @@ class FpElement:
 # for every n below this bound (Sorenson & Webster, 2015).
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+# an integer written as a matrix entry is (a prime, a dimension): `int`
+# alone would also take a `+` sign and `_` between digits
+_INTEGER = re.compile(r"-?\d+")
 
 
 def _is_prime(n: int) -> bool:
@@ -290,11 +294,12 @@ def field_from_name(name: str):
     tag = name.strip().lower()
     if tag == "q":
         return QQ
-    if tag.startswith("fp:"):
+    digits = tag[3:].strip()
+    if tag.startswith("fp:") and _INTEGER.fullmatch(digits):
         try:
-            p = int(tag[3:])
+            p = int(digits)
         except ValueError:
-            if tag[3:].strip().isdecimal():  # past the interpreter's digit limit
+            if digits.isdecimal():  # past the interpreter's digit limit
                 raise ValueError(f"prime fields need p below {PRIME_BOUND}") from None
         else:
             return PrimeField(p)

@@ -14,6 +14,7 @@ from math import lcm
 from operator import mul
 
 from cellsheaf import (
+    DocumentError,
     FunctorialityError,
     Matrix,
     MonotoneMap,
@@ -23,7 +24,11 @@ from cellsheaf import (
     QQ,
     SectionSpace,
     ValidationError,
+    as_poset,
+    build_morphism,
+    build_sheaf,
     enumerate_opens,
+    field_from_name,
     hasse_edges,
     is_open,
     kernel_basis,
@@ -82,6 +87,82 @@ def matrix_literal_by_walk(text: str) -> tuple[str, tuple]:
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("matrix rows have differing lengths")
     return "rows", tuple(rows)
+
+
+def realize_by_literal(doc, text: str, field_override: str | None = None):
+    """(sheaves, morphisms) of a parsed document, each matrix read afresh
+    from the text of its own line and realized on its own, as `realize`
+    did before a repeated literal was read once. Written for documents that
+    give every dimension, map every covering pair and declare no open."""
+    lines = text.splitlines()
+    poset = as_poset(doc.preorder)
+    edges = hasse_edges(poset)
+    override = None if field_override is None else field_from_name(field_override)
+
+    def matrix(lit, field, rows, cols, edge_desc):
+        _, _, value = lines[lit.line - 1].partition("#")[0].partition("=")
+        kind, data = matrix_literal_by_walk(value)
+        return realize_matrix_by_literal(kind, data, field, rows, cols, edge_desc, lit.line)
+
+    sheaves = {}
+    for name, spec in doc.sheaf_specs.items():
+        field = override if override is not None else field_from_name(spec.field_name or "q")
+        dims = {el: d for el, (d, _) in spec.dims.items()}
+        sheaves[name] = build_sheaf(poset, dims, {
+            (p, q): matrix(spec.maps[p, q], field, dims[q], dims[p], f"{p}->{q}")
+            for p, q in edges}, field)
+    morphisms = {}
+    for name, spec in doc.morphism_specs.items():
+        src, tgt = sheaves[spec.source], sheaves[spec.target]
+        if src.field != tgt.field:
+            raise DocumentError(
+                f"morphism {name!r} mixes fields {src.field.name} and {tgt.field.name}",
+                spec.line)
+        morphisms[name] = build_morphism(src, tgt, {
+            el: matrix(spec.maps[el], src.field, tgt.dim(el), src.dim(el),
+                       f"morphism map at {el}")
+            for el in poset.elements})
+    return sheaves, morphisms
+
+
+def realize_matrix_by_literal(kind: str, data: tuple, field, rows: int, cols: int,
+                              edge_desc: str, line: int) -> Matrix:
+    """One matrix use of a document, shape-checked and read entry by entry
+    as (numerator, denominator): over Q the rows over the lcm of the
+    denominators, over GF(p) the residues n * d^-1."""
+    if kind == "id":
+        if rows != cols:
+            raise DocumentError(
+                f"`id` needs equal dimensions for {edge_desc} ({rows} vs {cols})", line)
+        return Matrix.identity(field, rows)
+    if kind == "zero":
+        return Matrix.zeros(field, rows, cols)
+    got_rows, got_cols = len(data), len(data[0]) if data else 0
+    if got_rows != rows or (rows > 0 and got_cols != cols):
+        raise DocumentError(
+            f"matrix for {edge_desc} is {got_rows}x{got_cols}, expected {rows}x{cols}", line)
+    p = field.characteristic
+    entries = []
+    for row in data:
+        entries.append([])
+        for tok in row:
+            num, _, den = tok.partition("/")
+            try:
+                num, den = int(num), int(den or 1)
+            except ValueError:
+                raise DocumentError(
+                    f"entry {tok[:12]}... has too many digits ({len(tok)} characters)",
+                    line) from None
+            if not (den % p if p else den):
+                raise DocumentError(f"entry {tok!r} divides by zero in {field!r}", line)
+            entries[-1].append((num, den))
+    if p:
+        den = 1
+        ints = [[n * pow(d, -1, p) for n, d in row] for row in entries]
+    else:
+        den = lcm(*[d for row in entries for _, d in row])
+        ints = [[n * (den // d) for n, d in row] for row in entries]
+    return Matrix._make(field, rows, cols, *field.canonical(ints, den))
 
 
 def closure_by_table(elements, pairs) -> list[list[bool]]:

@@ -33,6 +33,9 @@ def fixture(name):
 BAD_MODULI = [
     ("fp:x", "fp:x", "unknown field 'fp:x' (expected 'q' or 'fp:<prime>')"),
     ("fp:", "fp:", "unknown field 'fp:' (expected 'q' or 'fp:<prime>')"),
+    # `int` reads both, but a prime is written as an integer matrix entry is
+    ("underscores", "fp:1_0_1", "unknown field 'fp:1_0_1' (expected 'q' or 'fp:<prime>')"),
+    ("plus sign", "fp:+7", "unknown field 'fp:+7' (expected 'q' or 'fp:<prime>')"),
     ("5000 digits", "fp:" + "7" * 5000, f"prime fields need p below {PRIME_BOUND}"),
     ("5000 letters", "fp:" + "x" * 5000,
      "unknown field 'fp:xxxxxxxxxxxxxxxxxxxxx'... (expected 'q' or 'fp:<prime>')"),

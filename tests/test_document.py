@@ -10,20 +10,25 @@ from cellsheaf import (
     DocumentError,
     FunctorialityError,
     Matrix,
+    MorphismFlags,
     NotAntisymmetricError,
     PrimeField,
     QQ,
+    ValidationError,
+    build_morphism,
+    classify,
     parse_document,
     parse_text,
     realize,
     render_document,
 )
 
+from cellsheaf import document
 from cellsheaf.document import _parse_matrix_value
 from cellsheaf.linalg import PRIME_BOUND
 
 from helpers import FIXTURES
-from oracles import matrix_literal_by_walk
+from oracles import matrix_literal_by_walk, realize_by_literal
 
 
 def load(name):
@@ -287,6 +292,14 @@ class TestParseErrors:
         kind = block[1:-1].split()[0]
         assert str(err.value) == f"line 5: duplicate key {key!r} in [{kind}]"
 
+    @pytest.mark.parametrize("value", ["1_0", "+1"])
+    def test_dimension_is_written_as_an_integer_entry_is(self, value):
+        # `int` reads both; the matrix entry [[1_0]] is refused too
+        text = f"[poset]\nelements = a\n[sheaf]\ndim a = 2\n[sheaf other]\ndim a = {value}\n"
+        with pytest.raises(DocumentError) as err:
+            parse_document(text)
+        assert str(err.value) == "line 6: dimension must be an integer"
+
     def test_open_needs_exactly_one_of_stars_or_members(self):
         with pytest.raises(DocumentError):
             parse_text("[poset]\nelements = a\n[sheaf]\ndim a = 1\n[open U]\n")
@@ -453,6 +466,157 @@ class TestRealizeEntries:
         expected = Matrix.build(field, tokens)
         assert got == expected
         assert got.data == expected.data
+
+
+# two forests: every pair of points has at most one chain between them,
+# so any maps are functorial
+_SHARING_POSETS = [
+    (["a", "b", "c", "d", "e"], [("a", "c"), ("b", "c"), ("c", "d"), ("c", "e")]),
+    (["a", "b", "c"], [("a", "b"), ("b", "c")]),
+]
+# a small alphabet of literals by shape, so that texts repeat; the `/5` and
+# `/7` entries have no value under fp:5 and fp:7
+_SHARED_LITERALS = {
+    (1, 1): ["[[1]]", "[[2]]", "[[-1/2]]", "[[1/5]]", "id", "zero"],
+    (1, 2): ["[[1, 0]]", "[[0, 1]]", "[[2, 1/7]]"],
+    (2, 1): ["[[1], [0]]", "[[1], [1]]", "[[3/5], [1]]"],
+    (2, 2): ["[[1, 0], [0, 1]]", "[[0, 1], [1, 0]]", "[[1, 1/2], [0, 1]]",
+             "[[5/7, 0], [0, 1]]", "id", "zero"],
+}
+_ANY_LITERAL = sorted({lit for lits in _SHARED_LITERALS.values() for lit in lits})
+# a scalar c as the literals of c times the identity in dims 1 and 2: a
+# morphism of c at every point is natural
+_SCALARS = {
+    "1": (["id", "[[1]]"], ["id", "[[1, 0], [0, 1]]"]),
+    "2": (["[[2]]"], ["[[2, 0], [0, 2]]"]),
+    "1/5": (["[[1/5]]"], ["[[1/5, 0], [0, 1/5]]"]),
+}
+
+
+@st.composite
+def shared_literal_documents(draw):
+    """Two sheaves on one forest and a morphism of the first to itself, each
+    map drawn from a few literals: mostly of the right shape, now and then
+    any one; the morphism is one scalar at every point, with now and then
+    any literal at a point instead."""
+    elements, pairs = draw(st.sampled_from(_SHARING_POSETS))
+
+    def literal(shape):
+        if draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from(_ANY_LITERAL))
+        return draw(st.sampled_from(_SHARED_LITERALS[shape]))
+
+    dims = st.fixed_dictionaries({el: st.integers(1, 2) for el in elements})
+    main_dims = draw(dims)
+    lines = ["[poset]", "elements = " + " ".join(elements),
+             "relation = " + " ".join(f"{a}<{b}" for a, b in pairs)]
+    for header, field, ds in [("[sheaf]", None, main_dims),
+                              ("[sheaf other]", draw(st.sampled_from(["q", "fp:5", "fp:7"])),
+                               draw(dims))]:
+        lines.append(header)
+        if field is not None:
+            lines.append(f"field = {field}")
+        lines += [f"dim {el} = {ds[el]}" for el in elements]
+        lines += [f"map {a}->{b} = {literal((ds[b], ds[a]))}" for a, b in pairs]
+    scalar = _SCALARS[draw(st.sampled_from(sorted(_SCALARS)))]
+    lines.append("[morphism f]")
+    for el in elements:
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(f"map {el} = {draw(st.sampled_from(_ANY_LITERAL))}")
+        else:
+            lines.append(f"map {el} = {draw(st.sampled_from(scalar[main_dims[el] - 1]))}")
+    return "\n".join(lines) + "\n"
+
+
+class TestSharedLiterals:
+    @settings(max_examples=400, deadline=None)
+    @given(shared_literal_documents(), st.sampled_from([None, "fp:5", "fp:7"]))
+    def test_realizes_as_each_use_on_its_own(self, text, override):
+        doc = parse_document(text)
+        try:
+            sheaves, morphisms = realize_by_literal(doc, text, override)
+        except (DocumentError, ValidationError) as exc:
+            with pytest.raises(type(exc)) as err:
+                realize(doc, override)
+            assert type(err.value) is type(exc)
+            assert str(err.value) == str(exc)
+            assert getattr(err.value, "line", None) == getattr(exc, "line", None)
+            return
+        realized = realize(doc, override)
+        assert realized.sheaves == sheaves
+        assert realized.morphisms == morphisms
+
+    @staticmethod
+    def count_misses(monkeypatch) -> list:
+        """The fields of the matrices `realize` makes from literals."""
+        fields = []
+        make = document._realize_matrix
+
+        def counted(lit, field, *rest):
+            fields.append(field)
+            return make(lit, field, *rest)
+
+        monkeypatch.setattr(document, "_realize_matrix", counted)
+        return fields
+
+    CHAIN = ("[poset]\nelements = p0 p1 p2 p3 p4 p5\n"
+             "relation = p0<p1 p1<p2 p2<p3 p3<p4 p4<p5\n")
+
+    def sheaf_block(self, header, field, literal):
+        return (f"{header}\nfield = {field}\n"
+                + "".join(f"dim p{i} = 2\n" for i in range(6))
+                + "".join(f"map p{i}->p{i + 1} = {literal}\n" for i in range(5)))
+
+    def test_a_literal_used_k_times_is_realized_once(self, monkeypatch):
+        misses = self.count_misses(monkeypatch)
+        doc = parse_document(self.CHAIN + self.sheaf_block("[sheaf]", "q", "[[1, 1/2], [0, 1]]"))
+        uses = list(doc.sheaf_specs["main"].maps.values())
+        assert [lit.line for lit in uses] == [12, 13, 14, 15, 16]
+        assert all(lit.rows is uses[0].rows for lit in uses)
+        realized = realize(doc)
+        assert misses == [QQ]
+        sheaf = realized.sheaves["main"]
+        maps = [sheaf.restriction(f"p{i}", f"p{i + 1}") for i in range(5)]
+        assert all(m is maps[0] for m in maps)
+        assert maps[0] == Matrix.build(QQ, [[1, Fraction(1, 2)], [0, 1]])
+
+    def test_the_same_text_is_realized_once_per_field(self, monkeypatch):
+        misses = self.count_misses(monkeypatch)
+        literal = "[[2, 3], [0, 1]]"
+        text = self.CHAIN + "".join(
+            self.sheaf_block(header, field, literal)
+            for header, field in [("[sheaf]", "q"), ("[sheaf s5]", "fp:5"),
+                                  ("[sheaf t5]", "fp:5"), ("[sheaf s7]", "fp:7")])
+        realized = parse_text(text)
+        assert misses == [QQ, PrimeField(5), PrimeField(7)]
+        for name, field in [("main", QQ), ("s5", PrimeField(5)), ("s7", PrimeField(7))]:
+            got = realized.sheaves[name].restriction("p0", "p1")
+            assert got == Matrix.build(field, [[2, 3], [0, 1]])
+        misses.clear()
+        parse_text(text, field_override="fp:7")
+        assert misses == [PrimeField(7)]
+
+    def test_an_empty_literal_keeps_the_width_of_each_use(self):
+        text = ("[poset]\nelements = a b c\nrelation = a<c b<c\n[sheaf]\n"
+                "dim a = 1\ndim b = 2\ndim c = 0\nmap a->c = []\nmap b->c = []\n")
+        sheaf = parse_text(text).sheaves["main"]
+        assert sheaf.restriction("a", "c") == Matrix.zeros(QQ, 0, 1)
+        assert sheaf.restriction("b", "c") == Matrix.zeros(QQ, 0, 2)
+
+    @pytest.mark.parametrize("component, flags", [
+        ("[[0, 1], [1, 0]]", (True, True, True)),
+        ("[[1, 0], [0, 0]]", (False, False, False)),
+    ])
+    def test_shared_components_classify_as_copies_do(self, component, flags):
+        text = (self.CHAIN + self.sheaf_block("[sheaf]", "q", "[[1, 0], [0, 1]]")
+                + "[morphism f]\n" + "".join(f"map p{i} = {component}\n" for i in range(6)))
+        shared = parse_text(text).morphisms["f"]
+        first = shared.components["p0"]
+        assert all(m is first for m in shared.components.values())
+        copies = build_morphism(shared.source, shared.target, {
+            el: Matrix.build(QQ, m.data) for el, m in shared.components.items()})
+        assert len({id(m) for m in copies.components.values()}) == 6
+        assert classify(shared) == classify(copies) == MorphismFlags(*flags)
 
 
 class TestSemanticFailures:
