@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .document import (
@@ -158,16 +159,15 @@ def _resolve_open(realized: RealizedDocument, spec: str) -> OpenSet:
     if plain and (stars or named):
         raise DocumentError(
             "--open mixes an explicit member list with star:/set: items")
-    if plain:
-        for x in plain:
-            poset.index(x)
-        return OpenSet(poset, frozenset(plain))
-    members = union_of_stars(poset, stars).members
+    if plain:  # checked for up-closure, its first unknown member named
+        return OpenSet(poset, plain)
+    # a union of opens is open
+    mask = union_of_stars(poset, stars).mask
     for name in named:
         if name not in realized.opens:
             raise DocumentError(f"document defines no open named {name!r}")
-        members |= realized.opens[name].members
-    return OpenSet(poset, members)
+        mask |= realized.opens[name].mask
+    return OpenSet._trusted(poset, mask)
 
 
 def cmd_sections(report: Report, args) -> None:
@@ -293,7 +293,9 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command. A semantic failure is recorded on the command's
     report as the failed check its error names and exits 1; malformed input
-    exits 2 with a report that holds only the error."""
+    exits 2 with a report that holds only the error. When the reader of
+    standard output has gone, the rest of the report is dropped and the
+    exit code is the report's own."""
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser(argv).parse_args(argv)
@@ -305,7 +307,12 @@ def main(argv: list[str] | None = None) -> int:
         report.error = str(exc)
     except CellSheafError as exc:
         report.check(exc.check, False, str(exc))
-    report.emit(args.json)
+    try:
+        report.emit(args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout is flushed again at exit: to devnull, that flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 2 if report.error is not None else 0 if report.ok else 1
 
 

@@ -102,6 +102,17 @@ def _check_ident(token: str, line: int) -> str:
     return token
 
 
+def _block_name(kind: str, label: str | None, default: str | None, taken, line: int) -> str:
+    """The name of a `[kind NAME]` block, `default` if none is given: a
+    checked identifier that no earlier block of its kind has taken."""
+    if label is None and default is None:
+        raise DocumentError(f"[{kind}] blocks need a name", line)
+    name = _check_ident(default if label is None else label, line)
+    if name in taken:
+        raise DocumentError(f"duplicate {kind} {name!r}", line)
+    return name
+
+
 def _split_pair(token: str, known: set, line: int) -> tuple[str, str]:
     if "<=" in token:
         a, b = token.split("<=", 1)
@@ -239,10 +250,7 @@ def parse_document(text: str) -> SheafDocument:
             if not elements:
                 raise DocumentError("[poset] must list elements", header_line)
         elif kind == "sheaf":
-            name = label if label is not None else MAIN_SHEAF
-            _check_ident(name, header_line)
-            if name in sheaf_specs:
-                raise DocumentError(f"duplicate sheaf {name!r}", header_line)
+            name = _block_name(kind, label, MAIN_SHEAF, sheaf_specs, header_line)
             spec = SheafSpec(name, header_line)
             seen: set[str] = set()
             for key, value, lineno in entries:
@@ -281,11 +289,7 @@ def parse_document(text: str) -> SheafDocument:
                     raise DocumentError(f"unknown key {key!r} in [sheaf]", lineno)
             sheaf_specs[name] = spec
         elif kind == "open":
-            if label is None:
-                raise DocumentError("[open] blocks need a name", header_line)
-            name = _check_ident(label, header_line)
-            if name in open_specs:
-                raise DocumentError(f"duplicate open {name!r}", header_line)
+            name = _block_name(kind, label, None, open_specs, header_line)
             spec_o = OpenSpec(name, header_line)
             seen = set()
             for key, value, lineno in entries:
@@ -304,11 +308,7 @@ def parse_document(text: str) -> SheafDocument:
                 )
             open_specs[name] = spec_o
         elif kind == "morphism":
-            if label is None:
-                raise DocumentError("[morphism] blocks need a name", header_line)
-            name = _check_ident(label, header_line)
-            if name in morphism_specs:
-                raise DocumentError(f"duplicate morphism {name!r}", header_line)
+            name = _block_name(kind, label, None, morphism_specs, header_line)
             spec_m = MorphismSpec(name, header_line)
             seen = set()
             for key, value, lineno in entries:

@@ -73,36 +73,34 @@ class NotOpenError(ValidationError):
         )
 
 
-class FunctorialityError(ValidationError):
+class SquareError(ValidationError):
+    """A square of matrices from `low` to `high` whose two products, `left`
+    and `right`, differ; each subclass words the failure in `template`."""
+
+    template = ""
+
+    def __init__(self, low: str, high: str, left, right):
+        self.low = low
+        self.high = high
+        self.left = left
+        self.right = right
+        super().__init__(self.template.format(low=low, high=high, left=left, right=right))
+
+
+class FunctorialityError(SquareError):
     """Two chains between the same pair compose to different matrices."""
 
     check = "functoriality"
-
-    def __init__(self, low: str, high: str, left, right):
-        self.low = low
-        self.high = high
-        self.left = left
-        self.right = right
-        super().__init__(
-            f"restriction maps from {low} to {high} disagree along different chains:"
-            f" {left} vs {right}"
-        )
+    template = ("restriction maps from {low} to {high} disagree along different chains:"
+                " {left} vs {right}")
 
 
-class NaturalityError(ValidationError):
+class NaturalityError(SquareError):
     """A morphism component square fails to commute on a covering pair."""
 
     check = "naturality"
-
-    def __init__(self, low: str, high: str, left, right):
-        self.low = low
-        self.high = high
-        self.left = left
-        self.right = right
-        super().__init__(
-            f"component maps do not commute with restrictions on {low} <= {high}:"
-            f" {left} vs {right}"
-        )
+    template = ("component maps do not commute with restrictions on {low} <= {high}:"
+                " {left} vs {right}")
 
 
 class GlueConflictError(ValidationError):

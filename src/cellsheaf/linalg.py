@@ -403,17 +403,15 @@ class Matrix:
                             *self.field.canonical(out, self._den * den))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError("shape mismatch in addition")
-        return self._combine(other, 1)
+        return self._combine(other, 1, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError("shape mismatch in subtraction")
-        return self._combine(other, -1)
+        return self._combine(other, -1, "subtraction")
 
-    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+    def _combine(self, other: "Matrix", sign: int, what: str) -> "Matrix":
         """self + sign * other, over the lcm of the two denominators."""
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ShapeError(f"shape mismatch in {what}")
         d, e = self._den, other._den
         common = lcm(d, e)
         s, t = common // d, sign * (common // e)
@@ -734,6 +732,20 @@ def is_exact_at(f: Matrix, g: Matrix) -> bool:
     return f.rank() + g.rank() == g.cols
 
 
+def _products_agree(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
+    """Whether a @ b == c @ d, with no product made: each side's int dot
+    products are cross-multiplied by the other side's denominator (mod p)."""
+    p = a.field.characteristic
+    s, t = c._den * d._den, a._den * b._den
+    b_columns, d_columns = b._columns()[0], d._columns()[0]
+    for a_row, c_row in zip(a._ints, c._ints):
+        for b_col, d_col in zip(b_columns, d_columns):
+            diff = s * sum(map(mul, a_row, b_col)) - t * sum(map(mul, c_row, d_col))
+            if diff % p if p else diff:
+                return False
+    return True
+
+
 def vstack(field, cols: int, blocks: Sequence[Matrix]) -> Matrix:
     """The blocks, each with `cols` columns, stacked top to bottom.
 
@@ -751,3 +763,22 @@ def vstack(field, cols: int, blocks: Sequence[Matrix]) -> Matrix:
         s = common // blk._den
         rows.extend(blk._ints if s == 1 else (tuple(s * x for x in row) for row in blk._ints))
     return Matrix._make(field, len(rows), cols, tuple(rows), common)
+
+
+def _map_blocks(families: Iterable[Sequence[int]], blocks: Sequence[tuple]) -> tuple[list, int]:
+    """(images, L): block (start, width, m) of an int family's image is m on
+    the family's `width` entries at `start` (copied if m is None), scaled to
+    L, the lcm of the maps' denominators; the caller reduces mod p."""
+    common = lcm(*[m._den for _, _, m in blocks if m is not None])
+    images = []
+    for vec in families:
+        image: list = []
+        for start, width, m in blocks:
+            value = vec[start: start + width]
+            if m is None:
+                image.extend(value if common == 1 else [common * v for v in value])
+            else:
+                scale = common // m._den
+                image.extend([scale * sum(map(mul, row, value)) for row in m._ints])
+        images.append(image)
+    return images, common

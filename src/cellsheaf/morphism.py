@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import lcm
-from operator import mul
 from typing import Mapping
 
 from .errors import NaturalityError, ShapeError, ValidationError
-from .linalg import Matrix
+from .linalg import Matrix, _map_blocks, _products_agree
 from .sheaf import (
     CellularSheaf,
     DirectLimitStalk,
@@ -86,21 +84,6 @@ def build_morphism(source: CellularSheaf, target: CellularSheaf,
     return SheafMorphism(source, target, components)
 
 
-def _products_agree(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:
-    """Whether a @ b == c @ d, on ints and with no product made: each int
-    dot product of one side is cross-multiplied by the other side's
-    denominator, and over GF(p) the two are compared mod p."""
-    p = a.field.characteristic
-    s, t = c._den * d._den, a._den * b._den
-    b_columns, d_columns = b._columns()[0], d._columns()[0]
-    for a_row, c_row in zip(a._ints, c._ints):
-        for b_col, d_col in zip(b_columns, d_columns):
-            diff = s * sum(map(mul, a_row, b_col)) - t * sum(map(mul, c_row, d_col))
-            if diff % p if p else diff:
-                return False
-    return True
-
-
 def identity_morphism(sheaf: CellularSheaf) -> SheafMorphism:
     return build_morphism(sheaf, sheaf, {
         p: Matrix.identity(sheaf.field, sheaf.dim(p)) for p in sheaf.base.elements
@@ -130,18 +113,10 @@ def section_map(morphism: SheafMorphism, U: OpenSet) -> Matrix:
         return cached
     src_space = sections_over(morphism.source, U)
     tgt_space = sections_over(morphism.target, U)
-    elements = morphism.source.base.elements
-    blocks = [(off, morphism.components[elements[x]]) for x, off in src_space.starts.items()]
-    common = lcm(*[m._den for _, m in blocks])
+    dims, elements = morphism.source._dims, morphism.source.base.elements
     basis = src_space.basis._matrix
-    images = []
-    for row in basis._ints:
-        image: list = []
-        for off, m in blocks:
-            value = row[off: off + m.cols]
-            scale = common // m._den
-            image.extend([scale * sum(map(mul, m_row, value)) for m_row in m._ints])
-        images.append(image)
+    images, common = _map_blocks(basis._ints, [
+        (off, dims[x], morphism.components[elements[x]]) for x, off in src_space.starts.items()])
     target = tgt_space.basis
     columns = target._coordinates_at(images, range(target.ambient_dim))
     result = morphism._section_maps[U.mask] = Matrix._of_columns(
@@ -164,16 +139,13 @@ def stalk_map_direct_limit(morphism: SheafMorphism, p: str,
     field = morphism.source.field
     nbhd = src_limit.neighbourhoods
     starts = [src_limit.offsets[U.mask] for U in nbhd]
-    section_maps = {}  # by neighbourhood, as one may hold several free columns
     columns = []
     for free_col in src_limit.free_columns:
         # the one neighbourhood whose block holds the column: the last to
         # start at or before it, as a block of dimension 0 holds nothing
         k = bisect_right(starts, free_col) - 1
         U = nbhd[k]
-        if k not in section_maps:
-            section_maps[k] = section_map(morphism, U)._columns()
-        section_columns, den = section_maps[k]
+        section_columns, den = section_map(morphism, U)._columns()
         image = field.lift((section_columns[free_col - starts[k]],), den)[0]
         big_tgt = [field.zero] * tgt_limit.total
         off_tgt = tgt_limit.offsets[U.mask]  # each neighbourhood has its own block

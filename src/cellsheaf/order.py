@@ -23,6 +23,14 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def linear_extension(down: Sequence[int]) -> list[int]:
+    """The points of a preorder by (|down-set|, index), from its `_down` rows:
+    a linear extension, as x < y strictly makes down(x) a proper part of
+    down(y). A class shares one down-set, so its first-listed point leads."""
+    sizes = [row.bit_count() for row in down]
+    return sorted(range(len(sizes)), key=sizes.__getitem__)
+
+
 class PreOrder:
     """A reflexive, transitive relation on a finite ordered carrier.
 
@@ -351,11 +359,8 @@ def _covers(up: Sequence[int], down: Sequence[int], points: Iterable[int]) -> li
     ands per cover: no step walks the bits of the relation.
     """
     n = len(up)
-    # a point strictly below another has the smaller down-set, so the points
-    # ranked by down-set size are a linear extension; points of one class
-    # have one down-set, so the stable sort ranks them in carrier order.
-    # prefix[k] is the mask of the first k ranked points
-    ranked = sorted(range(n), key=lambda i: down[i].bit_count())
+    # prefix[k] is the mask of the first k points of the linear extension
+    ranked = linear_extension(down)
     prefix = [0] * (n + 1)
     for k, i in enumerate(ranked):
         prefix[k + 1] = prefix[k] | 1 << i

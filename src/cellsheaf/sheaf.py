@@ -37,11 +37,13 @@ from .linalg import (
     QQ,
     SubspaceBasis,
     _basis,
+    _map_blocks,
+    _products_agree,
     is_exact_at,
     kernel_basis,
     vstack,
 )
-from .order import Poset, as_poset, hasse_edges, iter_bits
+from .order import Poset, as_poset, hasse_edges, iter_bits, linear_extension
 from .topology import (
     DEFAULT_MAX_ELEMENTS,
     OpenSet,
@@ -59,8 +61,8 @@ class CellularSheaf:
     lower covers, and the memo of `_restrict` is keyed by index pairs. The
     matrix for any other pair p <= q is derived when first asked for and
     memoised, as are section spaces and restriction matrices. `_order`, the
-    points by (|down-set|, index), is the one linear extension that the
-    chain check and the section solve visit. Names are only for the public
+    base's `linear_extension`, is the order in which the chain check and
+    the section solve visit the points. Names are only for the public
     arguments, messages and reports.
     """
 
@@ -80,8 +82,7 @@ class CellularSheaf:
         self._lower: list[list[int]] = [[] for _ in base.elements]
         for p, q in self.hasse:
             self._lower[index[q]].append(index[p])
-        sizes = [row.bit_count() for row in base._down]  # |down-set|
-        self._order = sorted(range(len(sizes)), key=sizes.__getitem__)  # ties: by index
+        self._order = linear_extension(base._down)
         self._section_cache: dict = {}
         self._restriction_cache: dict = {}
 
@@ -227,8 +228,8 @@ def build_sheaf(base: Poset, dims: Mapping[str, int],
                 while meet:  # take a maximal point, then drop its down-set
                     mi = order[meet.bit_length() - 1]
                     meet &= ~down[mi]
-                    left = memo[z1, qi] @ restrict(mi, z1)
-                    if left != memo[z2, qi] @ restrict(mi, z2):
+                    if not _products_agree(memo[z1, qi], restrict(mi, z1),
+                                           memo[z2, qi], restrict(mi, z2)):
                         _raise_first_disagreement(sheaf, qi, down)
     return sheaf
 
@@ -395,21 +396,10 @@ def sections_over(sheaf: CellularSheaf, U: OpenSet) -> SectionSpace:
     # difference rows are ints over 1, residues over GF(p): in lowest terms
     kernel = kernel_basis(Matrix._make(field, len(rows), total, tuple(rows)))
     families = []
-    if kernel.dim:
-        expand = {x: restrict(owner[x], x) for x in pts if owner[x] != x}
-        common = lcm(*[m._den for m in expand.values()])
-        for vec in kernel._matrix._ints:
-            family: list = []
-            for x in pts:
-                o = owner[x]
-                value = vec[offs[o]: offs[o] + dims[o]]
-                if o == x:
-                    family.extend(value if common == 1 else [common * v for v in value])
-                else:
-                    m = expand[x]
-                    scale = common // m._den
-                    family.extend([scale * sum(map(mul, row, value)) for row in m._ints])
-            families.append(family)
+    if kernel.dim:  # s_x = map(o(x), x) s_o(x); a minimal point keeps its value
+        families, _ = _map_blocks(kernel._matrix._ints, [
+            (offs[o], dims[o], None if o == x else restrict(o, x))
+            for x, o in zip(pts, map(owner.__getitem__, pts))])
     width = sum(map(dims.__getitem__, pts))
     space = SectionSpace(sheaf, U, _basis(field, width, list(field.canonical(families)[0])))
     _check_families(sheaf, space.basis._matrix._ints, space.basis._matrix._den, space.starts,
@@ -743,7 +733,7 @@ class AxiomReport:
 
 def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], ...],
                  dim: int, maps: Sequence[Matrix], overlaps: Iterable[tuple],
-                 memo: dict | None = None) -> CoverCheck:
+                 memo: dict) -> CoverCheck:
     """Exactness of 0 -> F(U) --phi--> prod F(U_i) --psi--> prod F(U_i & U_j).
 
     `maps[i]` sends F(U), of dimension `dim`, to part i. Each overlap
@@ -781,8 +771,6 @@ def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], .
                 f"{from_j.rows}x{from_j.cols}, parts of dims {part_dims[i]} and {part_dims[j]}")
         rows.extend(_difference_rows(field, starts[-1], from_i, starts[i], from_j, starts[j]))
     psi = Matrix._make(field, len(rows), starts[-1], tuple(rows))
-    if memo is None:
-        memo = {}
     key = (dim, phi._ints, psi._ints)
     outcome = memo.get(key)
     if outcome is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import EnumerationLimitError, NotOpenError, ValidationError
-from .order import PreOrder, iter_bits
+from .order import PreOrder, iter_bits, linear_extension
 
 DEFAULT_MAX_ELEMENTS = 20
 
@@ -166,15 +166,13 @@ def enumerate_opens(space: PreOrder, max_elements: int = DEFAULT_MAX_ELEMENTS) -
     if n > max_elements:
         raise EnumerationLimitError(n, max_elements)
     up, down = space._up, space._down
-    # each class is taken by its first point; a class strictly above another
-    # has the larger down-set, so larger down-sets first decides every point
-    # strictly above a class before the class is added
-    firsts = [r for r in range(n) if not up[r] & down[r] & ((1 << r) - 1)]
+    # each class is taken by its first point, down the linear extension, so
+    # every point strictly above a class is decided before the class is added
     found = [0]
-    for r in sorted(firsts, key=lambda r: (down[r].bit_count(), r), reverse=True):
-        cls = up[r] & down[r]
-        need = up[r] & ~cls
-        found += [m | cls for m in found if m & need == need]
+    for r in reversed(linear_extension(down)):
+        cls, need = up[r] & down[r], up[r] & ~down[r]
+        if cls & -cls == 1 << r:  # r is the first point of its class
+            found += [m | cls for m in found if m & need == need]
     # the masks are distinct, so the sort never compares two of them
     keyed = sorted((m.bit_count(), tuple(iter_bits(m)), m) for m in found)
     return [OpenSet._trusted(space, m, (size, bits)) for size, bits, m in keyed]

@@ -225,6 +225,16 @@ class TestSections:
         assert code == 0
         assert "dim: 1" in out
 
+    @pytest.mark.parametrize("spec, members", [
+        ("star:p,set:U", "p,q1,q2,r"), ("set:U,star:p", "p,q1,q2,r"),
+        ("star:r,set:U,star:q1", "q1,q2,r"), ("set:U,set:U", "q1,q2,r"),
+    ])
+    def test_star_and_set_items_make_one_union(self, capsys, spec, members):
+        union = run(capsys, "sections", fixture("square.sheaf"), "--open", spec)
+        listed = run(capsys, "sections", fixture("square.sheaf"), "--open", members)
+        assert union == listed
+        assert union[0] == 0
+
     def test_explicit_member_list(self, capsys):
         code, out = run(capsys, "sections", fixture("square.sheaf"),
                         "--open", "q1,q2,r")
@@ -382,6 +392,28 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert "result: PASS" in proc.stdout
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_a_closed_pipe_ends_the_report_quietly(self, tmp_path, unbuffered):
+        """The reader of standard output is gone before the child starts:
+        every write fails with EPIPE, at each print when unbuffered and at
+        the flush otherwise. The child keeps the report's exit code and
+        prints no traceback."""
+        src = str(Path(cellsheaf.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cellsheaf", "stalk", fixture("square.sheaf"),
+                 "--point", "p"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": pythonpath, "PYTHONUNBUFFERED": unbuffered},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 _COMMANDS = ["check", "sections", "stalk", "quotient", "morphism"]
