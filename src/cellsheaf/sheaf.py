@@ -235,16 +235,25 @@ def build_sheaf(base: Poset, dims: Mapping[str, int],
 
 
 def _raise_first_disagreement(sheaf: CellularSheaf, qi: int, down: list[int]):
-    """Scan every p < q bottom-up for two lower covers whose chains differ."""
+    """Scan every p < q bottom-up for two lower covers whose chains differ.
+
+    The scan decides with the square test that failed, and equality is
+    transitive: at the failed square's point, the chain through the first
+    lower cover differs from one of the two that disagree. So the scan
+    raises there or below, and the products are made only for the message.
+    """
     up, maps, restrict = sheaf.base._up, sheaf._maps, sheaf._restrict
     below = down[qi] & ~(1 << down[qi].bit_length() - 1)  # q is the highest bit
+    elements = sheaf.base.elements
     for pi in map(sheaf._order.__getitem__, iter_bits(below)):
-        first, *others = [maps[zi, qi] @ restrict(pi, zi) for zi in sheaf._lower[qi]
-                          if up[pi] >> zi & 1]
-        for other in others:
-            if other != first:
-                elements = sheaf.base.elements
-                raise FunctorialityError(elements[pi], elements[qi], first, other)
+        first, *others = [zi for zi in sheaf._lower[qi] if up[pi] >> zi & 1]
+        for zi in others:
+            if not _products_agree(maps[first, qi], restrict(pi, first),
+                                   maps[zi, qi], restrict(pi, zi)):
+                raise FunctorialityError(elements[pi], elements[qi],
+                                         maps[first, qi] @ restrict(pi, first),
+                                         maps[zi, qi] @ restrict(pi, zi))
+    raise AssertionError(f"a square below {elements[qi]!r} failed, and no point has a witness")
 
 
 def constant_sheaf(base: Poset, dim: int, field=QQ) -> CellularSheaf:

@@ -1,4 +1,4 @@
-"""Shared generators for randomized tests.
+"""Shared generators for randomized tests, and the child-process runner.
 
 Random sheaves and morphisms are produced by solving the relevant linear
 compatibility systems and sampling their solution spaces, so the samples
@@ -8,12 +8,16 @@ every sample independently.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import strategies as st
 
+import cellsheaf
 from cellsheaf import (
     Matrix,
     MonotoneMap,
@@ -31,6 +35,43 @@ from cellsheaf import (
 from oracles import open_violation_by_scan
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# Address space of each `cellsheaf` child, in bytes
+MEMORY = 10**9
+
+# The child limits itself before it runs the package, so the limits hold
+# for the command and not for the test process
+_PRELUDE = """\
+import resource, runpy
+resource.setrlimit(resource.RLIMIT_AS, ({memory}, {memory}))
+resource.setrlimit(resource.RLIMIT_CPU, ({seconds}, {seconds}))
+runpy.run_module("cellsheaf", run_name="__main__", alter_sys=True)
+"""
+
+
+def child_env(**extra: str) -> dict:
+    """This process's environment for a child interpreter, with the cellsheaf
+    that this process imports, from src/ or an installed copy, first on its
+    path."""
+    src = str(Path(cellsheaf.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}
+
+
+def run_cellsheaf(argv, cwd, *, code: int = 0, seconds: int = 5,
+                  stdout=subprocess.DEVNULL, **env: str):
+    """Run `python -m cellsheaf *argv` in `cwd` as a child limited to MEMORY
+    bytes, `seconds` of CPU time and `seconds` of wall time. Assert that it
+    exits with `code` and that its stderr holds no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRELUDE.format(memory=MEMORY, seconds=seconds), *argv],
+        stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        cwd=cwd, env=child_env(**env), timeout=seconds,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc
+
 
 _NAMES = [chr(ord("a") + i) for i in range(20)]
 

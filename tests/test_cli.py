@@ -4,18 +4,16 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import cellsheaf
 from cellsheaf import CellSheafError, cli, parse_text
 from cellsheaf.cli import main
 from cellsheaf.linalg import PRIME_BOUND
 
-from helpers import FIXTURES
+from helpers import FIXTURES, run_cellsheaf
 
 
 def run(capsys, *argv):
@@ -382,15 +380,8 @@ class TestSheafChoice:
 
 class TestModuleEntry:
     def test_python_dash_m_runs_the_cli(self, tmp_path):
-        src = str(Path(cellsheaf.__file__).resolve().parent.parent)
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "cellsheaf", "stalk", fixture("fan.sheaf"),
-             "--point", "q"],
-            capture_output=True, text=True, cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": pythonpath},
-        )
-        assert proc.returncode == 0, proc.stderr
+        proc = run_cellsheaf(["stalk", fixture("fan.sheaf"), "--point", "q"], tmp_path,
+                             stdout=subprocess.PIPE)
         assert "result: PASS" in proc.stdout
 
     @pytest.mark.parametrize("unbuffered", ["1", ""])
@@ -399,21 +390,13 @@ class TestModuleEntry:
         every write fails with EPIPE, at each print when unbuffered and at
         the flush otherwise. The child keeps the report's exit code and
         prints no traceback."""
-        src = str(Path(cellsheaf.__file__).resolve().parent.parent)
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "cellsheaf", "stalk", fixture("square.sheaf"),
-                 "--point", "p"],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
-                env={**os.environ, "PYTHONPATH": pythonpath, "PYTHONUNBUFFERED": unbuffered},
-            )
+            run_cellsheaf(["stalk", fixture("square.sheaf"), "--point", "p"], tmp_path,
+                          stdout=write_end, PYTHONUNBUFFERED=unbuffered)
         finally:
             os.close(write_end)
-        assert proc.returncode == 0, proc.stderr
-        assert "Traceback" not in proc.stderr
 
 
 _COMMANDS = ["check", "sections", "stalk", "quotient", "morphism"]
@@ -451,6 +434,8 @@ class TestParser:
         monkeypatch.setenv("COLUMNS", "80")
         got = self._outcome(cli._build_parser(argv), argv, capsys)
         assert got == self._outcome(cli._build_parser([]), argv, capsys)
+        # help exits 0 and a usage error 2
+        assert got[0] == "parsed" or got[1] == (0 if {"-h", "--help"} & set(argv) else 2)
 
     def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
         argv = ["stalk", fixture("fan.sheaf"), "--point", "q", "--json"]
@@ -472,23 +457,12 @@ class TestDeterminism:
         assert first == second
 
     def test_determinism_across_processes_and_hash_seeds(self, tmp_path):
-        argv = [sys.executable, "-m", "cellsheaf.cli", "check",
-                fixture("square.sheaf"), "--json", "--seed", "13"]
-        # The children import the same cellsheaf as this process, whether
-        # it comes from src/ or an installed copy, and run from a neutral
-        # directory so the caller's cwd cannot shadow it.
-        pythonpath = [str(Path(cellsheaf.__file__).resolve().parent.parent)]
-        if os.environ.get("PYTHONPATH"):
-            pythonpath.append(os.environ["PYTHONPATH"])
-        outputs = []
-        for hash_seed in ["0", "4242"]:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, cwd=tmp_path,
-                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
-                     "PYTHONPATH": os.pathsep.join(pythonpath)},
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
+        # the children run from a neutral directory, so the caller's cwd
+        # cannot shadow the cellsheaf they import
+        argv = ["check", fixture("square.sheaf"), "--json", "--seed", "13"]
+        outputs = [run_cellsheaf(argv, tmp_path, stdout=subprocess.PIPE,
+                                 PYTHONHASHSEED=hash_seed).stdout
+                   for hash_seed in ["0", "4242"]]
         assert outputs[0] == outputs[1]
 
 

@@ -263,6 +263,14 @@ class TestMeetCheck:
             for (p, q), m in reversed(list(expected.items())):
                 assert sheaf.restriction(p, q) == m
 
+    def test_a_failed_square_is_never_overruled(self):
+        # the witness scan decides with the square test itself, so a square
+        # test that fails rejects the sheaf, whatever the products are
+        with mock.patch.object(cellsheaf.sheaf, "_products_agree", lambda *mats: False), \
+                pytest.raises(FunctorialityError) as err:
+            square_sheaf()
+        assert (err.value.low, err.value.high) == ("p", "r")
+
     def test_deep_chain_is_derived_without_recursion(self):
         n, field = 1500, PrimeField(101)
         names = [f"c{i}" for i in range(n)]

@@ -1,12 +1,9 @@
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import cellsheaf
 from cellsheaf import (
     EnumerationLimitError,
     MonotoneMap,
@@ -28,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     brute_force_opens,
+    child_env,
     posets,
     preorders,
     random_monotone_map,
@@ -111,11 +109,10 @@ class TestIsOpen:
                 "    OpenSet(build_poset(['a', 'b'], [('a', 'b')]), ['zz', 'yy', 'xx'])\n"
                 "except Exception as exc:\n"
                 "    print(type(exc).__name__, exc)\n")
-        src = str(Path(cellsheaf.__file__).resolve().parent.parent)
         for hash_seed in "0123":
             proc = subprocess.run(
                 [sys.executable, "-c", code], capture_output=True, text=True,
-                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src})
+                env=child_env(PYTHONHASHSEED=hash_seed))
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout == "UnknownElementError unknown element 'zz'\n", hash_seed
 
