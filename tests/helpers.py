@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -39,15 +40,6 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # Address space of each `cellsheaf` child, in bytes
 MEMORY = 10**9
 
-# The child limits itself before it runs the package, so the limits hold
-# for the command and not for the test process
-_PRELUDE = """\
-import resource, runpy
-resource.setrlimit(resource.RLIMIT_AS, ({memory}, {memory}))
-resource.setrlimit(resource.RLIMIT_CPU, ({seconds}, {seconds}))
-runpy.run_module("cellsheaf", run_name="__main__", alter_sys=True)
-"""
-
 
 def child_env(**extra: str) -> dict:
     """This process's environment for a child interpreter, with the cellsheaf
@@ -58,13 +50,19 @@ def child_env(**extra: str) -> dict:
     return {**os.environ, "PYTHONPATH": pythonpath, **extra}
 
 
-def run_cellsheaf(argv, cwd, *, code: int = 0, seconds: int = 5,
+def run_cellsheaf(argv, cwd, *, code: int = 0, seconds: int = 5, module: str = "cellsheaf",
                   stdout=subprocess.DEVNULL, **env: str):
-    """Run `python -m cellsheaf *argv` in `cwd` as a child limited to MEMORY
+    """Run `python -m <module> *argv` in `cwd` as a child limited to MEMORY
     bytes, `seconds` of CPU time and `seconds` of wall time. Assert that it
     exits with `code` and that its stderr holds no traceback."""
+    def limit():
+        # runs in the child before exec, so the limits hold for the command
+        # and not for the test process
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+        resource.setrlimit(resource.RLIMIT_CPU, (seconds, seconds))
+
     proc = subprocess.run(
-        [sys.executable, "-c", _PRELUDE.format(memory=MEMORY, seconds=seconds), *argv],
+        [sys.executable, "-m", module, *argv], preexec_fn=limit,
         stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE, text=True,
         cwd=cwd, env=child_env(**env), timeout=seconds,
     )

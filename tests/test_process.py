@@ -112,10 +112,7 @@ ROWS = [
     _row("check ."),
     _row("check latin1.sheaf"),
     _row("check /dev/null"),
-    _row("check missing.sheaf"),
-    _row("check square.sheaf --field fp:4"),
     _row(f"check square.sheaf --field fp:{10**129 + 459}"),  # a 130-digit prime
-    _row("stalk square.sheaf --point zz"),
     _row("sections square.sheaf --open star:"),
     _row("check nul.sheaf"),
     _row("check deep.sheaf"),
