@@ -16,6 +16,7 @@ import sys
 from .document import (
     MAIN_SHEAF,
     RealizedDocument,
+    SheafDocument,
     parse_document,
     realize,
     render_document,
@@ -46,11 +47,10 @@ class Report:
         self.data: dict = {}
         self.error: str | None = None
 
-    def check(self, name: str, passed: bool, detail: str = "") -> bool:
+    def check(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(
             {"name": name, "status": "pass" if passed else "fail", "detail": detail}
         )
-        return passed
 
     @property
     def ok(self) -> bool:
@@ -106,7 +106,7 @@ def _load(path: str) -> str:
         raise DocumentError(f"cannot read {path}: not UTF-8 text") from None
 
 
-def _realize(report: Report, doc, field: str | None) -> RealizedDocument:
+def _realize(report: Report, doc: SheafDocument, field: str | None) -> RealizedDocument:
     realized = realize(doc, field)
     report.check("document-valid", True)
     return realized
@@ -123,8 +123,8 @@ def _main_sheaf(realized: RealizedDocument):
     raise DocumentError("document has no [sheaf] block")
 
 
-def cmd_check(report: Report, args) -> None:
-    realized = _realize(report, parse_document(_load(args.file)), args.field)
+def cmd_check(report: Report, doc: SheafDocument, args) -> None:
+    realized = _realize(report, doc, args.field)
     report.check("poset-antisymmetry", True,
                  f"{len(realized.poset)} elements")
     for name in sorted(realized.sheaves):
@@ -153,6 +153,9 @@ def _resolve_open(realized: RealizedDocument, spec: str) -> OpenSet:
     items = [t.strip() for t in spec.split(",") if t.strip()]
     if not items:
         raise DocumentError("empty --open specification")
+    for item in items:
+        if item in ("star:", "set:"):
+            raise DocumentError(f"empty --open item {item!r}")
     stars = [t[5:] for t in items if t.startswith("star:")]
     named = [t[4:] for t in items if t.startswith("set:")]
     plain = [t for t in items if not t.startswith(("star:", "set:"))]
@@ -170,8 +173,8 @@ def _resolve_open(realized: RealizedDocument, spec: str) -> OpenSet:
     return OpenSet._trusted(poset, mask)
 
 
-def cmd_sections(report: Report, args) -> None:
-    realized = _realize(report, parse_document(_load(args.file)), args.field)
+def cmd_sections(report: Report, doc: SheafDocument, args) -> None:
+    realized = _realize(report, doc, args.field)
     sheaf = _main_sheaf(realized)
     U = _resolve_open(realized, args.open_spec)
     report.check("open-valid", True)
@@ -186,8 +189,8 @@ def cmd_sections(report: Report, args) -> None:
     ]
 
 
-def cmd_stalk(report: Report, args) -> None:
-    realized = _realize(report, parse_document(_load(args.file)), args.field)
+def cmd_stalk(report: Report, doc: SheafDocument, args) -> None:
+    realized = _realize(report, doc, args.field)
     sheaf = _main_sheaf(realized)
     sheaf.base.index(args.point)
     stalk = stalk_at(sheaf, args.point, args.max_elements)
@@ -202,8 +205,7 @@ def cmd_stalk(report: Report, args) -> None:
     report.data["witness"] = entry_text(stalk.iso_witness)
 
 
-def cmd_quotient(report: Report, args) -> None:
-    doc = parse_document(_load(args.file))
+def cmd_quotient(report: Report, doc: SheafDocument, args) -> None:
     result = quotient_to_poset(doc.preorder)
     report.check("quotient-is-poset", result.quotient.is_poset())
     report.data["carrier"] = list(doc.preorder.elements)
@@ -214,8 +216,7 @@ def cmd_quotient(report: Report, args) -> None:
     ]
 
 
-def cmd_morphism(report: Report, args) -> None:
-    doc = parse_document(_load(args.file))
+def cmd_morphism(report: Report, doc: SheafDocument, args) -> None:
     if not doc.morphism_specs:
         raise DocumentError("document defines no morphisms")
     name = args.name
@@ -236,6 +237,17 @@ def cmd_morphism(report: Report, args) -> None:
     report.data["components"] = {
         p: entry_text(mor.components[p]) for p in mor.source.base.elements
     }
+
+
+def _positive_int(text: str) -> int:
+    """The value of --max-elements: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
@@ -278,7 +290,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for sampled covers (default 0)")
-        p.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS,
+        p.add_argument("--max-elements", type=_positive_int, default=DEFAULT_MAX_ELEMENTS,
                        dest="max_elements",
                        help="enumeration guard for open-set listings"
                             f" (default {DEFAULT_MAX_ELEMENTS})")
@@ -301,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser(argv).parse_args(argv)
     report = Report(args.command, args.seed)
     try:
-        args.run(report, args)
+        args.run(report, parse_document(_load(args.file)), args)
     except (DocumentError, UnknownElementError, EnumerationLimitError) as exc:
         report = Report(args.command, args.seed)
         report.error = str(exc)
@@ -314,7 +326,3 @@ def main(argv: list[str] | None = None) -> int:
         # stdout is flushed again at exit: to devnull, that flush succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 2 if report.error is not None else 0 if report.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

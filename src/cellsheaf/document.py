@@ -113,18 +113,6 @@ def _block_name(kind: str, label: str | None, default: str | None, taken, line: 
     return name
 
 
-def _split_pair(token: str, known: set, line: int) -> tuple[str, str]:
-    if "<=" in token:
-        a, b = token.split("<=", 1)
-    elif "<" in token:
-        a, b = token.split("<", 1)
-    else:
-        raise DocumentError(f"relation token {token!r} must look like x<y", line)
-    a, b = a.strip(), b.strip()
-    return (a if a in known else _check_ident(a, line),
-            b if b in known else _check_ident(b, line))
-
-
 def _once(seen: set, key: str, block: str, line: int) -> None:
     """Record a key that a block may give only once; a second one is an
     error at its line, not a silent override."""
@@ -201,15 +189,14 @@ def parse_document(text: str) -> SheafDocument:
             continue
         if current is None:
             raise DocumentError("content before any block header", lineno)
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise DocumentError("expected key = value", lineno)
-        key, value = line.split("=", 1)
         current.append((key.strip(), value.strip(), lineno))
 
     elements: list[str] = []
     element_lines: list[int] = []
-    # the elements listed so far, each a checked identifier: a key naming
-    # one of them needs no second check, and any other token gets one
+    # the elements listed so far, each a checked identifier
     known: set[str] = set()
     pairs: list[tuple[str, str]] = []
     pair_lines: list[int] = []
@@ -228,6 +215,11 @@ def parse_document(text: str) -> SheafDocument:
             return first
         return MatrixLiteral(first.kind, first.rows, line)
 
+    def point(token: str, line: int) -> str:
+        # every token that names a point: a listed element needs no second
+        # check, and any other token gets one
+        return token if token in known else _check_ident(token, line)
+
     for kind, label, header_line, entries in blocks:
         if kind == "poset":
             if label is not None:
@@ -238,12 +230,16 @@ def parse_document(text: str) -> SheafDocument:
             for key, value, lineno in entries:
                 if key == "elements":
                     for tok in value.split():
-                        elements.append(_check_ident(tok, lineno))
+                        elements.append(point(tok, lineno))
                         element_lines.append(lineno)
                         known.add(tok)
                 elif key in ("relation", "hasse"):
                     for tok in value.replace(",", " ").split():
-                        pairs.append(_split_pair(tok, known, lineno))
+                        a, sep, b = tok.partition("<=" if "<=" in tok else "<")
+                        if not sep:
+                            raise DocumentError(
+                                f"relation token {tok!r} must look like x<y", lineno)
+                        pairs.append((point(a.strip(), lineno), point(b.strip(), lineno)))
                         pair_lines.append(lineno)
                 else:
                     raise DocumentError(f"unknown key {key!r} in [poset]", lineno)
@@ -259,9 +255,7 @@ def parse_document(text: str) -> SheafDocument:
                     _once(seen, key, kind, lineno)
                     spec.field_name = value
                 elif parts[0] == "dim" and len(parts) == 2:
-                    el = parts[1]
-                    if el not in known:
-                        _check_ident(el, lineno)
+                    el = point(parts[1], lineno)
                     if el in spec.dims:
                         raise DocumentError(f"duplicate dim for {el!r}", lineno)
                     try:
@@ -276,11 +270,8 @@ def parse_document(text: str) -> SheafDocument:
                 elif parts[0] == "map" and len(parts) == 2:
                     if "->" not in parts[1]:
                         raise DocumentError("map key must look like `map p->q`", lineno)
-                    a, b = edge = tuple(parts[1].split("->", 1))
-                    if a not in known:
-                        _check_ident(a, lineno)
-                    if b not in known:
-                        _check_ident(b, lineno)
+                    a, b = parts[1].split("->", 1)
+                    edge = (point(a, lineno), point(b, lineno))
                     if edge in spec.maps:
                         raise DocumentError(
                             f"duplicate map for {a}->{b}", lineno)
@@ -296,9 +287,9 @@ def parse_document(text: str) -> SheafDocument:
                 if key in ("stars", "members"):
                     _once(seen, key, kind, lineno)
                 if key == "stars":
-                    spec_o.stars = tuple(_check_ident(t, lineno) for t in value.split())
+                    spec_o.stars = tuple(point(t, lineno) for t in value.split())
                 elif key == "members":
-                    spec_o.members = tuple(_check_ident(t, lineno) for t in value.split())
+                    spec_o.members = tuple(point(t, lineno) for t in value.split())
                 else:
                     raise DocumentError(f"unknown key {key!r} in [open]", lineno)
             if (spec_o.stars is None) == (spec_o.members is None):
@@ -320,9 +311,7 @@ def parse_document(text: str) -> SheafDocument:
                     _once(seen, key, kind, lineno)
                     spec_m.target = _check_ident(value, lineno)
                 elif parts[0] == "map" and len(parts) == 2:
-                    el = parts[1]
-                    if el not in known:
-                        _check_ident(el, lineno)
+                    el = point(parts[1], lineno)
                     if el in spec_m.maps:
                         raise DocumentError(f"duplicate map for {el!r}", lineno)
                     spec_m.maps[el] = literal(value, lineno)
@@ -361,13 +350,13 @@ def parse_document(text: str) -> SheafDocument:
 
 
 def _realize_matrix(lit: MatrixLiteral, field, rows: int, cols: int,
-                    edge_desc: str) -> Matrix:
+                    where: str, key) -> Matrix:
+    """The matrix `lit` writes for the map at `key`, `where` the prefix that
+    names its kind in an error."""
     if lit.kind == "id":
         if rows != cols:
-            raise DocumentError(
-                f"`id` needs equal dimensions for {edge_desc} ({rows} vs {cols})",
-                lit.line,
-            )
+            raise DocumentError(f"`id` needs equal dimensions for {where}{_key_text(key)}"
+                                f" ({rows} vs {cols})", lit.line)
         return Matrix.identity(field, rows)
     if lit.kind == "zero":
         return Matrix.zeros(field, rows, cols)
@@ -375,10 +364,8 @@ def _realize_matrix(lit: MatrixLiteral, field, rows: int, cols: int,
     got_rows = len(data)
     got_cols = len(data[0]) if data else 0
     if got_rows != rows or (rows > 0 and got_cols != cols):
-        raise DocumentError(
-            f"matrix for {edge_desc} is {got_rows}x{got_cols}, expected {rows}x{cols}",
-            lit.line,
-        )
+        raise DocumentError(f"matrix for {where}{_key_text(key)} is {got_rows}x{got_cols},"
+                            f" expected {rows}x{cols}", lit.line)
     # most literals hold only integers: their rows are the ints (residues
     # over GF(p)) over 1. A `/` or a token past the digit limit makes `int`
     # raise, and the entries are then read one by one
@@ -417,6 +404,35 @@ def _realize_entry(tok: str, field, line: int) -> tuple[int, int]:
     return num, den
 
 
+def _realize_maps(maps: dict, shapes, field, made: dict, owner: str, line: int,
+                  where: str = "") -> dict:
+    """key -> matrix for each (key, rows, cols) in `shapes`, from the
+    literals `maps` holds by key; `owner` names the block and `where` the
+    kind of map in errors. A map left out where `rows` or `cols` is 0 is read
+    as `zero`; any other is missing, an error at `line`. `made` maps
+    (kind, literal rows, rows, cols) to the immutable matrix made over
+    `field`, which later uses share: a use at a shape already made would pass
+    the same checks. Messages are built only for an error."""
+    out = {}
+    for key, rows, cols in shapes:
+        lit = maps.get(key)
+        if lit is None:
+            if rows and cols:
+                raise DocumentError(f"{owner} is missing `map {_key_text(key)}`", line)
+            lit = MatrixLiteral("zero", (), line)
+        memo = (lit.kind, lit.rows, rows, cols)
+        m = made.get(memo)
+        if m is None:
+            m = made[memo] = _realize_matrix(lit, field, rows, cols, where, key)
+        out[key] = m
+    return out
+
+
+def _key_text(key) -> str:
+    """A map key as a document writes it: `p->q` or `p`."""
+    return key if isinstance(key, str) else "->".join(key)
+
+
 def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDocument:
     """Build the semantic objects a document describes.
 
@@ -433,9 +449,7 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
         except ValueError as exc:
             raise DocumentError(f"--field: {exc}") from None
     sheaves: dict[str, CellularSheaf] = {}
-    # field -> {(kind, literal rows, rows, cols): Matrix}: a literal becomes
-    # a matrix once per field and shape, as a use at a shape already made
-    # passes the same checks. A matrix is immutable, so maps may share it
+    # field -> the memo `_realize_maps` keeps for it
     matrices: dict = {}
     edges = hasse_edges(poset) if doc.sheaf_specs else []
     edge_set = set(edges)
@@ -458,20 +472,9 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
                     f"{pair[0]}->{pair[1]} is not a covering pair of the poset",
                     lit.line,
                 )
-        edge_maps = {}
-        made = matrices.setdefault(field, {})
-        for p, q in edges:
-            lit = spec.maps.get((p, q))
-            if lit is None:
-                if dims[p] == 0 or dims[q] == 0:
-                    continue
-                raise DocumentError(
-                    f"sheaf {name!r} is missing `map {p}->{q}`", spec.line)
-            key = (lit.kind, lit.rows, dims[q], dims[p])
-            m = made.get(key)
-            if m is None:
-                m = made[key] = _realize_matrix(lit, field, dims[q], dims[p], f"{p}->{q}")
-            edge_maps[(p, q)] = m
+        edge_maps = _realize_maps(
+            spec.maps, ((edge, dims[edge[1]], dims[edge[0]]) for edge in edges),
+            field, matrices.setdefault(field, {}), f"sheaf {name!r}", spec.line)
         sheaves[name] = build_sheaf(poset, dims, edge_maps, field)
 
     opens: dict[str, OpenSet] = {}
@@ -498,23 +501,11 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
                 f"morphism {name!r} mixes fields {src.field.name} and {tgt.field.name}",
                 spec_m.line,
             )
-        components = {}
-        made = matrices.setdefault(src.field, {})
         # both sheaves live on `poset`, so their dims are in carrier order
-        for el, rows, cols in zip(poset.elements, tgt._dims, src._dims):
-            lit = spec_m.maps.get(el)
-            if lit is None:
-                if rows == 0 or cols == 0:
-                    components[el] = Matrix.zeros(src.field, rows, cols)
-                    continue
-                raise DocumentError(
-                    f"morphism {name!r} is missing `map {el}`", spec_m.line)
-            key = (lit.kind, lit.rows, rows, cols)
-            m = made.get(key)
-            if m is None:
-                m = made[key] = _realize_matrix(
-                    lit, src.field, rows, cols, f"morphism map at {el}")
-            components[el] = m
+        components = _realize_maps(
+            spec_m.maps, zip(poset.elements, tgt._dims, src._dims),
+            src.field, matrices.setdefault(src.field, {}), f"morphism {name!r}",
+            spec_m.line, "morphism map at ")
         morphisms[name] = build_morphism(src, tgt, components)
         morphism_ends[name] = (spec_m.source, spec_m.target)
     return RealizedDocument(poset, sheaves, opens, morphisms, morphism_ends)
@@ -527,38 +518,27 @@ def parse_text(text: str, field_override: str | None = None) -> RealizedDocument
 def render_document(realized: RealizedDocument) -> str:
     """Canonical text for a realized document; reparsing gives equal objects."""
     poset = realized.poset
-    lines = ["[poset]"]
-    lines.append("elements = " + " ".join(poset.elements))
+
+    def map_lines(maps) -> list[str]:
+        # a map at a 0-dimensional point is left out, as a document may
+        return [f"map {_key_text(key)} = {m!r}" for key, m in maps if m.rows and m.cols]
+
+    lines = ["[poset]", "elements = " + " ".join(poset.elements)]
     edges = hasse_edges(poset)
     if edges:
         lines.append("relation = " + " ".join(f"{a}<{b}" for a, b in edges))
     for name in sorted(realized.sheaves):
         sheaf = realized.sheaves[name]
-        lines.append("")
-        lines.append("[sheaf]" if name == MAIN_SHEAF else f"[sheaf {name}]")
-        lines.append(f"field = {sheaf.field.name}")
-        for el in poset.elements:
-            lines.append(f"dim {el} = {sheaf.dim(el)}")
-        for p, q in edges:
-            m = sheaf.restriction(p, q)
-            if m.rows == 0 or m.cols == 0:
-                continue
-            lines.append(f"map {p}->{q} = {m!r}")
+        lines += ["", "[sheaf]" if name == MAIN_SHEAF else f"[sheaf {name}]",
+                  f"field = {sheaf.field.name}"]
+        lines += [f"dim {el} = {sheaf.dim(el)}" for el in poset.elements]
+        lines += map_lines((edge, sheaf.restriction(*edge)) for edge in edges)
     for name in sorted(realized.opens):
-        U = realized.opens[name]
-        lines.append("")
-        lines.append(f"[open {name}]")
-        lines.append("members = " + " ".join(U.sorted_members))
+        lines += ["", f"[open {name}]",
+                  "members = " + " ".join(realized.opens[name].sorted_members)]
     for name in sorted(realized.morphisms):
         mor = realized.morphisms[name]
         src, tgt = realized.morphism_ends[name]
-        lines.append("")
-        lines.append(f"[morphism {name}]")
-        lines.append(f"source = {src}")
-        lines.append(f"target = {tgt}")
-        for el in poset.elements:
-            m = mor.components[el]
-            if m.rows == 0 or m.cols == 0:
-                continue
-            lines.append(f"map {el} = {m!r}")
+        lines += ["", f"[morphism {name}]", f"source = {src}", f"target = {tgt}"]
+        lines += map_lines((el, mor.components[el]) for el in poset.elements)
     return "\n".join(lines) + "\n"

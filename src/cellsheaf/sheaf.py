@@ -685,10 +685,6 @@ class StalkReport:
     oracle_dim: int
     iso_witness: Matrix
 
-    @property
-    def passed(self) -> bool:
-        return self.theorem_dim == self.oracle_dim and self.iso_witness.is_invertible()
-
 
 def stalk_at(sheaf: CellularSheaf, point: str,
              max_elements: int = DEFAULT_MAX_ELEMENTS) -> StalkReport:

@@ -50,9 +50,9 @@ def child_env(**extra: str) -> dict:
     return {**os.environ, "PYTHONPATH": pythonpath, **extra}
 
 
-def run_cellsheaf(argv, cwd, *, code: int = 0, seconds: int = 5, module: str = "cellsheaf",
+def run_cellsheaf(argv, cwd, *, code: int = 0, seconds: int = 5,
                   stdout=subprocess.DEVNULL, **env: str):
-    """Run `python -m <module> *argv` in `cwd` as a child limited to MEMORY
+    """Run `python -m cellsheaf *argv` in `cwd` as a child limited to MEMORY
     bytes, `seconds` of CPU time and `seconds` of wall time. Assert that it
     exits with `code` and that its stderr holds no traceback."""
     def limit():
@@ -62,7 +62,7 @@ def run_cellsheaf(argv, cwd, *, code: int = 0, seconds: int = 5, module: str = "
         resource.setrlimit(resource.RLIMIT_CPU, (seconds, seconds))
 
     proc = subprocess.run(
-        [sys.executable, "-m", module, *argv], preexec_fn=limit,
+        [sys.executable, "-m", "cellsheaf", *argv], preexec_fn=limit,
         stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE, text=True,
         cwd=cwd, env=child_env(**env), timeout=seconds,
     )

@@ -408,7 +408,7 @@ _PARSER_ARGVS = (
     + [["sections", _SQUARE], ["stalk", _SQUARE],
        ["check", _SQUARE, "--seed", "q"], ["check", _SQUARE, "--bogus"],
        ["quotient", _SQUARE, "extra"], ["--json", "check", _SQUARE],
-       ["morphism", _SQUARE, "--name"]]
+       ["morphism", _SQUARE, "--name"], ["check", _SQUARE, "--max-elements", "-1"]]
 )
 _VALID_ARGVS = (
     [["check", _SQUARE, "--json", "--seed", "3", "--max-elements", "9"],
@@ -462,11 +462,10 @@ class TestDeterminism:
 
     def test_determinism_across_processes_and_hash_seeds(self, tmp_path):
         # the children run from a neutral directory, so the caller's cwd
-        # cannot shadow the cellsheaf they import; they run cellsheaf.cli as
-        # a script, while TestModuleEntry runs the package
+        # cannot shadow the cellsheaf they import
         argv = ["check", fixture("square.sheaf"), "--json", "--seed", "13"]
-        outputs = [run_cellsheaf(argv, tmp_path, module="cellsheaf.cli",
-                                 stdout=subprocess.PIPE, PYTHONHASHSEED=hash_seed).stdout
+        outputs = [run_cellsheaf(argv, tmp_path, stdout=subprocess.PIPE,
+                                 PYTHONHASHSEED=hash_seed).stdout
                    for hash_seed in ["0", "4242"]]
         assert outputs[0] == outputs[1]
 
@@ -616,6 +615,12 @@ PINNED_EXITS = [
      *_exit_two("sections", "empty --open specification")),
     ("unknown set:", "square.sheaf", ["sections", "--open", "set:nope"], 2,
      *_exit_two("sections", "document defines no open named 'nope'")),
+    ("empty star:", "square.sheaf", ["sections", "--open", "star:"], 2,
+     *_exit_two("sections", "empty --open item 'star:'")),
+    ("empty set:", "square.sheaf", ["sections", "--open", "set:"], 2,
+     *_exit_two("sections", "empty --open item 'set:'")),
+    ("empty star: after another", "square.sheaf", ["sections", "--open", "star:q1,star:"], 2,
+     *_exit_two("sections", "empty --open item 'star:'")),
     ("two morphisms, no --name", _TWO_MORPHISMS_DOC, ["morphism"], 2,
      *_exit_two("morphism", "document defines several morphisms; pick one with --name")),
 ]

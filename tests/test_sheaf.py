@@ -91,6 +91,12 @@ def two_chain_sheaf(entry):
     )
 
 
+def stalk_holds(report) -> bool:
+    """The two checks `cellsheaf stalk` makes: the point value and the
+    direct limit have one dimension, and the comparison is invertible."""
+    return report.theorem_dim == report.oracle_dim and report.iso_witness.is_invertible()
+
+
 class TestBuild:
     def test_constant_sheaf_valid_on_random_posets(self):
         rng = random.Random(0)
@@ -751,19 +757,19 @@ class TestStalks:
         # neighbourhoods of a: only {a, b}; sections there are pairs (s, 0)
         report = stalk_at(two_chain_sheaf(0), "a")
         assert report.theorem_dim == report.oracle_dim == 1
-        assert report.passed
+        assert stalk_holds(report)
 
     def test_two_chain_identity_map(self):
         sheaf = two_chain_sheaf(1)
         for point in "ab":
             report = stalk_at(sheaf, point)
             assert report.theorem_dim == report.oracle_dim == 1
-            assert report.passed
+            assert stalk_holds(report)
 
     def test_maximal_point(self):
         sheaf = square_sheaf()
         report = stalk_at(sheaf, "r")
-        assert report.theorem_dim == 1 and report.passed
+        assert report.theorem_dim == 1 and stalk_holds(report)
 
     def test_bottom_point_keeps_its_dimension(self):
         sheaf = square_sheaf()
@@ -775,14 +781,14 @@ class TestStalks:
         sheaf = build_sheaf(base, {e: 0 for e in base.elements}, {})
         for point in base.elements:
             report = stalk_at(sheaf, point)
-            assert report.oracle_dim == 0 and report.passed
+            assert report.oracle_dim == 0 and stalk_holds(report)
 
     def test_random_sheaves_pass_everywhere(self):
         rng = random.Random(7)
         for _ in range(15):
             sheaf = random_sheaf(rng, random_poset(rng, rng.randint(1, 6)))
             for point in sheaf.base.elements:
-                assert stalk_at(sheaf, point).passed
+                assert stalk_holds(stalk_at(sheaf, point))
 
     def test_germ_factors_through_the_point_value(self):
         # the germ of any section equals the witness applied to its value
@@ -925,7 +931,7 @@ class TestDirectLimitElimination:
     def test_eight_isolated_points(self):
         report = stalk_at(isolated_points_sheaf(8), "x")
         assert report.oracle_dim == 1
-        assert report.passed
+        assert stalk_holds(report)
 
 
 class TestAxiomReports:
@@ -1366,7 +1372,7 @@ class TestNegativeControls:
         detected = False
         for p in fake.base.elements:
             try:
-                detected |= not stalk_at(fake, p).passed
+                detected |= not stalk_holds(stalk_at(fake, p))
             except ValidationError:
                 detected = True
         assert detected
@@ -1382,7 +1388,7 @@ class TestPrimeFieldPipeline:
                                   field_override="fp:5")
             sheaf = realized.sheaves["main"]
             for point in sheaf.base.elements:
-                assert stalk_at(sheaf, point).passed
+                assert stalk_holds(stalk_at(sheaf, point))
             assert verify_base_sheaf_axioms(sheaf).ok
             assert verify_sheaf_axioms_extended(sheaf, covers_per_open=15).ok
 
@@ -1407,7 +1413,7 @@ class TestDegenerate:
         base = build_poset(["x"], [])
         sheaf = build_sheaf(base, {"x": 3}, {})
         assert sections_over(sheaf, whole_space(base)).dim == 3
-        assert stalk_at(sheaf, "x").passed
+        assert stalk_holds(stalk_at(sheaf, "x"))
         assert verify_base_sheaf_axioms(sheaf).ok
 
     def test_mixed_zero_dims(self):
@@ -1419,6 +1425,6 @@ class TestDegenerate:
         # stays free: families are (s_a, 0, 0)
         assert sections_over(sheaf, whole_space(base)).dim == 2
         for p in base.elements:
-            assert stalk_at(sheaf, p).passed
+            assert stalk_holds(stalk_at(sheaf, p))
         assert verify_base_sheaf_axioms(sheaf).ok
         assert verify_sheaf_axioms_extended(sheaf, covers_per_open=10).ok

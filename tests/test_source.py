@@ -74,3 +74,45 @@ def test_no_unread_imports_in_the_package():
         for line, name in unread_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def unreferenced_privates(trees: dict) -> list[tuple[str, int, str]]:
+    """(module, line, name) for each module-level `_name` function or class
+    that no module of `trees` (module name -> tree) reads by name or as an
+    attribute."""
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(
+        (module, node.lineno, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in referenced
+    )
+
+
+def test_the_scan_finds_each_unreferenced_private():
+    trees = {
+        "a": ast.parse(
+            "def _called():\n    pass\n\ndef _dead():\n    pass\n\n"
+            "class _Dead:\n    def _method(self):\n        pass\n\n"
+            "def _used_elsewhere():\n    pass\n\ndef public():\n    return _called()\n"
+            "def __dunder__():\n    pass\n"),
+        "b": ast.parse("from .a import _used_elsewhere\n\n"
+                       "def _as_attribute():\n    pass\n\n"
+                       "x = _used_elsewhere\ny = module._as_attribute\n"),
+    }
+    assert unreferenced_privates(trees) == [("a", 4, "_dead"), ("a", 7, "_Dead")]
+
+
+def test_no_unreferenced_privates_in_the_package():
+    trees = {str(path.relative_to(PACKAGE)): ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert trees
+    assert unreferenced_privates(trees) == []
