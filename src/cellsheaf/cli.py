@@ -9,7 +9,6 @@ error. Rational numbers are printed exactly, never as floats.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -58,6 +57,7 @@ class Report:
 
     def emit(self, as_json: bool) -> None:
         if as_json:
+            import json  # here, so that a text report does not load it
             payload = {
                 "command": self.command,
                 "seed": self.seed,

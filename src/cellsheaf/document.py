@@ -18,13 +18,13 @@ that is not antisymmetric or matrices whose chains disagree (exit code 1).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 from math import lcm
 
 from .errors import DocumentError
 from .linalg import _INTEGER, Matrix, field_from_name
 from .morphism import SheafMorphism, build_morphism
 from .order import PreOrder, as_poset, build_preorder, hasse_edges
+from .record import Record
 from .sheaf import CellularSheaf, build_sheaf
 from .topology import OpenSet, union_of_stars
 
@@ -42,58 +42,62 @@ _ROW_BODY = re.compile(r"\[([^\[\]]*)\]")
 MAIN_SHEAF = "main"
 
 
-@dataclass
-class MatrixLiteral:
-    kind: str  # "rows", "id", or "zero"
-    rows: tuple[tuple[str, ...], ...]
-    line: int
+class MatrixLiteral(Record):
+    __slots__ = ("kind", "rows", "line")  # kind is "rows", "id", or "zero"
+
+    def __init__(self, kind: str, rows: tuple[tuple[str, ...], ...], line: int):
+        self.kind, self.rows, self.line = kind, rows, line
 
 
-@dataclass
-class SheafSpec:
-    name: str
-    line: int
-    field_name: str | None = None
-    dims: dict = dc_field(default_factory=dict)       # element -> (int, line)
-    maps: dict = dc_field(default_factory=dict)       # (p, q) -> MatrixLiteral
+class SheafSpec(Record):
+    __slots__ = ("name", "line", "field_name", "dims", "maps")
+
+    def __init__(self, name: str, line: int, field_name: str | None = None,
+                 dims: dict | None = None, maps: dict | None = None):
+        self.name, self.line, self.field_name = name, line, field_name
+        self.dims = {} if dims is None else dims  # element -> (int, line)
+        self.maps = {} if maps is None else maps  # (p, q) -> MatrixLiteral
 
 
-@dataclass
-class OpenSpec:
-    name: str
-    line: int
-    stars: tuple[str, ...] | None = None
-    members: tuple[str, ...] | None = None
+class OpenSpec(Record):
+    __slots__ = ("name", "line", "stars", "members")
+
+    def __init__(self, name: str, line: int, stars: tuple[str, ...] | None = None,
+                 members: tuple[str, ...] | None = None):
+        self.name, self.line, self.stars, self.members = name, line, stars, members
 
 
-@dataclass
-class MorphismSpec:
-    name: str
-    line: int
-    source: str = MAIN_SHEAF
-    target: str = MAIN_SHEAF
-    maps: dict = dc_field(default_factory=dict)       # element -> MatrixLiteral
+class MorphismSpec(Record):
+    __slots__ = ("name", "line", "source", "target", "maps")
+
+    def __init__(self, name: str, line: int, source: str = MAIN_SHEAF,
+                 target: str = MAIN_SHEAF, maps: dict | None = None):
+        self.name, self.line, self.source, self.target = name, line, source, target
+        self.maps = {} if maps is None else maps  # element -> MatrixLiteral
 
 
-@dataclass
-class SheafDocument:
+class SheafDocument(Record):
     """Parsed but not yet realized document."""
 
-    preorder: PreOrder
-    sheaf_specs: dict
-    open_specs: dict
-    morphism_specs: dict
+    __slots__ = ("preorder", "sheaf_specs", "open_specs", "morphism_specs")
+
+    def __init__(self, preorder: PreOrder, sheaf_specs: dict, open_specs: dict,
+                 morphism_specs: dict):
+        self.preorder, self.sheaf_specs = preorder, sheaf_specs
+        self.open_specs, self.morphism_specs = open_specs, morphism_specs
 
 
-@dataclass
-class RealizedDocument:
+class RealizedDocument(Record):
     """Semantic content: poset, sheaves, opens, morphisms."""
 
-    poset: object
-    sheaves: dict[str, CellularSheaf]
-    opens: dict[str, OpenSet]
-    morphisms: dict[str, SheafMorphism]
-    morphism_ends: dict[str, tuple[str, str]]   # name -> (source, target) sheaf names
+    __slots__ = ("poset", "sheaves", "opens", "morphisms", "morphism_ends")
+
+    def __init__(self, poset, sheaves: dict[str, CellularSheaf], opens: dict[str, OpenSet],
+                 morphisms: dict[str, SheafMorphism],
+                 morphism_ends: dict[str, tuple[str, str]]):
+        self.poset, self.sheaves, self.opens = poset, sheaves, opens
+        self.morphisms = morphisms
+        self.morphism_ends = morphism_ends  # name -> (source, target) sheaf names
 
 
 def _check_ident(token: str, line: int) -> str:

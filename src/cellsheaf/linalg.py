@@ -27,10 +27,10 @@ the int rows with `entry_text`, making no field value to print.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 from .errors import ShapeError
 

@@ -10,11 +10,11 @@ pointwise.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import NaturalityError, ShapeError, ValidationError
 from .linalg import Matrix, _map_blocks, _products_agree
+from .record import Record
 from .sheaf import (
     CellularSheaf,
     DirectLimitStalk,
@@ -155,11 +155,11 @@ def stalk_map_direct_limit(morphism: SheafMorphism, p: str,
     return induced, src_limit, tgt_limit
 
 
-@dataclass(frozen=True)
-class MorphismFlags:
-    injective: bool
-    surjective: bool
-    isomorphism: bool
+class MorphismFlags(Record):
+    __slots__ = ("injective", "surjective", "isomorphism")
+
+    def __init__(self, injective: bool, surjective: bool, isomorphism: bool):
+        self.injective, self.surjective, self.isomorphism = injective, surjective, isomorphism
 
 
 def classify(morphism: SheafMorphism) -> MorphismFlags:

@@ -9,10 +9,10 @@ representatives, Hasse edge lists, open set listings) is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotAntisymmetricError, UnknownElementError, ValidationError
+from .record import Record
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -247,21 +247,21 @@ def as_poset(p: PreOrder) -> Poset:
     return q
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class MonotoneMap(Record):
     """A carrier map between preorders; monotonicity is checked, not assumed."""
 
-    source: PreOrder
-    target: PreOrder
-    mapping: Mapping[str, str] = field(hash=False)
+    __slots__ = ("source", "target", "mapping")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", dict(self.mapping))
-        missing = [x for x in self.source.elements if x not in self.mapping]
+    def __init__(self, source: PreOrder, target: PreOrder, mapping: Mapping[str, str]):
+        self.source, self.target, self.mapping = source, target, dict(mapping)
+        missing = [x for x in source.elements if x not in self.mapping]
         if missing:
             raise ValidationError(f"map does not cover elements {missing}")
-        for x in self.source.elements:
-            self.target.index(self.mapping[x])
+        for x in source.elements:
+            target.index(self.mapping[x])
+
+    def __hash__(self):
+        return hash((self.source, self.target))
 
     def __call__(self, x: str) -> str:
         self.source.index(x)
@@ -278,13 +278,14 @@ def identity_map(p: PreOrder) -> MonotoneMap:
     return MonotoneMap(p, p, {x: x for x in p.elements})
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(Record):
     """Poset of mutual-comparability classes together with the projection."""
 
-    quotient: Poset
-    projection: MonotoneMap
-    classes: tuple[tuple[str, ...], ...]
+    __slots__ = ("quotient", "projection", "classes")
+
+    def __init__(self, quotient: Poset, projection: MonotoneMap,
+                 classes: tuple[tuple[str, ...], ...]):
+        self.quotient, self.projection, self.classes = quotient, projection, classes
 
 
 def quotient_to_poset(p: PreOrder) -> QuotientResult:

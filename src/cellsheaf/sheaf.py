@@ -18,12 +18,10 @@ finite enumeration.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field as dataclass_field
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import accumulate, combinations, count
 from math import lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     EnumerationLimitError,
@@ -44,6 +42,7 @@ from .linalg import (
     vstack,
 )
 from .order import Poset, as_poset, hasse_edges, iter_bits, linear_extension
+from .record import Record
 from .topology import (
     DEFAULT_MAX_ELEMENTS,
     OpenSet,
@@ -313,19 +312,16 @@ class Section:
         return f"Section({parts})"
 
 
-@dataclass
-class SectionSpace:
+class SectionSpace(Record):
     """Canonical basis of the sections over one open set, with `starts`,
     where each point's block starts in a family, by carrier index, laid out
     once from the open."""
 
-    sheaf: CellularSheaf
-    open: OpenSet
-    basis: SubspaceBasis
-    starts: dict[int, int] = dataclass_field(init=False)
+    __slots__ = ("sheaf", "open", "basis", "starts")
 
-    def __post_init__(self):
-        self.starts = _block_starts(self.sheaf._dims, self.open.sort_key()[1])[0]
+    def __init__(self, sheaf: CellularSheaf, open: OpenSet, basis: SubspaceBasis):
+        self.sheaf, self.open, self.basis = sheaf, open, basis
+        self.starts = _block_starts(sheaf._dims, open.sort_key()[1])[0]
 
     @property
     def dim(self) -> int:
@@ -554,8 +550,7 @@ def section_from_value(sheaf: CellularSheaf, p: str, values: Sequence) -> Sectio
     return Section(sheaf, star, comps)
 
 
-@dataclass
-class DirectLimitStalk:
+class DirectLimitStalk(Record):
     """The stalk at a point, computed literally as a direct-limit quotient.
 
     The carrier is the direct sum of the section spaces over every open
@@ -568,15 +563,16 @@ class DirectLimitStalk:
     coordinates off an image, modulo the relations among star coordinates.
     """
 
-    sheaf: CellularSheaf
-    point: str
-    neighbourhoods: tuple[OpenSet, ...]
-    offsets: dict  # carrier mask of each neighbourhood -> offset of its block
-    total: int
-    images: Matrix
-    solve: Matrix
-    free_columns: tuple[int, ...]
-    witness: Matrix
+    __slots__ = ("sheaf", "point", "neighbourhoods", "offsets", "total", "images", "solve",
+                 "free_columns", "witness")
+
+    def __init__(self, sheaf: CellularSheaf, point: str, neighbourhoods: tuple[OpenSet, ...],
+                 offsets: dict, total: int, images: Matrix, solve: Matrix,
+                 free_columns: tuple[int, ...], witness: Matrix):
+        self.sheaf, self.point, self.neighbourhoods = sheaf, point, neighbourhoods
+        self.offsets = offsets  # carrier mask of each neighbourhood -> offset of its block
+        self.total, self.images, self.solve = total, images, solve
+        self.free_columns, self.witness = free_columns, witness
 
     @property
     def dim(self) -> int:
@@ -676,14 +672,14 @@ def stalk_direct_limit(sheaf: CellularSheaf, point: str,
                             free_columns, solve @ spread)
 
 
-@dataclass(frozen=True)
-class StalkReport:
+class StalkReport(Record):
     """Comparison of the canonical stalk description with the literal limit."""
 
-    point: str
-    theorem_dim: int
-    oracle_dim: int
-    iso_witness: Matrix
+    __slots__ = ("point", "theorem_dim", "oracle_dim", "iso_witness")
+
+    def __init__(self, point: str, theorem_dim: int, oracle_dim: int, iso_witness: Matrix):
+        self.point, self.theorem_dim, self.oracle_dim = point, theorem_dim, oracle_dim
+        self.iso_witness = iso_witness
 
 
 def stalk_at(sheaf: CellularSheaf, point: str,
@@ -693,14 +689,15 @@ def stalk_at(sheaf: CellularSheaf, point: str,
     return StalkReport(point, sheaf.dim(point), limit.dim, limit.witness)
 
 
-@dataclass(frozen=True)
-class CoverCheck:
+class CoverCheck(Record):
     """Outcome of one exactness check for one cover of one open set."""
 
-    target: tuple[str, ...]
-    cover: tuple[tuple[str, ...], ...]
-    injective: bool
-    exact_middle: bool
+    __slots__ = ("target", "cover", "injective", "exact_middle")
+
+    def __init__(self, target: tuple[str, ...], cover: tuple[tuple[str, ...], ...],
+                 injective: bool, exact_middle: bool):
+        self.target, self.cover = target, cover
+        self.injective, self.exact_middle = injective, exact_middle
 
     @property
     def ok(self) -> bool:
@@ -715,12 +712,13 @@ class CoverCheck:
         return f"{covered} covered by [{parts}]: {status}"
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(Record):
     """Aggregate of cover checks; ok only when every check passed."""
 
-    name: str
-    checks: list
+    __slots__ = ("name", "checks")
+
+    def __init__(self, name: str, checks: list):
+        self.name, self.checks = name, checks
 
     @property
     def ok(self) -> bool:
@@ -848,6 +846,7 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
     # each open by its mask; the enumeration is in sort_key order
     by_mask = {V.mask: V for V in opens}
     position = {v: k for k, v in enumerate(by_mask)}
+    import random  # here, so that no other command loads it
     rng = random.Random(seed)
     considered = opens
     if open_budget is not None and len(opens) > open_budget:

@@ -13,7 +13,7 @@ of two opens are `&` and `|` of their masks, and every mask that
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import EnumerationLimitError, NotOpenError, ValidationError
 from .order import PreOrder, iter_bits, linear_extension

@@ -323,3 +323,17 @@ def brute_force_opens(space: PreOrder) -> list[frozenset]:
         if open_violation_by_scan(space, members) is None:
             out.append(members)
     return out
+
+
+def assert_value_record(cls, fields: dict, text: str) -> None:
+    """`cls` is a result record made from `fields`, given by keyword or in
+    order: two such are equal, a record of a subclass with the same fields
+    is not, nor is the tuple of the values, and the repr reads `text`.
+    Hashing is left to the caller, as only some records hash."""
+    record = cls(**fields)
+    assert record == cls(*fields.values())
+    assert not record != cls(**fields)
+    twin = type("Twin", (cls,), {"__slots__": ()})(**fields)
+    assert record != twin and twin != record
+    assert record != tuple(fields.values())
+    assert repr(record) == text

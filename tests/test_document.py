@@ -14,6 +14,8 @@ from cellsheaf import (
     NotAntisymmetricError,
     PrimeField,
     QQ,
+    RealizedDocument,
+    SheafDocument,
     ValidationError,
     build_morphism,
     classify,
@@ -27,7 +29,7 @@ from cellsheaf import document
 from cellsheaf.document import _parse_matrix_value
 from cellsheaf.linalg import PRIME_BOUND
 
-from helpers import FIXTURES
+from helpers import FIXTURES, assert_value_record
 from oracles import matrix_literal_by_walk, realize_by_literal
 
 
@@ -640,6 +642,65 @@ class TestFieldOverride:
         assert sheaf.field == PrimeField(5)
         # 6 = 1 mod 5
         assert sheaf.restriction("p", "r") == Matrix.build(PrimeField(5), [[1, 1]])
+
+
+class TestRecords:
+    """What a document parses and realizes to is a set of value records."""
+
+    def test_specs_by_keyword_with_each_default(self):
+        literal = dict(kind="rows", rows=(("1", "1/2"),), line=3)
+        assert_value_record(document.MatrixLiteral, literal,
+                            "MatrixLiteral(kind='rows', rows=(('1', '1/2'),), line=3)")
+        assert_value_record(document.SheafSpec, dict(name="main", line=2),
+                            "SheafSpec(name='main', line=2, field_name=None, dims={}, maps={})")
+        assert_value_record(document.OpenSpec, dict(name="U", line=7),
+                            "OpenSpec(name='U', line=7, stars=None, members=None)")
+        assert_value_record(
+            document.MorphismSpec, dict(name="f", line=9),
+            "MorphismSpec(name='f', line=9, source='main', target='main', maps={})")
+
+    def test_specs_by_keyword_with_every_field(self):
+        literal = document.MatrixLiteral("id", (), 4)
+        assert_value_record(
+            document.SheafSpec,
+            dict(name="s", line=2, field_name="fp:5", dims={"a": (1, 3)},
+                 maps={("a", "b"): literal}),
+            "SheafSpec(name='s', line=2, field_name='fp:5', dims={'a': (1, 3)},"
+            " maps={('a', 'b'): MatrixLiteral(kind='id', rows=(), line=4)})")
+        assert_value_record(document.OpenSpec, dict(name="U", line=7, stars=("a",), members=None),
+                            "OpenSpec(name='U', line=7, stars=('a',), members=None)")
+        assert_value_record(
+            document.MorphismSpec,
+            dict(name="f", line=9, source="s", target="t", maps={"a": literal}),
+            "MorphismSpec(name='f', line=9, source='s', target='t',"
+            " maps={'a': MatrixLiteral(kind='id', rows=(), line=4)})")
+
+    @pytest.mark.parametrize("spec, names", [(document.SheafSpec, ("dims", "maps")),
+                                             (document.MorphismSpec, ("maps",))])
+    def test_each_spec_has_dicts_of_its_own(self, spec, names):
+        first, second = spec("x", 1), spec("x", 1)
+        for name in names:
+            getattr(first, name)["a"] = 1
+            assert getattr(second, name) == {}
+
+    def test_parsed_and_realized_documents(self):
+        doc = parse_document("[poset]\nelements = a b\nrelation = a<b\n"
+                             "[sheaf]\ndim a = 1\ndim b = 1\nmap a->b = [[2]]\n")
+        assert_value_record(
+            SheafDocument, dict(preorder=doc.preorder, sheaf_specs=doc.sheaf_specs,
+                                open_specs={}, morphism_specs={}),
+            "SheafDocument(preorder=PreOrder(['a', 'b'], [('a', 'b')]), sheaf_specs={'main':"
+            " SheafSpec(name='main', line=4, field_name=None, dims={'a': (1, 5), 'b': (1, 6)},"
+            " maps={('a', 'b'): MatrixLiteral(kind='rows', rows=(('2',),), line=7)})},"
+            " open_specs={}, morphism_specs={})")
+        realized = realize(doc)
+        assert_value_record(
+            RealizedDocument, dict(poset=realized.poset, sheaves=realized.sheaves, opens={},
+                                   morphisms={}, morphism_ends={}),
+            "RealizedDocument(poset=Poset(['a', 'b'], [('a', 'b')]),"
+            " sheaves={'main': CellularSheaf(a:1, b:1 over q)}, opens={}, morphisms={},"
+            " morphism_ends={})")
+        assert realize(doc) == realized
 
 
 class TestRender:

@@ -8,6 +8,7 @@ import cellsheaf.morphism
 import oracles
 from cellsheaf import (
     Matrix,
+    MorphismFlags,
     NaturalityError,
     QQ,
     build_morphism,
@@ -29,6 +30,7 @@ from cellsheaf.linalg import vstack
 
 from helpers import (
     CORE_FIELDS,
+    assert_value_record,
     random_invertible,
     random_morphisms,
     random_natural_components,
@@ -285,6 +287,15 @@ class TestClassify:
                 continue
             for x in mor.source.base.elements:
                 assert section_map(mor, open_star(mor.source.base, x)).is_surjective()
+
+
+class TestMorphismFlags:
+    def test_a_value_record(self):
+        fields = dict(injective=True, surjective=False, isomorphism=False)
+        assert_value_record(MorphismFlags, fields, "MorphismFlags(injective=True,"
+                            " surjective=False, isomorphism=False)")
+        assert hash(MorphismFlags(**fields)) == hash(MorphismFlags(True, False, False))
+        assert MorphismFlags(True, True, True) != MorphismFlags(True, False, False)
 
 
 class TestNegativeControl:

@@ -11,6 +11,7 @@ from cellsheaf import (
     NotAntisymmetricError,
     Poset,
     PreOrder,
+    QuotientResult,
     UnknownElementError,
     ValidationError,
     as_poset,
@@ -23,7 +24,14 @@ from cellsheaf import (
     quotient_to_poset,
 )
 
-from helpers import posets, preorders, random_monotone_map, random_poset, random_preorder
+from helpers import (
+    assert_value_record,
+    posets,
+    preorders,
+    random_monotone_map,
+    random_poset,
+    random_preorder,
+)
 from oracles import (
     closure_by_table,
     first_antisymmetry_failure,
@@ -437,6 +445,36 @@ class TestMonotone:
         p = build_poset("ab", [("a", "b")])
         with pytest.raises(ValidationError):
             MonotoneMap(p, p, {"a": "a"})
+
+
+class TestRecords:
+    def test_monotone_map_is_a_value_record_hashed_by_its_ends(self):
+        p = build_poset(["a", "b"], [("a", "b")])
+        mapping = {"a": "a", "b": "b"}
+        assert_value_record(
+            MonotoneMap, dict(source=p, target=p, mapping=mapping),
+            "MonotoneMap(source=Poset(['a', 'b'], [('a', 'b')]),"
+            " target=Poset(['a', 'b'], [('a', 'b')]), mapping={'a': 'a', 'b': 'b'})")
+        identity, constant = MonotoneMap(p, p, mapping), MonotoneMap(p, p, {"a": "b", "b": "b"})
+        assert identity != constant
+        equal_poset = build_poset(["a", "b"], [("a", "b")])
+        assert hash(identity) == hash(constant) == hash(identity_map(equal_poset))
+        mapping["a"] = "b"  # the map holds its own copy
+        assert identity("a") == "a" and identity == identity_map(p)
+
+    def test_quotient_result_is_a_value_record_hashed_by_value(self):
+        p = build_preorder(["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c")])
+        q = quotient_to_poset(p)
+        assert_value_record(
+            QuotientResult,
+            dict(quotient=q.quotient, projection=q.projection, classes=q.classes),
+            "QuotientResult(quotient=Poset(['a', 'c'], [('a', 'c')]), projection=MonotoneMap("
+            "source=PreOrder(['a', 'b', 'c'], [('a', 'b'), ('a', 'c'), ('b', 'a'), ('b', 'c')]),"
+            " target=Poset(['a', 'c'], [('a', 'c')]), mapping={'a': 'a', 'b': 'a', 'c': 'c'}),"
+            " classes=(('a', 'b'), ('c',)))")
+        again = quotient_to_poset(build_preorder(p.elements, [("a", "b"), ("b", "a"), ("b", "c")]))
+        assert again == q and hash(again) == hash(q)
+        assert quotient_to_poset(build_preorder(p.elements, [("a", "b"), ("b", "a")])) != q
 
 
 class TestHasse:

@@ -7,14 +7,17 @@ of address space.
 The scale rows bound work that grows with the document; the hostile rows
 are inputs that must be refused with exit 2 and a named error. A row that
 hits an open Known defect of ROADMAP.md is a strict xfail naming it, so the
-change that mends the defect must remove the mark.
+change that mends the defect must remove the mark. One more child only
+imports the command line, and pins the modules that import must not load.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import FIXTURES, run_cellsheaf
+from helpers import FIXTURES, child_env, run_cellsheaf
 
 
 def _chain(n: int) -> tuple[list[str], list[str]]:
@@ -129,3 +132,17 @@ def test_command_ends_in_its_exit_code(tmp_path, argv, code, seconds):
     command, document, *rest = argv
     run_cellsheaf([command, str(write_document(tmp_path, document)), *rest], tmp_path,
                   code=code, seconds=seconds)
+
+
+def test_importing_the_cli_loads_only_what_a_command_runs():
+    """`import cellsheaf.cli` loads none of these: records are plain
+    classes, annotations are strings, and `random` and `json` are imported
+    where the extended verifier and a --json report use them. Only modules
+    that the package itself would name are pinned; `-S` keeps `site`, and
+    what its .pth files import, out of the child."""
+    unused = ("dataclasses", "typing", "random", "json")
+    code = f"import sys, cellsheaf.cli; print(*[m for m in {unused!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

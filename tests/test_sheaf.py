@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 import cellsheaf.morphism
 import cellsheaf.sheaf
 from cellsheaf import (
+    AxiomReport,
     CellularSheaf,
+    CoverCheck,
+    DirectLimitStalk,
     FunctorialityError,
     GlueConflictError,
     Matrix,
@@ -21,6 +24,7 @@ from cellsheaf import (
     Section,
     SectionSpace,
     ShapeError,
+    StalkReport,
     ValidationError,
     build_morphism,
     build_poset,
@@ -47,6 +51,7 @@ from cellsheaf import (
 
 from helpers import (
     CORE_FIELDS,
+    assert_value_record,
     posets,
     random_matrix,
     random_natural_components,
@@ -1163,6 +1168,51 @@ def random_cover_data(rng: random.Random, field):
             overlaps.append((i, j, *(Matrix.build(field, entries(band, parts[k]),
                                                   cols=parts[k]) for k in (i, j))))
     return dim, maps, overlaps
+
+
+class TestRecords:
+    """Each result of a sheaf computation is a value record; the stalk
+    report and the cover check also hash by value."""
+
+    def test_section_space_lays_out_its_starts(self):
+        sheaf = constant_sheaf(build_poset(["a", "b"], [("a", "b")]), 1)
+        U = open_star(sheaf.base, "a")
+        fields = dict(sheaf=sheaf, open=U, basis=subspace_from_rows(QQ, 2, [[1, 1]]))
+        assert_value_record(
+            SectionSpace, fields,
+            "SectionSpace(sheaf=CellularSheaf(a:1, b:1 over q), open={a, b},"
+            " basis=SubspaceBasis(field=QQ, ambient_dim=2, rows=((Fraction(1, 1),"
+            " Fraction(1, 1)),)), starts={0: 0, 1: 1})")
+        assert sections_over(sheaf, U) == SectionSpace(**fields)
+
+    def test_direct_limit_stalk(self):
+        sheaf = constant_sheaf(build_poset(["a", "b"], [("a", "b")]), 1)
+        limit = stalk_direct_limit(sheaf, "b")
+        names = ("sheaf", "point", "neighbourhoods", "offsets", "total", "images", "solve",
+                 "free_columns", "witness")
+        assert_value_record(
+            DirectLimitStalk, {name: getattr(limit, name) for name in names},
+            "DirectLimitStalk(sheaf=CellularSheaf(a:1, b:1 over q), point='b',"
+            " neighbourhoods=({b}, {a, b}), offsets={2: 0, 3: 1}, total=2, images=[[1, 1]],"
+            " solve=[[1]], free_columns=(1,), witness=[[1]])")
+        assert stalk_direct_limit(sheaf, "b") == limit
+
+    def test_reports(self):
+        sheaf = constant_sheaf(build_poset(["a", "b"], [("a", "b")]), 1)
+        stalk = dict(point="a", theorem_dim=1, oracle_dim=1, iso_witness=Matrix.identity(QQ, 1))
+        assert_value_record(StalkReport, stalk, "StalkReport(point='a', theorem_dim=1,"
+                            " oracle_dim=1, iso_witness=[[1]])")
+        assert hash(stalk_at(sheaf, "a")) == hash(StalkReport(**stalk))
+        check = dict(target=("a", "b"), cover=(("a", "b"), ("b",)), injective=True,
+                     exact_middle=False)
+        assert_value_record(CoverCheck, check, "CoverCheck(target=('a', 'b'), cover=(('a', 'b'),"
+                            " ('b',)), injective=True, exact_middle=False)")
+        assert hash(CoverCheck(**check)) == hash(CoverCheck(*check.values()))
+        assert len({CoverCheck(**check), CoverCheck(**{**check, "exact_middle": True})}) == 2
+        assert_value_record(
+            AxiomReport, dict(name="n", checks=[CoverCheck(**check)]),
+            "AxiomReport(name='n', checks=[CoverCheck(target=('a', 'b'),"
+            " cover=(('a', 'b'), ('b',)), injective=True, exact_middle=False)])")
 
 
 class TestCoverCheck:
