@@ -133,10 +133,8 @@ def cmd_check(report: Report, doc: SheafDocument, args) -> None:
                      f"field {sheaf.field.name}")
         for axioms in (
             verify_base_sheaf_axioms(sheaf, args.max_elements),
-            verify_sheaf_axioms_extended(
-                sheaf, covers_per_open=50, seed=args.seed,
-                max_elements=args.max_elements,
-            ),
+            verify_sheaf_axioms_extended(sheaf, seed=args.seed,
+                                         max_elements=args.max_elements),
         ):
             detail = axioms.summary()
             failures = axioms.failures()
@@ -255,21 +253,30 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     command's subparser is added, since parsing hands every later argument
     to it; otherwise (no command, a help flag, an unknown word) all are, so
     the top-level help and errors list every command."""
-    # (name, help, run, extra arguments as (flag, keywords)). Built per call,
-    # so each `run` is the cmd_* the module holds then, and a wrapper put on
-    # the module (perfbench's tracer) sees every command
+    # (name, help, run, the arguments after --seed as (flag, keywords)).
+    # Built per call, so each `run` is the cmd_* the module holds then, and
+    # a wrapper put on the module (perfbench's tracer) sees every command.
+    # Only the two commands that enumerate opens take the guard.
+    guard = ("--max-elements", dict(type=_positive_int, default=DEFAULT_MAX_ELEMENTS,
+                                    dest="max_elements",
+                                    help="enumeration guard for open-set listings"
+                                         f" (default {DEFAULT_MAX_ELEMENTS})"))
+    field = ("--field", dict(default=None,
+                             help="override the document field: q or fp:<prime>"))
     commands = [
-        ("check", "validate the document and verify the gluing laws", cmd_check, []),
+        ("check", "validate the document and verify the gluing laws", cmd_check,
+         [guard, field]),
         ("sections", "basis of the sections over an open set", cmd_sections, [
+            field,
             ("--open", dict(required=True, dest="open_spec",
                             help="comma-separated star:<x> / set:<name> items,"
                                  " or explicit members")),
         ]),
         ("stalk", "stalk dimensions and comparison witness", cmd_stalk,
-         [("--point", dict(required=True))]),
-        ("quotient", "poset quotient of the document's relation", cmd_quotient, []),
+         [guard, field, ("--point", dict(required=True))]),
+        ("quotient", "poset quotient of the document's relation", cmd_quotient, [field]),
         ("morphism", "naturality and classification of a morphism", cmd_morphism,
-         [("--name", dict(default=None))]),
+         [field, ("--name", dict(default=None))]),
     ]
     names = [name for name, *_ in commands]
     parser = argparse.ArgumentParser(
@@ -284,19 +291,13 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
                                     metavar="{" + ",".join(names) + "}")
     else:
         sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, run, extra in commands:
+    for name, help_text, run, arguments in commands:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="sheaf document")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for sampled covers (default 0)")
-        p.add_argument("--max-elements", type=_positive_int, default=DEFAULT_MAX_ELEMENTS,
-                       dest="max_elements",
-                       help="enumeration guard for open-set listings"
-                            f" (default {DEFAULT_MAX_ELEMENTS})")
-        p.add_argument("--field", default=None,
-                       help="override the document field: q or fp:<prime>")
-        for flag, keywords in extra:
+        for flag, keywords in arguments:
             p.add_argument(flag, **keywords)
         p.set_defaults(run=run)
     return parser

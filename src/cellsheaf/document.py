@@ -60,7 +60,7 @@ class SheafSpec(Record):
 
 
 class OpenSpec(Record):
-    __slots__ = ("name", "line", "stars", "members")
+    __slots__ = ("name", "line", "stars", "members")  # line: of its stars or members key
 
     def __init__(self, name: str, line: int, stars: tuple[str, ...] | None = None,
                  members: tuple[str, ...] | None = None):
@@ -290,6 +290,7 @@ def parse_document(text: str) -> SheafDocument:
             for key, value, lineno in entries:
                 if key in ("stars", "members"):
                     _once(seen, key, kind, lineno)
+                    spec_o.line = lineno
                 if key == "stars":
                     spec_o.stars = tuple(point(t, lineno) for t in value.split())
                 elif key == "members":
@@ -350,6 +351,15 @@ def parse_document(text: str) -> SheafDocument:
             if el not in preorder:
                 raise DocumentError(
                     f"unknown element {el!r} in morphism {name!r}", lit.line)
+    for name, spec_o in open_specs.items():
+        for x in spec_o.members if spec_o.stars is None else spec_o.stars:
+            if x not in preorder:
+                raise DocumentError(f"unknown element {x!r} in open {name!r}", spec_o.line)
+    for name, spec_m in morphism_specs.items():
+        for end in (spec_m.source, spec_m.target):
+            if end not in sheaf_specs:
+                raise DocumentError(
+                    f"morphism {name!r} names unknown sheaf {end!r}", spec_m.line)
     return SheafDocument(preorder, sheaf_specs, open_specs, morphism_specs)
 
 
@@ -442,7 +452,8 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
 
     Raises ValidationError subclasses for semantic failures (non-poset
     relation, chain disagreement, naturality failure, non-open member list)
-    and DocumentError for structural ones (shapes, unknown names).
+    and DocumentError for structural ones (shapes, missing dimensions,
+    mixed fields); `parse_document` has already resolved every name.
     """
     poset = as_poset(doc.preorder)
     override = None
@@ -483,21 +494,12 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
 
     opens: dict[str, OpenSet] = {}
     for name, spec_o in doc.open_specs.items():
-        points = spec_o.members if spec_o.stars is None else spec_o.stars
-        for x in points:
-            if x not in poset:
-                raise DocumentError(
-                    f"unknown element {x!r} in open {name!r}", spec_o.line)
-        opens[name] = (OpenSet(poset, points) if spec_o.stars is None
-                       else union_of_stars(poset, points))
+        opens[name] = (OpenSet(poset, spec_o.members) if spec_o.stars is None
+                       else union_of_stars(poset, spec_o.stars))
 
     morphisms: dict[str, SheafMorphism] = {}
     morphism_ends: dict[str, tuple[str, str]] = {}
     for name, spec_m in doc.morphism_specs.items():
-        for end in (spec_m.source, spec_m.target):
-            if end not in sheaves:
-                raise DocumentError(
-                    f"morphism {name!r} names unknown sheaf {end!r}", spec_m.line)
         src = sheaves[spec_m.source]
         tgt = sheaves[spec_m.target]
         if src.field != tgt.field:

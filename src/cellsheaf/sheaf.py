@@ -792,35 +792,28 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
     indicates a bug in the assembly, so callers should treat any failure as
     fatal.
 
-    Each map F(p -> x) is read once per star of p, and the bands of each
-    pair of stars once per call; an exact sequence met again is not
-    decided again, and phi, which holds the identity of the star of p, is
-    not eliminated (see `_check_cover`).
+    Every map is read through `sheaf._restrict`, whose memo holds it once;
+    an exact sequence met again is not decided again, and phi, which holds
+    the identity of the star of p, is not eliminated (see `_check_cover`).
     """
     base = sheaf.base
     if len(base) > max_elements:
         raise EnumerationLimitError(len(base), max_elements)
     up, dims, restrict = base._up, sheaf._dims, sheaf._restrict
     stars = [tuple(map(base.elements.__getitem__, iter_bits(row))) for row in up]
-    bands: dict[tuple[int, int], list] = {}  # by pair of centers x < y
     memo: dict = {}
     checks = []
     for pi in range(len(base)):
-        to_part = {i: restrict(pi, i) for i in iter_bits(up[pi])}
-        others = [i for i in to_part if i != pi]
+        others = [i for i in iter_bits(up[pi]) if i != pi]
         for size in range(len(others) + 1):
             for combo in combinations(others, size):
                 centers = sorted((pi,) + combo)
-                overlaps = []
-                for (i, xi), (j, yi) in combinations(enumerate(centers), 2):
-                    band = bands.get((xi, yi))
-                    if band is None:
-                        band = bands[xi, yi] = [(restrict(xi, w), restrict(yi, w))
-                                                for w in iter_bits(up[xi] & up[yi])]
-                    overlaps.extend((i, j, a, b) for a, b in band)
+                overlaps = [(i, j, restrict(xi, w), restrict(yi, w))
+                            for (i, xi), (j, yi) in combinations(enumerate(centers), 2)
+                            for w in iter_bits(up[xi] & up[yi])]
                 checks.append(_check_cover(
                     sheaf.field, stars[pi], tuple(stars[i] for i in centers), dims[pi],
-                    [to_part[i] for i in centers], overlaps, memo,
+                    [restrict(pi, i) for i in centers], overlaps, memo,
                 ))
     return AxiomReport("basic-cover-exactness", checks)
 
@@ -836,10 +829,11 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
     sampled. Deterministic for a fixed seed.
 
     Covers are drawn as sets of masks, the first draw of each kept in
-    order. Each map F(U) -> F(V) is read once per U, and each band
-    (F(V) -> F(V & W), F(W) -> F(V & W)) once per call; an exact sequence
-    met again is not decided again, and phi is not eliminated when U is
-    itself a part of the cover (see `_check_cover`).
+    order. Every map, F(U) -> F(V) and each band (F(V) -> F(V & W),
+    F(W) -> F(V & W)), is read through `restriction_matrix`, whose memo
+    holds it once; an exact sequence met again is not decided again, and
+    phi is not eliminated when U is itself a part of the cover (see
+    `_check_cover`).
     """
     up = sheaf.base._up
     opens = enumerate_opens(sheaf.base, max_elements)
@@ -851,7 +845,6 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
     considered = opens
     if open_budget is not None and len(opens) > open_budget:
         considered = sorted(rng.sample(opens, open_budget), key=OpenSet.sort_key)
-    bands: dict[tuple[int, int], tuple] = {}  # by the masks of V and W
     memo: dict = {}
     checks = []
     for U in considered:
@@ -870,22 +863,14 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
                 picked.extend(up[x] for x in iter_bits(left_out))
             covers.setdefault(frozenset(picked))
         dim_U = sections_over(sheaf, U).dim
-        to_part: dict[int, Matrix] = {}  # F(U) -> F(V) by the mask of V
         for drawn in covers:
             parts = sorted(drawn, key=position.__getitem__)
-            for v in parts:
-                if v not in to_part:
-                    to_part[v] = restriction_matrix(sheaf, U, by_mask[v])
-            overlaps = []
-            for (i, v), (j, w) in combinations(enumerate(parts), 2):
-                band = bands.get((v, w))
-                if band is None:
-                    inter = by_mask[v & w]
-                    band = bands[v, w] = (restriction_matrix(sheaf, by_mask[v], inter),
-                                          restriction_matrix(sheaf, by_mask[w], inter))
-                overlaps.append((i, j, *band))
+            maps = [restriction_matrix(sheaf, U, by_mask[v]) for v in parts]
+            overlaps = [(i, j, restriction_matrix(sheaf, by_mask[v], by_mask[v & w]),
+                         restriction_matrix(sheaf, by_mask[w], by_mask[v & w]))
+                        for (i, v), (j, w) in combinations(enumerate(parts), 2)]
             checks.append(_check_cover(
                 sheaf.field, U.sorted_members, tuple(by_mask[v].sorted_members for v in parts),
-                dim_U, [to_part[v] for v in parts], overlaps, memo,
+                dim_U, maps, overlaps, memo,
             ))
     return AxiomReport("open-cover-exactness", checks)

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cellsheaf.sheaf
 from cellsheaf import CellSheafError, cli, parse_text
 from cellsheaf.cli import main
 from cellsheaf.linalg import PRIME_BOUND
@@ -47,6 +49,21 @@ class TestCheck:
         code, out = run(capsys, "check", fixture(f"{name}.sheaf"))
         assert code == 0
         assert "result: PASS" in out
+
+    def test_a_failed_cover_check_is_reported_with_the_first_failure(self, capsys):
+        # no valid sheaf fails a cover check, so every sequence is made
+        # to read as not exact
+        with mock.patch.object(cellsheaf.sheaf, "is_exact_at", lambda phi, psi: False):
+            code, out = run(capsys, "check", fixture("square.sheaf"))
+        assert code == 1
+        assert out.split("\n")[5:7] == [
+            "check basic-cover-exactness:main: fail (basic-cover-exactness: 13 covers"
+            " checked, 13 failures; first: {p q1 q2 r} covered by [{p q1 q2 r}]:"
+            " gluing failed)",
+            "check open-cover-exactness:main: fail (open-cover-exactness: 31 covers"
+            " checked, 31 failures; first: {} covered by []: gluing failed)",
+        ]
+        assert out.endswith("result: FAIL\n")
 
     def test_path_dependent_fixture_fails_with_witness(self, capsys):
         code, out = run(capsys, "check", fixture("bad_square.sheaf"))
@@ -408,7 +425,9 @@ _PARSER_ARGVS = (
     + [["sections", _SQUARE], ["stalk", _SQUARE],
        ["check", _SQUARE, "--seed", "q"], ["check", _SQUARE, "--bogus"],
        ["quotient", _SQUARE, "extra"], ["--json", "check", _SQUARE],
-       ["morphism", _SQUARE, "--name"], ["check", _SQUARE, "--max-elements", "-1"]]
+       ["morphism", _SQUARE, "--name"], ["check", _SQUARE, "--max-elements", "-1"],
+       # only the two commands that enumerate opens take the guard
+       ["sections", _SQUARE, "--open", "star:p", "--max-elements", "1"]]
 )
 _VALID_ARGVS = (
     [["check", _SQUARE, "--json", "--seed", "3", "--max-elements", "9"],
@@ -623,6 +642,12 @@ PINNED_EXITS = [
      *_exit_two("sections", "empty --open item 'star:'")),
     ("two morphisms, no --name", _TWO_MORPHISMS_DOC, ["morphism"], 2,
      *_exit_two("morphism", "document defines several morphisms; pick one with --name")),
+    # quotient realizes nothing, yet a name that no block defines is refused
+    ("unknown point of an open, quotient", "[poset]\nelements = a\n[open U]\nmembers = zz\n",
+     ["quotient"], 2, *_exit_two("quotient", "line 4: unknown element 'zz' in open 'U'")),
+    ("unknown sheaf of a morphism, quotient",
+     "[poset]\nelements = a\n[sheaf]\ndim a = 1\n[morphism f]\ntarget = x\n",
+     ["quotient"], 2, *_exit_two("quotient", "line 5: morphism 'f' names unknown sheaf 'x'")),
 ]
 
 

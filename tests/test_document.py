@@ -70,6 +70,21 @@ class TestParse:
         assert sheaf.restriction("a", "b") == Matrix.identity(QQ, 2)
         assert sheaf.restriction("a", "c") == Matrix.zeros(QQ, 2, 2)
 
+    def test_a_map_left_out_at_a_zero_dimensional_point_is_zero(self):
+        # a sheaf map out of a and a morphism map at a, both 0-dimensional
+        realized = parse_text(
+            "[poset]\nelements = a b\nrelation = a<b\n"
+            "[sheaf]\ndim a = 0\ndim b = 1\n[morphism f]\nmap b = [[2]]\n"
+        )
+        assert realized.sheaves["main"].restriction("a", "b") == Matrix.zeros(QQ, 1, 0)
+        assert realized.morphisms["f"].components["a"] == Matrix.zeros(QQ, 0, 0)
+        # and the normalized document leaves them out again
+        assert render_document(realized) == (
+            "[poset]\nelements = a b\nrelation = a<b\n\n"
+            "[sheaf]\nfield = q\ndim a = 0\ndim b = 1\n\n"
+            "[morphism f]\nsource = main\ntarget = main\nmap b = [[2]]\n"
+        )
+
     def test_comments_and_blank_lines(self):
         realized = parse_text(
             "# heading\n\n[poset]  \nelements = a   # trailing\n[sheaf]\ndim a = 1\n"
@@ -271,11 +286,41 @@ class TestParseErrors:
         ("[morphism f]\nmap zz = [[1]]\n[sheaf]\nmap a->yy = [[1]]\n"
          "[poset]\nelements = a b\n",
          "line 4: unknown element in map a->yy"),
+        # then the points of opens, at the line of their key, then the
+        # sheaves a morphism names
+        ("[morphism f]\nsource = x\nmap zz = [[1]]\n[open U]\nmembers = yy\n"
+         "[poset]\nelements = a b\n",
+         "line 3: unknown element 'zz' in morphism 'f'"),
+        ("[morphism f]\nsource = x\n[open U]\n# its points\nstars = yy\n"
+         "[poset]\nelements = a b\n",
+         "line 5: unknown element 'yy' in open 'U'"),
+        ("[morphism f]\nsource = x\n[sheaf]\ndim a = 1\n[poset]\nelements = a b\n",
+         "line 1: morphism 'f' names unknown sheaf 'x'"),
     ])
     def test_the_first_of_several_faults_is_reported(self, text, message):
         with pytest.raises(DocumentError) as err:
             parse_document(text)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("[poset x]\nelements = a\n", 1, "[poset] takes no name"),
+        (POSET.replace("a<b", "ab"), 3, "relation token 'ab' must look like x<y"),
+        (POSET + "[sheaf]\ndim a = -1\n", 5, "dimension must be non-negative"),
+        (POSET + SHEAF + "map a->b = [[1]]\n[morphism f]\nmap a = [[1]]\nmap a = [[2]]\n",
+         10, "duplicate map for 'a'"),
+        (POSET + "[bogus]\nx = 1\n", 4, "unknown block kind 'bogus'"),
+        ("[sheaf]\ndim a = 1\n", None, "document has no [poset] block"),
+        (POSET + "[open]\nmembers = b\n", 4, "[open] blocks need a name"),
+        # found only once both sheaves are realized, at the morphism's header
+        (POSET + SHEAF + "map a->b = [[1]]\n[sheaf other]\nfield = fp:5\ndim a = 1\n"
+         "dim b = 1\nmap a->b = [[1]]\n[morphism f]\ntarget = other\n",
+         13, "morphism 'f' mixes fields q and fp:5"),
+    ])
+    def test_each_front_door_error_names_its_line(self, text, line, message):
+        with pytest.raises(DocumentError) as err:
+            parse_text(text)
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
 
     @pytest.mark.parametrize("block, key, first, second", [
         ("[sheaf]", "field", "fp:5", "q"),

@@ -10,7 +10,10 @@ from cellsheaf import (
     Matrix,
     MorphismFlags,
     NaturalityError,
+    PrimeField,
     QQ,
+    ShapeError,
+    ValidationError,
     build_morphism,
     build_poset,
     build_sheaf,
@@ -47,7 +50,30 @@ def two_chain(entry=2):
                        {("a", "b"): Matrix.build(QQ, [[entry]])})
 
 
+ONE = Matrix.build(QQ, [[1]])
+
+
 class TestBuild:
+    @pytest.mark.parametrize("call, cls, message", [
+        (lambda s: build_morphism(s, constant_sheaf(build_poset("ab", []), 1), {}),
+         ValidationError, "morphisms require the same base poset"),
+        (lambda s: build_morphism(s, constant_sheaf(s.base, 1, PrimeField(5)), {}),
+         ValidationError, "morphisms require the same field"),
+        (lambda s: build_morphism(s, s, {"a": ONE}),
+         ShapeError, "no component matrix for element 'b'"),
+        (lambda s: build_morphism(s, s, {"a": Matrix.build(QQ, [[1, 0]]), "b": ONE}),
+         ShapeError, "component at a is 1x2, expected 1x1"),
+        (lambda s: build_morphism(s, s, {"a": Matrix.build(PrimeField(5), [[1]]), "b": ONE}),
+         ShapeError, "component at a uses a different field"),
+        (lambda s: build_morphism(s, s, {"a": ONE, "b": ONE, "z": ONE, "y": ONE}),
+         ShapeError, "components given for unknown elements ['y', 'z']"),
+    ], ids=["base", "field", "missing component", "shape", "component field",
+            "unknown elements"])
+    def test_each_input_check_names_its_error(self, call, cls, message):
+        with pytest.raises(cls) as err:
+            call(two_chain())
+        assert (type(err.value), str(err.value)) == (cls, message)
+
     def test_identity_and_zero(self):
         sheaf = two_chain()
         identity_morphism(sheaf)

@@ -132,9 +132,11 @@ class TestBuildPreorder:
             reach = nx.descendants(g, i) | {i}
             assert p.up_set(names[i]) == {names[j] for j in reach}
 
-    def test_unknown_endpoint_rejected(self):
-        with pytest.raises(UnknownElementError):
-            build_preorder(["a"], [("a", "z")])
+    @pytest.mark.parametrize("pair", [("z", "a"), ("a", "z")], ids=["first", "second"])
+    def test_unknown_endpoint_rejected(self, pair):
+        with pytest.raises(UnknownElementError) as err:
+            build_preorder(["a"], [pair])
+        assert str(err.value) == "unknown element 'z' in relation pair"
 
     def test_duplicate_elements_rejected(self):
         with pytest.raises(ValidationError):
@@ -390,6 +392,14 @@ class TestFactorThroughQuotient:
         q = quotient_to_poset(p)
         fbar = factor_through_quotient(f, q)
         assert fbar.mapping == {"a": "t"}
+
+    def test_rejects_a_map_from_another_source(self):
+        q = quotient_to_poset(build_preorder("ab", [("a", "b"), ("b", "a")]))
+        f = identity_map(build_poset("ab", []))
+        with pytest.raises(ValidationError) as err:
+            factor_through_quotient(f, q)
+        assert (type(err.value), str(err.value)) == (
+            ValidationError, "map and quotient have different sources")
 
     def test_rejects_non_poset_target(self):
         p = build_preorder("ab", [])
