@@ -274,7 +274,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         ]),
         ("stalk", "stalk dimensions and comparison witness", cmd_stalk,
          [guard, field, ("--point", dict(required=True))]),
-        ("quotient", "poset quotient of the document's relation", cmd_quotient, [field]),
+        ("quotient", "poset quotient of the document's relation", cmd_quotient, []),
         ("morphism", "naturality and classification of a morphism", cmd_morphism,
          [field, ("--name", dict(default=None))]),
     ]
@@ -296,7 +296,8 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("file", help="sheaf document")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled covers (default 0)")
+                       help="seed for the covers that check samples; other"
+                            " commands only echo it in the report (default 0)")
         for flag, keywords in arguments:
             p.add_argument(flag, **keywords)
         p.set_defaults(run=run)

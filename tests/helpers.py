@@ -1,4 +1,5 @@
-"""Shared generators for randomized tests, and the child-process runner.
+"""Shared generators for randomized tests, the child-process runner, and
+the subparsers of a command-line parser.
 
 Random sheaves and morphisms are produced by solving the relevant linear
 compatibility systems and sampling their solution spaces, so the samples
@@ -8,6 +9,7 @@ every sample independently.
 
 from __future__ import annotations
 
+import argparse
 import os
 import random
 import resource
@@ -69,6 +71,13 @@ def run_cellsheaf(argv, cwd, *, code: int = 0, seconds: int = 5,
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc
+
+
+def subparsers(parser: argparse.ArgumentParser) -> dict:
+    """Command name -> subparser, for each command `parser` builds."""
+    return {name: sub for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+            for name, sub in action.choices.items()}
 
 
 _NAMES = [chr(ord("a") + i) for i in range(20)]

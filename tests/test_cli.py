@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from unittest import mock
@@ -15,7 +17,7 @@ from cellsheaf import CellSheafError, cli, parse_text
 from cellsheaf.cli import main
 from cellsheaf.linalg import PRIME_BOUND
 
-from helpers import FIXTURES, run_cellsheaf
+from helpers import FIXTURES, run_cellsheaf, subparsers
 
 
 def run(capsys, *argv):
@@ -427,7 +429,9 @@ _PARSER_ARGVS = (
        ["quotient", _SQUARE, "extra"], ["--json", "check", _SQUARE],
        ["morphism", _SQUARE, "--name"], ["check", _SQUARE, "--max-elements", "-1"],
        # only the two commands that enumerate opens take the guard
-       ["sections", _SQUARE, "--open", "star:p", "--max-elements", "1"]]
+       ["sections", _SQUARE, "--open", "star:p", "--max-elements", "1"],
+       # quotient builds no sheaf, so it takes no field
+       ["quotient", _SQUARE, "--field", "q"]]
 )
 _VALID_ARGVS = (
     [["check", _SQUARE, "--json", "--seed", "3", "--max-elements", "9"],
@@ -464,6 +468,68 @@ class TestParser:
         argv = ["stalk", fixture("fan.sheaf"), "--point", "q", "--json"]
         monkeypatch.setattr(sys, "argv", ["cellsheaf", *argv])
         assert (main(), capsys.readouterr().out) == run(capsys, *argv)
+
+
+README = FIXTURES.parent / "README.md"
+
+
+def _readme_flag_table() -> dict:
+    """flag -> (the commands that take it, the first word of its default)
+    from the README's flag table, one row per flag."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| flag | commands | default | meaning |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        flag, commands, default, _ = (cell.strip() for cell in line.strip("|").split("|", 3))
+        table[flag.strip("`").split()[0]] = (set(commands.split(", ")),
+                                            default.split()[0].strip("`"))
+    return table
+
+
+def _readme_argvs() -> list[list[str]]:
+    """The arguments of each `cellsheaf ...` and `python -m cellsheaf ...`
+    line in the README's `sh` blocks, after any environment assignments."""
+    argvs, in_sh = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+            continue
+        words = shlex.split(line, comments=True) if in_sh else []
+        while words and "=" in words[0]:
+            words.pop(0)
+        if words[:1] == ["cellsheaf"]:
+            argvs.append(words[1:])
+        elif words[:3] == ["python", "-m", "cellsheaf"]:
+            argvs.append(words[3:])
+    return argvs
+
+
+class TestReadme:
+    """The README's flag table and examples against the command line."""
+
+    def test_flag_table_matches_the_parser(self):
+        expected = {}
+        for command, sub in subparsers(cli._build_parser([])).items():
+            for option in sub._actions:
+                if not option.option_strings or isinstance(option, argparse._HelpAction):
+                    continue
+                default = ("required" if option.required
+                           else "off" if option.default is False
+                           else "none" if option.default is None else str(option.default))
+                commands, first = expected.setdefault(option.option_strings[0],
+                                                      (set(), default))
+                assert default == first, (command, option.option_strings)
+                commands.add(command)
+        assert expected and _readme_flag_table() == expected
+
+    def test_every_example_runs(self, capsys, monkeypatch):
+        monkeypatch.chdir(FIXTURES.parent)
+        argvs = _readme_argvs()
+        assert argvs
+        codes = {" ".join(argv): main(argv) for argv in argvs}
+        assert {line: code for line, code in codes.items() if code not in (0, 1)} == {}
 
 
 class TestDeterminism:
@@ -557,11 +623,12 @@ class TestFrontDoorFuzz:
             pass
         path = tmp_path_factory.mktemp("fuzz") / "mutant.sheaf"
         path.write_text(text)
-        common = [str(path)] + (["--field", field] if field else [])
-        for argv in (["check"], ["sections", "--open", open_spec],
-                     ["stalk", "--point", point], ["quotient"], ["morphism"]):
+        override = ["--field", field] if field else []
+        for argv in (["check", *override], ["sections", "--open", open_spec, *override],
+                     ["stalk", "--point", point, *override], ["quotient"],
+                     ["morphism", *override]):
             with contextlib.redirect_stdout(io.StringIO()):
-                code = main([argv[0], *common, *argv[1:]])
+                code = main([argv[0], str(path), *argv[1:]])
             assert code in (0, 1, 2), (argv, text)
 
 

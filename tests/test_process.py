@@ -11,6 +11,7 @@ change that mends the defect must remove the mark. One more child only
 imports the command line, and pins the modules that import must not load.
 """
 
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +66,18 @@ def _antichain() -> list[str]:
             + [f"dim {x} = 1" for x in points])
 
 
+def _huge_entries() -> list[str]:
+    # a < b, a < c, every dim 20: two 20x20 maps of 1000-digit integers
+    rng = random.Random(3)
+    lines = ["[poset]", "elements = a b c", "relation = a<b a<c", "[sheaf]",
+             "dim a = 20", "dim b = 20", "dim c = 20"]
+    for target in "bc":
+        rows = (", ".join(str(rng.randrange(10**999, 10**1000)) for _ in range(20))
+                for _ in range(20))
+        lines.append(f"map a->{target} = [" + ", ".join(f"[{row}]" for row in rows) + "]")
+    return lines
+
+
 # one covering pair a < b, before its dimensions and map
 _PAIR = ["[poset]", "elements = a b", "relation = a<b", "[sheaf]"]
 
@@ -84,6 +97,7 @@ DOCUMENTS = {
     "huge.sheaf": lambda: _PAIR + ["dim a = 100000000000", "dim b = 0"],
     "huger.sheaf": lambda: ["[poset]", "elements = a", "[sheaf]",
                             "dim a = 99999999999999999999999"],
+    "entries.sheaf": _huge_entries,
 }
 
 
@@ -124,6 +138,8 @@ ROWS = [
          defect="a huge dimension escapes Matrix.zeros as a MemoryError traceback"),
     _row("sections huger.sheaf --open a", seconds=2,
          defect="a huger dimension runs without bound in Matrix.identity"),
+    _row("check entries.sheaf", 0, seconds=2,
+         defect="huge entries run without bound in the Q rank elimination of is_exact_at"),
 ]
 
 

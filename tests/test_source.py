@@ -1,9 +1,13 @@
 """Checks on the package source itself, read with `ast`."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import cellsheaf
+from cellsheaf import cli
+
+from helpers import subparsers
 
 PACKAGE = Path(cellsheaf.__file__).parent
 
@@ -116,3 +120,54 @@ def test_no_unreferenced_privates_in_the_package():
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert trees
     assert unreferenced_privates(trees) == []
+
+
+def unread_options(parser: argparse.ArgumentParser, tree: ast.AST) -> list[tuple[str, str]]:
+    """(command, dest) for each argument a subparser of `parser` adds that
+    neither the command's `run` function nor `main`, both module-level
+    functions of `tree`, reads as `args.<dest>`."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name: str) -> set:
+        return {node.attr for node in ast.walk(functions[name])
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"}
+
+    return sorted(
+        (command, action.dest)
+        for command, sub in subparsers(parser).items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        and action.dest not in reads("main") | reads(sub.get_default("run").__name__)
+    )
+
+
+def test_the_scan_finds_each_unread_option():
+    source = (
+        "import argparse\n\n"
+        "def cmd_a(report, doc, args):\n    return args.kept, other.lost\n\n"
+        "def cmd_b(report, doc, args):\n    return args.json\n\n"
+        "def main(args):\n    return args.run(args.file)\n\n"
+        "def build():\n"
+        "    parser = argparse.ArgumentParser()\n"
+        "    sub = parser.add_subparsers(dest='command')\n"
+        "    for name, run, flags in [('a', cmd_a, ['--kept', '--lost']),\n"
+        "                             ('b', cmd_b, ['--kept', '--json'])]:\n"
+        "        p = sub.add_parser(name)\n"
+        "        p.add_argument('file')\n"
+        "        for flag in flags:\n"
+        "            p.add_argument(flag)\n"
+        "        p.set_defaults(run=run)\n"
+        "    return parser\n"
+    )
+    namespace = {}
+    exec(compile(source, "<scan>", "exec"), namespace)
+    assert unread_options(namespace["build"](), ast.parse(source)) == [
+        ("a", "lost"), ("b", "kept")]
+
+
+def test_every_command_reads_each_option_it_takes():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    parser = cli._build_parser([])
+    assert sorted(subparsers(parser)) == ["check", "morphism", "quotient", "sections", "stalk"]
+    assert unread_options(parser, tree) == []
