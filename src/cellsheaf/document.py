@@ -13,6 +13,13 @@ Keys are `name = value`; `#` starts a comment; rational entries are written
 line number. Parsing is split from realization so that parse errors (exit
 code 2 territory) stay distinct from semantic failures such as a relation
 that is not antisymmetric or matrices whose chains disagree (exit code 1).
+
+Each job is done once. `parse_document` resolves every name (points,
+sheaves, fields) and reads each distinct literal once; one whose entries
+are all integers becomes a tuple of int rows there. `realize` checks every
+dimension, covering pair, shape and field with the line at fault, then
+calls the steps of `build_sheaf` and `build_morphism` after their argument
+checks: the chain and naturality checks.
 """
 
 from __future__ import annotations
@@ -22,10 +29,10 @@ from math import lcm
 
 from .errors import DocumentError
 from .linalg import _INTEGER, Matrix, field_from_name
-from .morphism import SheafMorphism, build_morphism
+from .morphism import SheafMorphism, _naturality_checked_morphism
 from .order import PreOrder, as_poset, build_preorder, hasse_edges
 from .record import Record
-from .sheaf import CellularSheaf, build_sheaf
+from .sheaf import CellularSheaf, _chain_checked_sheaf
 from .topology import OpenSet, union_of_stars
 
 _IDENT = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.'-]*$")
@@ -34,7 +41,8 @@ _ENTRY_TOKEN = re.compile(r"^-?\d+(?:/\d+)?$")
 _ROW = re.compile(r"\[([^\[\]]*)\][ \t,]*")
 # a whole well-formed literal in ASCII: rows of at least one entry, the
 # separators the row walk accepts between them. Its rows are then the
-# bracket pairs with no bracket inside, and its tokens hold no blank
+# bracket pairs with no bracket inside, and a blank in a row is only ever
+# around an entry
 _ASCII_ROW = r"\[[ \t]*-?[0-9]+(?:/[0-9]+)?[ \t]*(?:,[ \t]*-?[0-9]+(?:/[0-9]+)?[ \t]*)*\]"
 _LITERAL = re.compile(rf"\[[ \t]*{_ASCII_ROW}(?:[ \t,]*{_ASCII_ROW})*[ \t]*\]")
 _ROW_BODY = re.compile(r"\[([^\[\]]*)\]")
@@ -43,9 +51,15 @@ MAIN_SHEAF = "main"
 
 
 class MatrixLiteral(Record):
-    __slots__ = ("kind", "rows", "line")  # kind is "rows", "id", or "zero"
+    """One matrix value at its line. `kind` is "rows", "id" or "zero". The
+    rows of a "rows" literal whose entries are all integers hold those ints,
+    read once at parse time; any other holds each entry's text (a fraction,
+    or an integer past the digit limit), read when it is realized."""
 
-    def __init__(self, kind: str, rows: tuple[tuple[str, ...], ...], line: int):
+    __slots__ = ("kind", "rows", "line")
+
+    def __init__(self, kind: str, rows: tuple[tuple[int, ...] | tuple[str, ...], ...],
+                 line: int):
         self.kind, self.rows, self.line = kind, rows, line
 
 
@@ -132,10 +146,14 @@ def _parse_matrix_value(text: str, line: int) -> MatrixLiteral:
     if text == "zero":
         return MatrixLiteral("zero", (), line)
     if _LITERAL.fullmatch(text):
-        bare = text.replace(" ", "").replace("\t", "")
-        rows = [tuple(body.split(",")) for body in _ROW_BODY.findall(bare)]
+        # `int` skips the blanks around an entry
+        rows = [body.split(",") for body in _ROW_BODY.findall(text)]
     else:
         rows = _walk_rows(text, line)
+    try:
+        rows = [tuple(map(int, row)) for row in rows]
+    except ValueError:  # a fraction, or an entry past the digit limit
+        rows = [tuple(tok.strip(" \t") for tok in row) for row in rows]
     if any(len(r) != len(rows[0]) for r in rows):
         raise DocumentError("matrix rows have differing lengths", line)
     return MatrixLiteral("rows", tuple(rows), line)
@@ -177,6 +195,10 @@ def _walk_rows(text: str, line: int) -> list:
 
 
 def parse_document(text: str) -> SheafDocument:
+    """The blocks of a document, every name in them resolved: each point a
+    listed element, each morphism's sheaves defined, each `field =` a known
+    field (an error at the block's header). A literal text is read once and
+    its repeats share its rows; a literal of integers holds int rows."""
     blocks: list[tuple[str, str | None, int, list[tuple[str, str, int]]]] = []
     current: list[tuple[str, str, int]] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -346,6 +368,11 @@ def parse_document(text: str) -> SheafDocument:
         for (a, b), lit in spec.maps.items():
             if a not in preorder or b not in preorder:
                 raise DocumentError(f"unknown element in map {a}->{b}", lit.line)
+        if spec.field_name is not None:
+            try:
+                field_from_name(spec.field_name)
+            except ValueError as exc:
+                raise DocumentError(str(exc), spec.line) from None
     for name, spec_m in morphism_specs.items():
         for el, lit in spec_m.maps.items():
             if el not in preorder:
@@ -380,16 +407,11 @@ def _realize_matrix(lit: MatrixLiteral, field, rows: int, cols: int,
     if got_rows != rows or (rows > 0 and got_cols != cols):
         raise DocumentError(f"matrix for {where}{_key_text(key)} is {got_rows}x{got_cols},"
                             f" expected {rows}x{cols}", lit.line)
-    # most literals hold only integers: their rows are the ints (residues
-    # over GF(p)) over 1. A `/` or a token past the digit limit makes `int`
-    # raise, and the entries are then read one by one
-    try:
-        return Matrix._make(field, rows, cols, *field.canonical(
-            [tuple(map(int, row)) for row in data]))
-    except ValueError:
-        pass
-    # int rows: over Q over the lcm of all the entries' denominators, over
-    # GF(p) the residues n * d^-1
+    if not (data and data[0]) or type(data[0][0]) is int:
+        # the ints read at parse time (residues over GF(p)) over 1
+        return Matrix._make(field, rows, cols, *field.canonical(data))
+    # entry texts, read one by one: over Q the int rows over the lcm of all
+    # the entries' denominators, over GF(p) the residues n * d^-1
     entries = [[_realize_entry(tok, field, lit.line) for tok in row] for row in data]
     p = field.characteristic
     if p:
@@ -452,8 +474,17 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
 
     Raises ValidationError subclasses for semantic failures (non-poset
     relation, chain disagreement, naturality failure, non-open member list)
-    and DocumentError for structural ones (shapes, missing dimensions,
-    mixed fields); `parse_document` has already resolved every name.
+    and DocumentError for structural ones; `parse_document` has already
+    resolved every name. The structural checks are the argument checks of
+    `build_sheaf` and `build_morphism`, made here with their lines: a
+    dimension at every point, maps only on covering pairs, no map left out
+    where neither dimension is 0, each literal at its shape (`id` only
+    between equal dimensions), one field in a morphism and a component at
+    every point. Parsing has checked that each dimension is a non-negative
+    integer and names a point. So the sheaves and morphisms are built by the
+    steps after those checks, which run the chain and naturality checks.
+    Each literal becomes a matrix once per field: int rows are reduced into
+    the field, entry texts are read one by one.
     """
     poset = as_poset(doc.preorder)
     override = None
@@ -469,12 +500,7 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
     edges = hasse_edges(poset) if doc.sheaf_specs else []
     edge_set = set(edges)
     for name, spec in doc.sheaf_specs.items():
-        field = override
-        if field is None:
-            try:
-                field = field_from_name(spec.field_name or "q")
-            except ValueError as exc:
-                raise DocumentError(str(exc), spec.line) from None
+        field = override if override is not None else field_from_name(spec.field_name or "q")
         dims = {}
         for el in poset.elements:
             if el not in spec.dims:
@@ -490,7 +516,7 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
         edge_maps = _realize_maps(
             spec.maps, ((edge, dims[edge[1]], dims[edge[0]]) for edge in edges),
             field, matrices.setdefault(field, {}), f"sheaf {name!r}", spec.line)
-        sheaves[name] = build_sheaf(poset, dims, edge_maps, field)
+        sheaves[name] = _chain_checked_sheaf(poset, field, dims, edge_maps, edges)
 
     opens: dict[str, OpenSet] = {}
     for name, spec_o in doc.open_specs.items():
@@ -512,7 +538,7 @@ def realize(doc: SheafDocument, field_override: str | None = None) -> RealizedDo
             spec_m.maps, zip(poset.elements, tgt._dims, src._dims),
             src.field, matrices.setdefault(src.field, {}), f"morphism {name!r}",
             spec_m.line, "morphism map at ")
-        morphisms[name] = build_morphism(src, tgt, components)
+        morphisms[name] = _naturality_checked_morphism(src, tgt, components)
         morphism_ends[name] = (spec_m.source, spec_m.target)
     return RealizedDocument(poset, sheaves, opens, morphisms, morphism_ends)
 

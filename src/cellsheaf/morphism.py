@@ -55,8 +55,11 @@ def build_morphism(source: CellularSheaf, target: CellularSheaf,
                    components: Mapping[str, Matrix]) -> SheafMorphism:
     """Validate shapes and commutation with restrictions on covering pairs.
 
-    Commutation on covering pairs implies commutation on every comparable
-    pair, since both sides compose along chains.
+    The checks here are on the arguments: one base and one field for both
+    sheaves, a component at every point and no other, each over that field
+    at its shape. `document.realize` makes each of them itself with the line
+    that is at fault and calls `_naturality_checked_morphism`, the step after
+    them, directly.
     """
     if source.base != target.base:
         raise ValidationError("morphisms require the same base poset")
@@ -76,6 +79,18 @@ def build_morphism(source: CellularSheaf, target: CellularSheaf,
     extra = set(components) - set(source.base.elements)
     if extra:
         raise ShapeError(f"components given for unknown elements {sorted(extra)}")
+    return _naturality_checked_morphism(source, target, components)
+
+
+def _naturality_checked_morphism(source: CellularSheaf, target: CellularSheaf,
+                                 components: Mapping[str, Matrix]) -> SheafMorphism:
+    """The morphism of checked components, once it commutes with the
+    restrictions: `components` holds a matrix over the sheaves' field of
+    shape dim_target(p) x dim_source(p) at every point p of their base.
+
+    Commutation on covering pairs implies commutation on every comparable
+    pair, since both sides compose along chains.
+    """
     for p, q in source.hasse:
         a, b = target.restriction(p, q), components[p]
         c, d = components[q], source.restriction(p, q)

@@ -152,29 +152,12 @@ def build_sheaf(base: Poset, dims: Mapping[str, int],
     omitted. Construction fails if two chains between the same pair of
     points compose to different matrices, reporting the offending pair.
 
-    Points q are visited bottom-up, by (|down-set of q|, index), and at
-    each q with two or more lower covers this lemma is checked.
-
-    Lemma. Suppose all chains between points strictly below q agree, so
-    F(x->y) is well defined for x <= y < q. Then all chains into q agree if
-    and only if, for every two lower covers z1, z2 of q and every maximal
-    point m of D = down(z1) & down(z2), F(z1->q) F(m->z1) = F(z2->q) F(m->z2).
-
-    Proof. Every chain from p to q ends in a covering pair (z, q) with
-    p <= z, and by hypothesis its product is F(z->q) F(p->z). So all chains
-    into q agree iff F(z1->q) F(p->z1) = F(z2->q) F(p->z2) for all lower
-    covers z1, z2 of q and all p in D. The condition is necessary, since
-    each maximal point m of D is such a p. It is sufficient: D is finite,
-    so any p in D lies below a maximal point m of D, and then
-    F(p->zi) = F(m->zi) F(p->m) for i = 1, 2 by the hypothesis, so both
-    sides at p are the two sides at m followed by F(p->m). By induction
-    along the visiting order, every chain agrees when no check fails.
-
-    A point below both z1 and z2 is never z1 or z2 (lower covers of q are
-    incomparable), so each check compares two genuine chains. At the first
-    q whose check fails, every p < q is scanned bottom-up, and the first
-    p with two disagreeing lower-cover products is reported, with the
-    product through the first lower cover and the first that differs.
+    The checks here are on the arguments: a dimension for every point and
+    no other, each a non-negative int, a map only on a covering pair, one
+    on every pair whose ends both have a nonzero dimension, and each map
+    over `field` at its shape. `document.realize` makes each of them itself
+    with the line that is at fault and calls `_chain_checked_sheaf`, the
+    step after them, directly.
     """
     base = as_poset(base)
     for e in base.elements:
@@ -205,6 +188,40 @@ def build_sheaf(base: Poset, dims: Mapping[str, int],
                 f"matrix for {p}->{q} is {m.rows}x{m.cols}, expected {dims[q]}x{dims[p]}"
             )
         maps[(p, q)] = m
+    return _chain_checked_sheaf(base, field, dims, maps, edges)
+
+
+def _chain_checked_sheaf(base: Poset, field, dims: Mapping[str, int],
+                         maps: Mapping[tuple[str, str], Matrix],
+                         edges: list[tuple[str, str]]) -> CellularSheaf:
+    """The sheaf of checked data, once all its chains agree: `maps` holds a
+    matrix over `field` of shape dim(q) x dim(p) for every covering pair
+    (p, q) in `edges`, the Hasse edges of `base`, and no other.
+
+    Points q are visited bottom-up, by (|down-set of q|, index), and at
+    each q with two or more lower covers this lemma is checked.
+
+    Lemma. Suppose all chains between points strictly below q agree, so
+    F(x->y) is well defined for x <= y < q. Then all chains into q agree if
+    and only if, for every two lower covers z1, z2 of q and every maximal
+    point m of D = down(z1) & down(z2), F(z1->q) F(m->z1) = F(z2->q) F(m->z2).
+
+    Proof. Every chain from p to q ends in a covering pair (z, q) with
+    p <= z, and by hypothesis its product is F(z->q) F(p->z). So all chains
+    into q agree iff F(z1->q) F(p->z1) = F(z2->q) F(p->z2) for all lower
+    covers z1, z2 of q and all p in D. The condition is necessary, since
+    each maximal point m of D is such a p. It is sufficient: D is finite,
+    so any p in D lies below a maximal point m of D, and then
+    F(p->zi) = F(m->zi) F(p->m) for i = 1, 2 by the hypothesis, so both
+    sides at p are the two sides at m followed by F(p->m). By induction
+    along the visiting order, every chain agrees when no check fails.
+
+    A point below both z1 and z2 is never z1 or z2 (lower covers of q are
+    incomparable), so each check compares two genuine chains. At the first
+    q whose check fails, every p < q is scanned bottom-up, and the first
+    p with two disagreeing lower-cover products is reported, with the
+    product through the first lower cover and the first that differs.
+    """
     sheaf = CellularSheaf(base, field, dims, maps, edges)
 
     lower, order, memo, restrict = sheaf._lower, sheaf._order, sheaf._maps, sheaf._restrict

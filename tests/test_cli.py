@@ -653,6 +653,9 @@ _TWO_MORPHISMS_DOC = (
     "[morphism f]\nmap a = [[1]]\nmap b = [[1]]\n"
     "[morphism g]\nmap a = [[2]]\nmap b = [[2]]\n"
 )
+_BANANA_DOC = ("[poset]\nelements = a b\nrelation = a<b\n"
+               "[sheaf]\nfield = banana\ndim a = 1\ndim b = 1\nmap a->b = [[1]]\n")
+_BANANA_ERROR = "line 4: unknown field 'banana' (expected 'q' or 'fp:<prime>')"
 _NOT_OPEN_TEXT = ("check open-valid: fail"
                   " (set is not open: contains a but not its successor b)\nresult: FAIL\n")
 _NOT_OPEN_CHECKS = [
@@ -715,6 +718,11 @@ PINNED_EXITS = [
     ("unknown sheaf of a morphism, quotient",
      "[poset]\nelements = a\n[sheaf]\ndim a = 1\n[morphism f]\ntarget = x\n",
      ["quotient"], 2, *_exit_two("quotient", "line 5: morphism 'f' names unknown sheaf 'x'")),
+    # a field name is resolved at parse time too, also where --field overrides it
+    ("unknown field, quotient", _BANANA_DOC, ["quotient"], 2,
+     *_exit_two("quotient", _BANANA_ERROR)),
+    ("unknown field under --field q", _BANANA_DOC, ["check", "--field", "q"], 2,
+     *_exit_two("check", _BANANA_ERROR)),
 ]
 
 

@@ -11,6 +11,7 @@ from cellsheaf import (
     FunctorialityError,
     Matrix,
     MorphismFlags,
+    NaturalityError,
     NotAntisymmetricError,
     PrimeField,
     QQ,
@@ -18,7 +19,9 @@ from cellsheaf import (
     SheafDocument,
     ValidationError,
     build_morphism,
+    build_sheaf,
     classify,
+    hasse_edges,
     parse_document,
     parse_text,
     realize,
@@ -35,6 +38,14 @@ from oracles import matrix_literal_by_walk, realize_by_literal
 
 def load(name):
     return (FIXTURES / name).read_text()
+
+
+def read_integers(kind: str, rows: tuple) -> tuple[str, tuple]:
+    """(kind, rows) of a literal as parsing keeps it: the walker's tokens as
+    ints where none is a fraction (every token here is short)."""
+    if any("/" in tok for row in rows for tok in row):
+        return kind, rows
+    return kind, tuple(tuple(int(tok) for tok in row) for row in rows)
 
 
 class TestParse:
@@ -157,7 +168,18 @@ class TestParseErrors:
             assert str(err.value) == f"line {line}: {exc}"
         else:
             lit = _parse_matrix_value(text, line)
-            assert (lit.kind, lit.rows, lit.line) == (*expected, line)
+            assert (lit.kind, lit.rows, lit.line) == (*read_integers(*expected), line)
+
+    @pytest.mark.parametrize("text, rows", [
+        ("[[007, -0]]", ((7, 0),)),
+        ("[[1,\t2]\t[ -3 ,\t4 ]]", ((1, 2), (-3, 4))),
+        ("[[1\xa0, \u0663]]", ((1, 3),)),  # read by the row walk
+        ("[[1/2, 007]]", (("1/2", "007"),)),
+        # read when realized, where its error names its line (tests/test_cli.py)
+        ("[[" + "7" * 5000 + "]]", (("7" * 5000,),)),
+    ])
+    def test_an_integer_literal_is_read_to_ints_once(self, text, rows):
+        assert _parse_matrix_value(text, 3) == document.MatrixLiteral("rows", rows, 3)
 
     def test_matrix_shape_mismatch_is_a_document_error_with_line(self):
         text = (
@@ -315,6 +337,13 @@ class TestParseErrors:
         (POSET + SHEAF + "map a->b = [[1]]\n[sheaf other]\nfield = fp:5\ndim a = 1\n"
          "dim b = 1\nmap a->b = [[1]]\n[morphism f]\ntarget = other\n",
          13, "morphism 'f' mixes fields q and fp:5"),
+        # a map left out where neither dimension is 0, at the block's header
+        (POSET + SHEAF, 4, "sheaf 'main' is missing `map a->b`"),
+        (POSET + SHEAF + "map a->b = [[1]]\n[morphism f]\nmap a = [[1]]\n",
+         8, "morphism 'f' is missing `map b`"),
+        # resolved at parse time, at the block's header
+        (POSET + "[sheaf]\nfield = banana\n", 4,
+         "unknown field 'banana' (expected 'q' or 'fp:<prime>')"),
     ])
     def test_each_front_door_error_names_its_line(self, text, line, message):
         with pytest.raises(DocumentError) as err:
@@ -614,18 +643,35 @@ class TestSharedLiterals:
                 + "".join(f"dim p{i} = 2\n" for i in range(6))
                 + "".join(f"map p{i}->p{i + 1} = {literal}\n" for i in range(5)))
 
-    def test_a_literal_used_k_times_is_realized_once(self, monkeypatch):
+    @pytest.mark.parametrize("literal, rows, values", [
+        ("[[1, 1/2], [0, 1]]", (("1", "1/2"), ("0", "1")), [[1, Fraction(1, 2)], [0, 1]]),
+        ("[[1, -6], [0, 1]]", ((1, -6), (0, 1)), [[1, -6], [0, 1]]),
+    ])
+    def test_a_literal_used_k_times_is_realized_once(self, monkeypatch, literal, rows,
+                                                     values):
         misses = self.count_misses(monkeypatch)
-        doc = parse_document(self.CHAIN + self.sheaf_block("[sheaf]", "q", "[[1, 1/2], [0, 1]]"))
+        reads = []
+        read = document._parse_matrix_value
+
+        def counted(text, line):
+            reads.append(line)
+            return read(text, line)
+
+        monkeypatch.setattr(document, "_parse_matrix_value", counted)
+        doc = parse_document(self.CHAIN + self.sheaf_block("[sheaf]", "q", literal))
+        assert reads == [12]
         uses = list(doc.sheaf_specs["main"].maps.values())
         assert [lit.line for lit in uses] == [12, 13, 14, 15, 16]
+        assert uses[0].rows == rows
         assert all(lit.rows is uses[0].rows for lit in uses)
-        realized = realize(doc)
-        assert misses == [QQ]
-        sheaf = realized.sheaves["main"]
-        maps = [sheaf.restriction(f"p{i}", f"p{i + 1}") for i in range(5)]
-        assert all(m is maps[0] for m in maps)
-        assert maps[0] == Matrix.build(QQ, [[1, Fraction(1, 2)], [0, 1]])
+        for override, field in [(None, QQ), ("fp:7", PrimeField(7))]:
+            misses.clear()
+            realized = realize(doc, override)
+            assert misses == [field]
+            sheaf = realized.sheaves["main"]
+            maps = [sheaf.restriction(f"p{i}", f"p{i + 1}") for i in range(5)]
+            assert all(m is maps[0] for m in maps)
+            assert maps[0] == Matrix.build(field, values)
 
     def test_the_same_text_is_realized_once_per_field(self, monkeypatch):
         misses = self.count_misses(monkeypatch)
@@ -664,6 +710,92 @@ class TestSharedLiterals:
             el: Matrix.build(QQ, m.data) for el, m in shared.components.items()})
         assert len({id(m) for m in copies.components.values()}) == 6
         assert classify(shared) == classify(copies) == MorphismFlags(*flags)
+
+
+@st.composite
+def front_end_documents(draw):
+    """A sheaf on a forest in each of two fields, and a scalar morphism of
+    each to itself: dims 0 to 2, integer and fractional entries, and a map
+    or component at a zero-dimensional point now and then left out."""
+    elements, pairs = draw(st.sampled_from(_SHARING_POSETS))
+    entry = st.sampled_from(["0", "1", "-3", "007", "-0", "1/2", "-2/3"])
+
+    def literal(rows, cols):
+        if not (rows and cols) and draw(st.booleans()):
+            return None
+        if rows and rows == cols and draw(st.integers(0, 3)) == 0:
+            return "id"
+        return "[" + ", ".join("[" + ", ".join(draw(entry) for _ in range(cols)) + "]"
+                               for _ in range(rows)) + "]" if rows else "[]"
+
+    lines = ["[poset]", "elements = " + " ".join(elements),
+             "relation = " + " ".join(f"{a}<{b}" for a, b in pairs)]
+    for name, field in [("main", None), ("other", draw(st.sampled_from(["q", "fp:5", "fp:7"])))]:
+        dims = {el: draw(st.integers(0, 2)) for el in elements}
+        scalar = draw(entry)
+        lines.append("[sheaf]" if field is None else f"[sheaf {name}]")
+        if field is not None:
+            lines.append(f"field = {field}")
+        lines += [f"dim {el} = {dims[el]}" for el in elements]
+        for a, b in pairs:
+            lit = literal(dims[b], dims[a])
+            if lit is not None:
+                lines.append(f"map {a}->{b} = {lit}")
+        lines += [f"[morphism {name}_scaled]", f"source = {name}", f"target = {name}"]
+        for el in elements:
+            d = dims[el]
+            if d or draw(st.booleans()):
+                lines.append(f"map {el} = " + (
+                    "[" + ", ".join("[" + ", ".join(scalar if i == j else "0" for j in range(d))
+                                    + "]" for i in range(d)) + "]" if d else "zero"))
+    return "\n".join(lines) + "\n"
+
+
+def rebuilt_by_front_ends(realized) -> tuple[dict, dict]:
+    """(sheaves, morphisms) of a realized document built again by the
+    validating `build_sheaf` and `build_morphism` from the same poset, dims,
+    covering-pair matrices, fields and components."""
+    poset = realized.poset
+    edges = hasse_edges(poset)
+    sheaves = {name: build_sheaf(poset, sheaf.dims,
+                                 {edge: sheaf.restriction(*edge) for edge in edges}, sheaf.field)
+               for name, sheaf in realized.sheaves.items()}
+    morphisms = {}
+    for name, mor in realized.morphisms.items():
+        src, tgt = realized.morphism_ends[name]
+        morphisms[name] = build_morphism(sheaves[src], sheaves[tgt], mor.components)
+    return sheaves, morphisms
+
+
+class TestSingleValidation:
+    """`realize` checks a document's data itself, with its lines, and skips
+    the argument checks of `build_sheaf` and `build_morphism`; what it makes
+    is what those front ends make of the same data."""
+
+    # the shipped fixtures that fail, by design, in either field
+    FAILING = {"bad_morphism.sheaf": NaturalityError, "bad_square.sheaf": FunctorialityError,
+               "cycle.sheaf": NotAntisymmetricError}
+
+    @pytest.mark.parametrize("override", [None, "fp:5"])
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.sheaf")))
+    def test_each_fixture_is_what_the_front_ends_build(self, name, override):
+        if name in self.FAILING:
+            with pytest.raises(self.FAILING[name]):
+                parse_text(load(name), override)
+            return
+        realized = parse_text(load(name), override)
+        sheaves, morphisms = rebuilt_by_front_ends(realized)
+        assert realized.sheaves == sheaves
+        assert realized.morphisms == morphisms
+
+    @settings(max_examples=300, deadline=None)
+    @given(front_end_documents(), st.sampled_from([None, "fp:5", "fp:7"]))
+    def test_each_generated_document_is_what_the_front_ends_build(self, text, override):
+        realized = parse_text(text, override)
+        sheaves, morphisms = rebuilt_by_front_ends(realized)
+        assert realized.sheaves == sheaves
+        assert realized.morphisms == morphisms
+        assert len(morphisms) == 2
 
 
 class TestSemanticFailures:
@@ -736,7 +868,7 @@ class TestRecords:
                                 open_specs={}, morphism_specs={}),
             "SheafDocument(preorder=PreOrder(['a', 'b'], [('a', 'b')]), sheaf_specs={'main':"
             " SheafSpec(name='main', line=4, field_name=None, dims={'a': (1, 5), 'b': (1, 6)},"
-            " maps={('a', 'b'): MatrixLiteral(kind='rows', rows=(('2',),), line=7)})},"
+            " maps={('a', 'b'): MatrixLiteral(kind='rows', rows=((2,),), line=7)})},"
             " open_specs={}, morphism_specs={})")
         realized = realize(doc)
         assert_value_record(
