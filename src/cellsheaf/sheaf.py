@@ -835,6 +835,59 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
     return AxiomReport("basic-cover-exactness", checks)
 
 
+def _drawn_covers(bits, up, u: int, sub_opens: list[int], draws: int) -> dict:
+    """The covers of the open of mask u, as frozensets of masks in draw
+    order: its canonical cover by the stars of its members, then the first
+    of each cover that `draws` seeded draws from `sub_opens` make.
+
+    A draw picks between 1 and min(4, n) of the n sub-opens and patches the
+    pick with the stars of the points it leaves out. Its bits come from
+    `bits`, a `random.Random.getrandbits`, exactly as `randint(1, min(4, n))`
+    and then `sample(sub_opens, size)` take them: an index below m takes
+    m.bit_length() bits, drawn again until it is below m; the sample is a
+    partial Fisher-Yates over a copy of the list when n is at most 21, and
+    above that draws indices below n until it meets one not yet taken. So
+    a seed draws the same covers as those calls and leaves the generator
+    in the same state; `tests/test_sheaf.py` checks it against them.
+    """
+    covers = {frozenset(up[x] for x in iter_bits(u)): None}
+    n = len(sub_opens)
+    if not n:
+        return covers
+    most = min(4, n)
+    most_bits, n_bits = most.bit_length(), n.bit_length()
+    for _ in range(draws):
+        size = bits(most_bits)
+        while size >= most:
+            size = bits(most_bits)
+        if n <= 21:
+            pool = sub_opens.copy()
+            picked = []
+            for m in range(n, n - size - 1, -1):
+                k = m.bit_length()
+                j = bits(k)
+                while j >= m:
+                    j = bits(k)
+                picked.append(pool[j])
+                pool[j] = pool[m - 1]
+        else:
+            taken = set()
+            picked = []
+            for _ in range(size + 1):
+                j = bits(n_bits)
+                while j >= n or j in taken:
+                    j = bits(n_bits)
+                taken.add(j)
+                picked.append(sub_opens[j])
+        left_out = u
+        for m in picked:
+            left_out &= ~m
+        if left_out:  # patch with the stars of the points left out
+            picked.extend(up[x] for x in iter_bits(left_out))
+        covers.setdefault(frozenset(picked))
+    return covers
+
+
 def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50,
                                  seed: int = 0, open_budget: int | None = None,
                                  max_elements: int = DEFAULT_MAX_ELEMENTS) -> AxiomReport:
@@ -843,10 +896,17 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
     Every open set gets its canonical cover by the stars of its members plus
     seeded random covers (patched with stars so they really cover); when the
     open lattice is larger than open_budget, the opens themselves are
-    sampled. Deterministic for a fixed seed.
+    sampled. Deterministic for a fixed seed. A negative seed draws as its
+    absolute value, as `random.Random` seeds an int: seeds -3 and 3 check
+    the same covers.
 
-    Covers are drawn as sets of masks, the first draw of each kept in
-    order. Every map, F(U) -> F(V) and each band (F(V) -> F(V & W),
+    Each open's covers are drawn by `_drawn_covers` as sets of masks, the
+    first draw of each kept in order. A draw picks 1 to 4 sub-opens from
+    the generator's bits, exactly as `rng.randint(1, min(4, n))` and
+    `rng.sample(sub_opens, size)` would, and is patched with stars to a
+    cover; `tests/` checks the draws against those stdlib calls.
+
+    Every map, F(U) -> F(V) and each band (F(V) -> F(V & W),
     F(W) -> F(V & W)), is read through `restriction_matrix`, whose memo
     holds it once; an exact sequence met again is not decided again, and
     phi is not eliminated when U is itself a part of the cover (see
@@ -867,18 +927,7 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
     for U in considered:
         u = U.mask
         sub_opens = [v for v in by_mask if v and not v & ~u]
-        covers = {frozenset(up[x] for x in iter_bits(u)): None}  # kept in draw order
-        for _ in range(covers_per_open):
-            if not sub_opens:
-                break
-            count = rng.randint(1, min(4, len(sub_opens)))
-            picked = rng.sample(sub_opens, count)
-            left_out = u
-            for m in picked:
-                left_out &= ~m
-            if left_out:  # patch with the stars of the points left out
-                picked.extend(up[x] for x in iter_bits(left_out))
-            covers.setdefault(frozenset(picked))
+        covers = _drawn_covers(rng.getrandbits, up, u, sub_opens, covers_per_open)
         dim_U = sections_over(sheaf, U).dim
         for drawn in covers:
             parts = sorted(drawn, key=position.__getitem__)

@@ -554,6 +554,17 @@ class TestDeterminism:
                    for hash_seed in ["0", "4242"]]
         assert outputs[0] == outputs[1]
 
+    def test_a_negative_seed_draws_as_its_absolute_value(self, capsys):
+        # `random.Random` seeds an int by its absolute value; only the
+        # echoed seed tells -3 from 3
+        argv = ["check", fixture("double_target.sheaf"), "--seed"]
+        outputs = {seed: run(capsys, *argv, seed)[1].splitlines() for seed in ("3", "-3", "4")}
+        assert "132 covers checked" in outputs["3"][6]
+        assert "136 covers checked" in outputs["4"][6]
+        assert len(outputs["3"]) == len(outputs["-3"])
+        assert [(a, b) for a, b in zip(outputs["3"], outputs["-3"]) if a != b] == [
+            ("seed: 3", "seed: -3")]
+
 
 _FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.glob("*.sheaf"))]
 # Numbers stay small so that each mutant runs in milliseconds; the digit

@@ -1387,6 +1387,51 @@ class TestCoverCheck:
             oracles.extended_cover_checks_by_loop(sheaf, 6, seed % 7, budget)
 
 
+def covers_drawn_by_stdlib(rng, up, u, sub_opens, draws):
+    """The covers dict that `_drawn_covers` makes, drawn by
+    `rng.randint` and `rng.sample` and patched with the stars left out."""
+    def stars(mask):
+        return [up[x] for x in range(mask.bit_length()) if mask >> x & 1]
+
+    covers = {frozenset(stars(u)): None}
+    for _ in range(draws):
+        picked = rng.sample(sub_opens, rng.randint(1, min(4, len(sub_opens))))
+        left_out = u
+        for m in picked:
+            left_out &= ~m
+        covers.setdefault(frozenset(picked + stars(left_out)))
+    return covers
+
+
+class TestCoverDraws:
+    """`_drawn_covers` takes the generator's bits as `randint` and `sample`
+    take them. `sample` picks by partial Fisher-Yates from at most 21
+    sub-opens and by rejection from more."""
+
+    def test_the_draws_are_those_of_randint_and_sample(self):
+        up = [1 << x for x in range(12)]  # the stars of 12 unordered points
+        for seed in range(100):
+            masks = random.Random(10**6 + seed).sample(range(1, 1 << 12), 45)
+            for n in range(1, 46):
+                sub_opens = masks[:n]
+                u = functools.reduce(int.__or__, sub_opens)
+                ours, stdlib = random.Random(seed), random.Random(seed)
+                drawn = cellsheaf.sheaf._drawn_covers(ours.getrandbits, up, u, sub_opens, 20)
+                assert list(drawn) == list(covers_drawn_by_stdlib(stdlib, up, u, sub_opens, 20))
+                assert ours.getstate() == stdlib.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("budget", [None, 8])
+    def test_the_rejection_draws_match_the_loop(self, seed, budget):
+        # the top open of the 5-point antichain has 31 nonempty sub-opens
+        sheaf = random_sheaf(random.Random(seed), build_poset("abcde", []))
+        report = verify_sheaf_axioms_extended(sheaf, covers_per_open=50, seed=seed,
+                                              open_budget=budget)
+        checks = [(c.target, c.cover, c.injective, c.exact_middle) for c in report.checks]
+        assert ("a", "b", "c", "d", "e") in {target for target, *_ in checks}
+        assert checks == oracles.extended_cover_checks_by_loop(sheaf, 50, seed, budget)
+
+
 class TestOpenBudget:
     """`open_budget` samples the opens to check when there are more of them."""
 
