@@ -39,7 +39,9 @@ from .topology import DEFAULT_MAX_ELEMENTS, OpenSet, union_of_stars
 
 
 class Report:
-    def __init__(self, command: str, seed: int):
+    """The report of one command; `seed` is echoed when the command takes one."""
+
+    def __init__(self, command: str, seed: int | None):
         self.command = command
         self.seed = seed
         self.checks: list[dict] = []
@@ -58,18 +60,13 @@ class Report:
     def emit(self, as_json: bool) -> None:
         if as_json:
             import json  # here, so that a text report does not load it
-            payload = {
-                "command": self.command,
-                "seed": self.seed,
-                "checks": self.checks,
-                "data": self.data,
-            }
-            if self.error is not None:
-                payload["error"] = self.error
-            print(json.dumps(payload, indent=2))
+            payload = {"command": self.command, "seed": self.seed, "checks": self.checks,
+                       "data": self.data, "error": self.error}
+            print(json.dumps({k: v for k, v in payload.items() if v is not None}, indent=2))
             return
         print(f"command: {self.command}")
-        print(f"seed: {self.seed}")
+        if self.seed is not None:
+            print(f"seed: {self.seed}")
         if self.error is not None:
             print(f"error: {self.error}")
             return
@@ -237,15 +234,17 @@ def cmd_morphism(report: Report, doc: SheafDocument, args) -> None:
     }
 
 
-def _positive_int(text: str) -> int:
-    """The value of --max-elements: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_from(least: int, kind: str):
+    """An argparse type: an integer of at least `least`, `kind` in its error."""
+    def read(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
+        return value
+    return read
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
@@ -253,19 +252,24 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     command's subparser is added, since parsing hands every later argument
     to it; otherwise (no command, a help flag, an unknown word) all are, so
     the top-level help and errors list every command."""
-    # (name, help, run, the arguments after --seed as (flag, keywords)).
+    # (name, help, run, the arguments after --json as (flag, keywords)).
     # Built per call, so each `run` is the cmd_* the module holds then, and
     # a wrapper put on the module (perfbench's tracer) sees every command.
-    # Only the two commands that enumerate opens take the guard.
-    guard = ("--max-elements", dict(type=_positive_int, default=DEFAULT_MAX_ELEMENTS,
+    # Only the two commands that enumerate opens take the guard, and only
+    # check, which samples covers, takes a seed.
+    guard = ("--max-elements", dict(type=_int_from(1, "a positive integer"),
+                                    default=DEFAULT_MAX_ELEMENTS,
                                     dest="max_elements",
                                     help="enumeration guard for open-set listings"
                                          f" (default {DEFAULT_MAX_ELEMENTS})"))
     field = ("--field", dict(default=None,
                              help="override the document field: q or fp:<prime>"))
     commands = [
-        ("check", "validate the document and verify the gluing laws", cmd_check,
-         [guard, field]),
+        ("check", "validate the document and verify the gluing laws", cmd_check, [
+            ("--seed", dict(type=_int_from(0, "a non-negative integer"), default=0,
+                            help="seed for the sampled covers (default 0)")),
+            guard, field,
+        ]),
         ("sections", "basis of the sections over an open set", cmd_sections, [
             field,
             ("--open", dict(required=True, dest="open_spec",
@@ -295,9 +299,6 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="sheaf document")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for the covers that check samples; other"
-                            " commands only echo it in the report (default 0)")
         for flag, keywords in arguments:
             p.add_argument(flag, **keywords)
         p.set_defaults(run=run)
@@ -313,11 +314,11 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser(argv).parse_args(argv)
-    report = Report(args.command, args.seed)
+    report = Report(args.command, getattr(args, "seed", None))  # only check takes one
     try:
         args.run(report, parse_document(_load(args.file)), args)
     except (DocumentError, UnknownElementError, EnumerationLimitError) as exc:
-        report = Report(args.command, args.seed)
+        report = Report(args.command, report.seed)
         report.error = str(exc)
     except CellSheafError as exc:
         report.check(exc.check, False, str(exc))

@@ -835,27 +835,29 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
     return AxiomReport("basic-cover-exactness", checks)
 
 
-def _drawn_covers(bits, up, u: int, sub_opens: list[int], draws: int) -> dict:
+def _drawn_covers(rng, up, u: int, sub_opens: list[int], draws: int) -> dict:
     """The covers of the open of mask u, as frozensets of masks in draw
     order: its canonical cover by the stars of its members, then the first
-    of each cover that `draws` seeded draws from `sub_opens` make.
+    of each cover that `draws` draws of the `random.Random` rng make from
+    `sub_opens`.
 
     A draw picks between 1 and min(4, n) of the n sub-opens and patches the
-    pick with the stars of the points it leaves out. Its bits come from
-    `bits`, a `random.Random.getrandbits`, exactly as `randint(1, min(4, n))`
-    and then `sample(sub_opens, size)` take them: an index below m takes
-    m.bit_length() bits, drawn again until it is below m; the sample is a
-    partial Fisher-Yates over a copy of the list when n is at most 21, and
-    above that draws indices below n until it meets one not yet taken. So
-    a seed draws the same covers as those calls and leaves the generator
-    in the same state; `tests/test_sheaf.py` checks it against them.
+    pick with the stars of the points it leaves out. It takes its bits from
+    `rng.getrandbits` exactly as `randint(1, min(4, n))` and then
+    `sample(sub_opens, size)` take them: an index below m takes
+    m.bit_length() bits, drawn again until it is below m, and the sample is
+    a partial Fisher-Yates over a copy of the list. That copy holds for n
+    at most 21; above that the draw calls `rng.sample` itself. So a seed
+    draws the same covers as those calls and leaves the generator in the
+    same state; `tests/test_sheaf.py` checks it against them.
     """
     covers = {frozenset(up[x] for x in iter_bits(u)): None}
     n = len(sub_opens)
     if not n:
         return covers
+    bits = rng.getrandbits
     most = min(4, n)
-    most_bits, n_bits = most.bit_length(), n.bit_length()
+    most_bits = most.bit_length()
     for _ in range(draws):
         size = bits(most_bits)
         while size >= most:
@@ -871,14 +873,7 @@ def _drawn_covers(bits, up, u: int, sub_opens: list[int], draws: int) -> dict:
                 picked.append(pool[j])
                 pool[j] = pool[m - 1]
         else:
-            taken = set()
-            picked = []
-            for _ in range(size + 1):
-                j = bits(n_bits)
-                while j >= n or j in taken:
-                    j = bits(n_bits)
-                taken.add(j)
-                picked.append(sub_opens[j])
+            picked = rng.sample(sub_opens, size + 1)
         left_out = u
         for m in picked:
             left_out &= ~m
@@ -927,7 +922,7 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
     for U in considered:
         u = U.mask
         sub_opens = [v for v in by_mask if v and not v & ~u]
-        covers = _drawn_covers(rng.getrandbits, up, u, sub_opens, covers_per_open)
+        covers = _drawn_covers(rng, up, u, sub_opens, covers_per_open)
         dim_U = sections_over(sheaf, U).dim
         for drawn in covers:
             parts = sorted(drawn, key=position.__getitem__)

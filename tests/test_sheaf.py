@@ -1405,8 +1405,8 @@ def covers_drawn_by_stdlib(rng, up, u, sub_opens, draws):
 
 class TestCoverDraws:
     """`_drawn_covers` takes the generator's bits as `randint` and `sample`
-    take them. `sample` picks by partial Fisher-Yates from at most 21
-    sub-opens and by rejection from more."""
+    take them. It copies `sample`'s partial Fisher-Yates for at most 21
+    sub-opens and calls `sample` itself for more, which picks by rejection."""
 
     def test_the_draws_are_those_of_randint_and_sample(self):
         up = [1 << x for x in range(12)]  # the stars of 12 unordered points
@@ -1416,7 +1416,7 @@ class TestCoverDraws:
                 sub_opens = masks[:n]
                 u = functools.reduce(int.__or__, sub_opens)
                 ours, stdlib = random.Random(seed), random.Random(seed)
-                drawn = cellsheaf.sheaf._drawn_covers(ours.getrandbits, up, u, sub_opens, 20)
+                drawn = cellsheaf.sheaf._drawn_covers(ours, up, u, sub_opens, 20)
                 assert list(drawn) == list(covers_drawn_by_stdlib(stdlib, up, u, sub_opens, 20))
                 assert ours.getstate() == stdlib.getstate()
 
@@ -1430,6 +1430,18 @@ class TestCoverDraws:
         checks = [(c.target, c.cover, c.injective, c.exact_middle) for c in report.checks]
         assert ("a", "b", "c", "d", "e") in {target for target, *_ in checks}
         assert checks == oracles.extended_cover_checks_by_loop(sheaf, 50, seed, budget)
+
+    def test_a_negative_seed_draws_as_its_absolute_value(self):
+        # `random.Random` seeds an int by its absolute value
+        from cellsheaf import parse_text
+        from helpers import FIXTURES
+
+        sheaf = parse_text((FIXTURES / "double_target.sheaf").read_text()).sheaves["main"]
+        checks = {seed: [(c.target, c.cover, c.injective, c.exact_middle)
+                         for c in verify_sheaf_axioms_extended(sheaf, seed=seed).checks]
+                  for seed in (3, -3, 4)}
+        assert checks[3] == checks[-3] != checks[4]
+        assert (len(checks[3]), len(checks[4])) == (132, 136)
 
 
 class TestOpenBudget:

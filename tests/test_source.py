@@ -122,10 +122,14 @@ def test_no_unreferenced_privates_in_the_package():
     assert unreferenced_privates(trees) == []
 
 
+SHARED_OPTIONS = {"file", "json"}  # every command takes these, and `main` reads them
+
+
 def unread_options(parser: argparse.ArgumentParser, tree: ast.AST) -> list[tuple[str, str]]:
     """(command, dest) for each argument a subparser of `parser` adds that
-    neither the command's `run` function nor `main`, both module-level
-    functions of `tree`, reads as `args.<dest>`."""
+    the command's `run` function, a module-level function of `tree`, does
+    not read as `args.<dest>`. `main` is credited only with the options
+    every command shares."""
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
     def reads(name: str) -> set:
@@ -138,7 +142,8 @@ def unread_options(parser: argparse.ArgumentParser, tree: ast.AST) -> list[tuple
         for command, sub in subparsers(parser).items()
         for action in sub._actions
         if not isinstance(action, argparse._HelpAction)
-        and action.dest not in reads("main") | reads(sub.get_default("run").__name__)
+        and action.dest not in (reads("main") & SHARED_OPTIONS
+                                | reads(sub.get_default("run").__name__))
     )
 
 
@@ -147,11 +152,11 @@ def test_the_scan_finds_each_unread_option():
         "import argparse\n\n"
         "def cmd_a(report, doc, args):\n    return args.kept, other.lost\n\n"
         "def cmd_b(report, doc, args):\n    return args.json\n\n"
-        "def main(args):\n    return args.run(args.file)\n\n"
+        "def main(args):\n    return args.run(args.file, args.echoed)\n\n"
         "def build():\n"
         "    parser = argparse.ArgumentParser()\n"
         "    sub = parser.add_subparsers(dest='command')\n"
-        "    for name, run, flags in [('a', cmd_a, ['--kept', '--lost']),\n"
+        "    for name, run, flags in [('a', cmd_a, ['--kept', '--lost', '--echoed']),\n"
         "                             ('b', cmd_b, ['--kept', '--json'])]:\n"
         "        p = sub.add_parser(name)\n"
         "        p.add_argument('file')\n"
@@ -163,7 +168,7 @@ def test_the_scan_finds_each_unread_option():
     namespace = {}
     exec(compile(source, "<scan>", "exec"), namespace)
     assert unread_options(namespace["build"](), ast.parse(source)) == [
-        ("a", "lost"), ("b", "kept")]
+        ("a", "echoed"), ("a", "lost"), ("b", "kept")]
 
 
 def test_every_command_reads_each_option_it_takes():
