@@ -445,7 +445,9 @@ class Matrix:
 
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = len(_rref(self.field, list(self._ints), self.cols, False))
+            p = self.field.characteristic
+            self._rank = (_rank_mod(list(self._ints), self.cols, p) if p
+                          else len(_rref(self.field, list(self._ints), self.cols, False)))
         return self._rank
 
     def rref(self) -> "Matrix":
@@ -546,6 +548,32 @@ def _rref(field, rows: list, cols: int, full: bool = True) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _rank_mod(rows: list, cols: int, p: int) -> int:
+    """The rank of residue rows mod the prime p, by fraction-free forward
+    elimination: each row below a pivot row is replaced by
+    pv * row - f * lead mod p, for pv the pivot and f the row's entry in
+    the pivot column. pv is a unit, so that is a row operation; no pivot is
+    inverted and no row is scaled to a leading 1."""
+    n, r = len(rows), 0
+    for c in range(cols):
+        if r == n:
+            break
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        lead = rows[i]
+        rows[i] = rows[r]
+        pv = lead[c]
+        for i in range(r + 1, n):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(pv * a - f * b) % p for a, b in zip(rows[i], lead)]
+        r += 1
+    return r
 
 
 class SubspaceBasis:
@@ -722,14 +750,20 @@ def is_exact_at(f: Matrix, g: Matrix) -> bool:
         raise ShapeError(
             f"maps are not composable: f lands in dim {f.rows}, g starts at {g.cols}"
         )
-    columns, _ = f._columns()
-    p = g.field.characteristic
-    for row in g._ints:
+    return (_rows_vanish(g._ints, f._columns()[0], g.field.characteristic)
+            and f.rank() + g.rank() == g.cols)
+
+
+def _rows_vanish(rows: Iterable[Sequence[int]], columns: Sequence[Sequence[int]],
+                 p: int) -> bool:
+    """Whether the dot of every int row with every int column is zero (mod
+    p when p is not 0): a product's rows, tested for zero and never made."""
+    for row in rows:
         for col in columns:
             dot = sum(map(mul, row, col))
             if dot % p if p else dot:
                 return False
-    return f.rank() + g.rank() == g.cols
+    return True
 
 
 def _products_agree(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> bool:

@@ -37,7 +37,7 @@ from .linalg import (
     _basis,
     _map_blocks,
     _products_agree,
-    is_exact_at,
+    _rows_vanish,
     kernel_basis,
     vstack,
 )
@@ -59,7 +59,8 @@ class CellularSheaf:
     is its carrier index: `_dims` is a tuple, `_lower` lists each point's
     lower covers, and the memo of `_restrict` is keyed by index pairs. The
     matrix for any other pair p <= q is derived when first asked for and
-    memoised, as are section spaces and restriction matrices. `_order`, the
+    memoised, as are section spaces, restriction matrices and the outcomes
+    of the gluing verifiers' exact sequences. `_order`, the
     base's `linear_extension`, is the order in which the chain check and
     the section solve visit the points. Names are only for the public
     arguments, messages and reports.
@@ -84,6 +85,7 @@ class CellularSheaf:
         self._order = linear_extension(base._down)
         self._section_cache: dict = {}
         self._restriction_cache: dict = {}
+        self._exactness_cache: dict = {}
 
     @property
     def dims(self) -> dict[str, int]:
@@ -752,16 +754,16 @@ class AxiomReport(Record):
 
 
 def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], ...],
-                 dim: int, maps: Sequence[Matrix], overlaps: Iterable[tuple],
-                 memo: dict) -> CoverCheck:
+                 dim: int, maps: Sequence[Matrix], bands: Sequence[tuple],
+                 verdicts: dict, memo: dict) -> CoverCheck:
     """Exactness of 0 -> F(U) --phi--> prod F(U_i) --psi--> prod F(U_i & U_j).
 
-    `maps[i]` sends F(U), of dimension `dim`, to part i. Each overlap
-    (i, j, from part i, from part j), with i < j, is one row band of psi:
-    the map from part j minus the map from part i. Unordered pairs suffice:
-    swapping a pair negates its rows and equal indices give zero rows,
-    neither changes the kernel. Part and band dimensions are read off the
-    maps.
+    `maps[i]` sends F(U), of dimension `dim`, to part i. Each band
+    (i, j, from part i, from part j, key), with i < j, is one row band of
+    psi: the map from part j minus the map from part i. Unordered pairs
+    suffice: swapping a pair negates its rows and equal indices give zero
+    rows, neither changes the kernel. Part and band dimensions are read off
+    the maps.
 
     phi is the maps stacked. Each band of psi is the difference rows of
     from_j and from_i, each multiplied by the lcm of their two
@@ -775,8 +777,9 @@ def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], .
 
     The outcome is a function of `dim`, phi's int rows and psi's int rows
     alone (phi's denominator only scales phi), so it is looked up in
-    `memo` under those, and decided only when it is not there yet. A memo
-    serves one field.
+    `memo` under those, and decided by `_exact_by_bands` only when it is
+    not there yet. A memo serves one field. `verdicts` holds the product
+    test of each band already decided, by its key (see `_exact_by_bands`).
     """
     part_dims = [m.rows for m in maps]
     starts = list(accumulate(part_dims, initial=0))
@@ -784,7 +787,7 @@ def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], .
     if target in cover:
         phi._rank = dim
     rows = []
-    for i, j, from_i, from_j in overlaps:
+    for i, j, from_i, from_j, _ in bands:
         if (from_i.rows, from_i.cols, from_j.cols) != (from_j.rows, part_dims[i], part_dims[j]):
             raise ShapeError(
                 f"band of parts {i} and {j} has blocks {from_i.rows}x{from_i.cols} and "
@@ -794,8 +797,40 @@ def _check_cover(field, target: tuple[str, ...], cover: tuple[tuple[str, ...], .
     key = (dim, phi._ints, psi._ints)
     outcome = memo.get(key)
     if outcome is None:
-        outcome = memo[key] = phi.is_injective(), is_exact_at(phi, psi)
+        outcome = memo[key] = phi.is_injective(), _exact_by_bands(phi, psi, bands, verdicts)
     return CoverCheck(target, cover, *outcome)
+
+
+def _exact_by_bands(phi: Matrix, psi: Matrix, bands: Sequence[tuple], verdicts: dict) -> bool:
+    """`is_exact_at(phi, psi)`, with the product test made band by band.
+
+    The rows of band (i, j, from_i, from_j, key) are zero off parts i and
+    j, so the dot of one with a column of phi is the dot of from_i's row
+    with that column of maps[i] (phi's block i) and of from_j's row with
+    that column of maps[j], each scaled by a positive factor, with opposite
+    signs: the band vanishes on phi exactly when from_i maps[i] =
+    from_j maps[j]. That verdict is made from
+    the same dots as in `is_exact_at`, on the band's rows, and kept in
+    `verdicts` under the band's key, which the caller makes name these four
+    matrices among all the bands that share the dict; it is read again for
+    every later sequence with that band. psi phi = 0 when every verdict
+    holds, and then exactness is rank phi + rank psi = psi.cols.
+    """
+    columns = None
+    p = phi.field.characteristic
+    end = 0
+    for _, _, from_i, _, key in bands:
+        start, end = end, end + from_i.rows
+        if start == end:  # a band of no rows has nothing to test
+            continue
+        verdict = verdicts.get(key)
+        if verdict is None:
+            if columns is None:
+                columns = phi._columns()[0]
+            verdict = verdicts[key] = _rows_vanish(psi._ints[start:end], columns, p)
+        if not verdict:
+            return False
+    return phi.rank() + psi.rank() == psi.cols
 
 
 def verify_base_sheaf_axioms(sheaf: CellularSheaf,
@@ -809,28 +844,32 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
     indicates a bug in the assembly, so callers should treat any failure as
     fatal.
 
-    Every map is read through `sheaf._restrict`, whose memo holds it once;
-    an exact sequence met again is not decided again, and phi, which holds
-    the identity of the star of p, is not eliminated (see `_check_cover`).
+    Every map is read through `sheaf._restrict`, whose memo holds it once.
+    An exact sequence met again, here or in `verify_sheaf_axioms_extended`,
+    is not decided again: both share the sheaf's `_exactness_cache`. Within
+    the star of p, a band's product test is made once, keyed by (x, y, w):
+    the maps p -> x, p -> y, x -> w and y -> w. phi, which holds the
+    identity of the star of p, is not eliminated (see `_check_cover`).
     """
     base = sheaf.base
     if len(base) > max_elements:
         raise EnumerationLimitError(len(base), max_elements)
     up, dims, restrict = base._up, sheaf._dims, sheaf._restrict
     stars = [tuple(map(base.elements.__getitem__, iter_bits(row))) for row in up]
-    memo: dict = {}
+    memo = sheaf._exactness_cache
     checks = []
     for pi in range(len(base)):
         others = [i for i in iter_bits(up[pi]) if i != pi]
+        verdicts: dict = {}
         for size in range(len(others) + 1):
             for combo in combinations(others, size):
                 centers = sorted((pi,) + combo)
-                overlaps = [(i, j, restrict(xi, w), restrict(yi, w))
-                            for (i, xi), (j, yi) in combinations(enumerate(centers), 2)
-                            for w in iter_bits(up[xi] & up[yi])]
+                bands = [(i, j, restrict(xi, w), restrict(yi, w), (xi, yi, w))
+                         for (i, xi), (j, yi) in combinations(enumerate(centers), 2)
+                         for w in iter_bits(up[xi] & up[yi])]
                 checks.append(_check_cover(
                     sheaf.field, stars[pi], tuple(stars[i] for i in centers), dims[pi],
-                    [restrict(pi, i) for i in centers], overlaps, memo,
+                    [restrict(pi, i) for i in centers], bands, verdicts, memo,
                 ))
     return AxiomReport("basic-cover-exactness", checks)
 
@@ -847,7 +886,10 @@ def _drawn_covers(rng, up, u: int, sub_opens: list[int], draws: int) -> dict:
     `sample(sub_opens, size)` take them: an index below m takes
     m.bit_length() bits, drawn again until it is below m, and the sample is
     a partial Fisher-Yates over a copy of the list. That copy holds for n
-    at most 21; above that the draw calls `rng.sample` itself. So a seed
+    at most 21; above that the draw calls `rng.sample` itself. A draw of
+    one pick takes its one index, as `sample` does for any n, and copies
+    nothing; an open whose one sub-open is itself takes its draws' bits
+    and makes no cover from them but itself. So a seed
     draws the same covers as those calls and leaves the generator in the
     same state; `tests/test_sheaf.py` checks it against them.
     """
@@ -856,13 +898,26 @@ def _drawn_covers(rng, up, u: int, sub_opens: list[int], draws: int) -> dict:
     if not n:
         return covers
     bits = rng.getrandbits
+    if n == 1:  # every draw is u alone, from two indices below 1 of one bit each
+        for _ in range(2 * draws):
+            while bits(1):
+                pass
+        if draws:
+            covers.setdefault(frozenset(sub_opens))
+        return covers
     most = min(4, n)
     most_bits = most.bit_length()
+    n_bits = n.bit_length()
     for _ in range(draws):
         size = bits(most_bits)
         while size >= most:
             size = bits(most_bits)
-        if n <= 21:
+        if not size:  # one pick takes one index below n, and needs no pool
+            j = bits(n_bits)
+            while j >= n:
+                j = bits(n_bits)
+            picked = [sub_opens[j]]
+        elif n <= 21:
             pool = sub_opens.copy()
             picked = []
             for m in range(n, n - size - 1, -1):
@@ -903,8 +958,11 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
 
     Every map, F(U) -> F(V) and each band (F(V) -> F(V & W),
     F(W) -> F(V & W)), is read through `restriction_matrix`, whose memo
-    holds it once; an exact sequence met again is not decided again, and
-    phi is not eliminated when U is itself a part of the cover (see
+    holds it once. An exact sequence met again, here or in
+    `verify_base_sheaf_axioms`, is not decided again: both share the
+    sheaf's `_exactness_cache`. Within U, a band's product test is made
+    once, keyed by the masks (V, W), which name its four maps while U is
+    fixed. phi is not eliminated when U is itself a part of the cover (see
     `_check_cover`).
     """
     up = sheaf.base._up
@@ -917,21 +975,22 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
     considered = opens
     if open_budget is not None and len(opens) > open_budget:
         considered = sorted(rng.sample(opens, open_budget), key=OpenSet.sort_key)
-    memo: dict = {}
+    memo = sheaf._exactness_cache
     checks = []
     for U in considered:
         u = U.mask
         sub_opens = [v for v in by_mask if v and not v & ~u]
         covers = _drawn_covers(rng, up, u, sub_opens, covers_per_open)
         dim_U = sections_over(sheaf, U).dim
+        verdicts: dict = {}
         for drawn in covers:
             parts = sorted(drawn, key=position.__getitem__)
             maps = [restriction_matrix(sheaf, U, by_mask[v]) for v in parts]
-            overlaps = [(i, j, restriction_matrix(sheaf, by_mask[v], by_mask[v & w]),
-                         restriction_matrix(sheaf, by_mask[w], by_mask[v & w]))
-                        for (i, v), (j, w) in combinations(enumerate(parts), 2)]
+            bands = [(i, j, restriction_matrix(sheaf, by_mask[v], by_mask[v & w]),
+                      restriction_matrix(sheaf, by_mask[w], by_mask[v & w]), (v, w))
+                     for (i, v), (j, w) in combinations(enumerate(parts), 2)]
             checks.append(_check_cover(
                 sheaf.field, U.sorted_members, tuple(by_mask[v].sorted_members for v in parts),
-                dim_U, maps, overlaps, memo,
+                dim_U, maps, bands, verdicts, memo,
             ))
     return AxiomReport("open-cover-exactness", checks)

@@ -55,7 +55,7 @@ class TestCheck:
     def test_a_failed_cover_check_is_reported_with_the_first_failure(self, capsys):
         # no valid sheaf fails a cover check, so every sequence is made
         # to read as not exact
-        with mock.patch.object(cellsheaf.sheaf, "is_exact_at", lambda phi, psi: False):
+        with mock.patch.object(cellsheaf.sheaf, "_exact_by_bands", lambda *args: False):
             code, out = run(capsys, "check", fixture("square.sheaf"))
         assert code == 1
         assert out.split("\n")[5:7] == [

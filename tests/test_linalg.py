@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd
 from operator import add, sub
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from cellsheaf import (
     subspace_from_rows,
 )
 
-from cellsheaf.linalg import PRIME_BOUND, _is_prime, entry_text, vstack
+import cellsheaf.linalg
+from cellsheaf.linalg import PRIME_BOUND, _is_prime, _rref, entry_text, vstack
 
 from helpers import CORE_FIELDS, random_matrix
 from oracles import (
@@ -437,6 +439,39 @@ class TestPrimeField:
         # rows differ by a multiple of 5, so they collapse mod 5
         assert Matrix.build(f5, [[1, 2], [6, 7]]).rank() == 1
         assert Matrix.build(QQ, [[1, 2], [6, 7]]).rank() == 2
+
+    @pytest.mark.parametrize("p", [2, 5, 65521, 10**18 + 3])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rank_is_the_pivot_count_with_no_pivot_inverted(self, p, data):
+        """`Matrix.rank` over GF(p) eliminates fraction-free: it takes no
+        inverse (no `pow`), and it is the pivot count of the full `_rref`
+        and of field arithmetic. Drawn rows are partly combinations of the
+        others, and every shape from 0x0 to 6x6 may be drawn."""
+        field = PrimeField(p)
+        rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        F = data.draw(field_rows(field, rows, cols))
+        m = Matrix(field, rows, cols, F)
+        with mock.patch.object(cellsheaf.linalg, "pow", create=True, side_effect=AssertionError):
+            rank = m.rank()
+        assert rank == len(_rref(field, list(m._ints), cols)) == len(gauss_jordan(field, F, cols)[1])
+
+    @pytest.mark.parametrize("p", [2, 5, 65521, 10**18 + 3])
+    def test_rank_of_empty_zero_and_deficient_matrices(self, p):
+        field = PrimeField(p)
+        q = p - 1  # a pivot other than 1: -1 mod p, or 1 when p = 2
+        cases = [
+            (Matrix.zeros(field, 0, 3), 0),
+            (Matrix.zeros(field, 3, 0), 0),
+            (Matrix.zeros(field, 0, 0), 0),
+            (Matrix.zeros(field, 3, 3), 0),
+            # row 2 is q times row 0 plus row 1, and column 0 is zero
+            (Matrix.build(field, [[0, q, 2, 1], [0, 0, q, 3],
+                                  [0, q * q, 2 * q + q, q + 3]]), 2),
+            (Matrix.build(field, [[q, 1], [1, q], [1, 1]]), 1 if p == 2 else 2),
+        ]
+        for m, expected in cases:
+            assert m.rank() == expected == len(gauss_jordan(field, m.data, m.cols)[1])
 
     def test_mixed_moduli_rejected(self):
         with pytest.raises(ValueError):

@@ -1156,6 +1156,12 @@ class TestAxiomReports:
                 assert k1 == k2
 
 
+def keyed(overlaps) -> list[tuple]:
+    """The bands of `_check_cover` for overlaps (i, j, from_i, from_j): each
+    keyed by its place, so that no two share a verdict."""
+    return [(i, j, a, b, k) for k, (i, j, a, b) in enumerate(overlaps)]
+
+
 def random_cover_data(rng: random.Random, field):
     """(dim F(U), maps, overlaps) for `_check_cover`: 0-5 parts and bands of
     dims 0-3, entries with mixed denominators. In half the draws each part
@@ -1304,7 +1310,8 @@ class TestCoverCheck:
                st.integers(0, 2**32 - 1))
         def agrees(field, seed):
             dim, maps, overlaps = random_cover_data(random.Random(seed), field)
-            check = cellsheaf.sheaf._check_cover(field, (), (), dim, maps, overlaps, {})
+            check = cellsheaf.sheaf._check_cover(field, (), (), dim, maps, keyed(overlaps),
+                                                 {}, {})
             assert (check.injective, check.exact_middle) == \
                 oracles.cover_check_by_field_ops(field, dim, maps, overlaps)
             statuses.add(check.describe().rpartition(": ")[2])
@@ -1316,17 +1323,18 @@ class TestCoverCheck:
         one, column, row = (Matrix.build(QQ, rows) for rows in ([[1]], [[1], [2]], [[1, 2]]))
         check = functools.partial(cellsheaf.sheaf._check_cover, QQ, (), (), 1)
         with pytest.raises(ShapeError, match="blocks 1x1 and 2x1, parts of dims 1 and 1"):
-            check([one, one], [(0, 1, one, column)], {})
+            check([one, one], [(0, 1, one, column, 0)], {}, {})
         with pytest.raises(ShapeError, match="blocks 1x2 and 1x1, parts of dims 1 and 1"):
-            check([one, one], [(0, 1, row, one)], {})
+            check([one, one], [(0, 1, row, one, 0)], {}, {})
         with pytest.raises(ShapeError, match="block 0 is 1x2, expected 1x1"):
-            check([row], [], {})
+            check([row], [], {}, {})
 
     def test_a_shared_memo_answers_as_the_dense_assembly(self):
         """Cover data with repeats through one memo per field: each draw as
         it is, again, with every part divided by one factor (phi's ints kept
         when nothing cancels, its denominator scaled), and with every band
-        zeroed (psi with zero rows)."""
+        zeroed (psi with zero rows). Each call has its own verdict table,
+        as its bands' matrices differ from the last call's."""
         for field in (QQ, PrimeField(5), PrimeField(1000000000000000003)):
             rng = random.Random(5)
             memo, calls = {}, 0
@@ -1338,11 +1346,53 @@ class TestCoverCheck:
                            Matrix.zeros(field, b.rows, b.cols)) for i, j, a, b in overlaps]
                 for parts, bands in ((maps, overlaps), (maps, overlaps), (scaled, overlaps),
                                      (maps, zeroed), (scaled, zeroed)):
-                    check = cellsheaf.sheaf._check_cover(field, (), (), dim, parts, bands, memo)
+                    check = cellsheaf.sheaf._check_cover(field, (), (), dim, parts,
+                                                         keyed(bands), {}, memo)
                     calls += 1
                     assert (check.injective, check.exact_middle) == \
                         oracles.cover_check_by_field_ops(field, dim, parts, bands)
             assert len(memo) < calls
+
+    def test_verdicts_shared_by_the_covers_of_one_open_answer_as_the_dense_assembly(self):
+        """Each draw of `random_cover_data` is one open: its parts are the
+        sub-opens, and each subset of them, the whole set twice, is a cover
+        whose bands are those among its parts, keyed by the parts' places in
+        the draw. The covers of a draw share one verdict table, and all
+        draws over a field one memo. Drawn maps make some squares fail."""
+        vanish = cellsheaf.sheaf._rows_vanish
+        made = []
+
+        def counting(rows, columns, p):
+            made.append(rows)
+            return vanish(rows, columns, p)
+
+        failed = tested = repeats = 0
+        with mock.patch.object(cellsheaf.sheaf, "_rows_vanish", counting):
+            for field in (QQ, PrimeField(5), PrimeField(1000000000000000003)):
+                rng = random.Random(11)
+                memo = {}
+                for _ in range(60):
+                    dim, maps, overlaps = random_cover_data(rng, field)
+                    band = {(i, j): (a, b) for i, j, a, b in overlaps}
+                    verdicts = {}
+                    covers = [c for size in range(len(maps) + 1)
+                              for c in itertools.combinations(range(len(maps)), size)]
+                    for parts in covers + covers[-1:]:
+                        cover_maps = [maps[k] for k in parts]
+                        bands = [(i, j, *band[x, y], (x, y)) for (i, x), (j, y)
+                                 in itertools.combinations(enumerate(parts), 2)]
+                        before = len(memo)
+                        check = cellsheaf.sheaf._check_cover(field, (), (), dim, cover_maps,
+                                                             bands, verdicts, memo)
+                        assert (check.injective, check.exact_middle) == \
+                            oracles.cover_check_by_field_ops(field, dim, cover_maps,
+                                                             [b[:4] for b in bands])
+                        if len(memo) == before:
+                            repeats += 1
+                        else:  # decided: every band is tested, or its verdict read
+                            tested += len(bands)
+                    failed += False in verdicts.values()
+        assert failed and repeats and len(made) < tested
 
     @pytest.mark.parametrize("name", ["square", "fan", "double_target", "fractions"])
     def test_phi_holding_the_star_is_never_eliminated(self, name):
@@ -1354,19 +1404,19 @@ class TestCoverCheck:
         realized = parse_text((FIXTURES / f"{name}.sheaf").read_text())
         sheaf = next(iter(realized.sheaves.values()))
         eliminated, phis = [], []
-        rank, exact = Matrix.rank, cellsheaf.sheaf.is_exact_at
+        rank, exact = Matrix.rank, cellsheaf.sheaf._exact_by_bands
 
         def counting_rank(m):
             if m._rank is None:
                 eliminated.append(m)
             return rank(m)
 
-        def recording(f, g):
-            phis.append(f)
-            return exact(f, g)
+        def recording(phi, *rest):
+            phis.append(phi)
+            return exact(phi, *rest)
 
         with mock.patch.object(Matrix, "rank", counting_rank), \
-                mock.patch.object(cellsheaf.sheaf, "is_exact_at", recording):
+                mock.patch.object(cellsheaf.sheaf, "_exact_by_bands", recording):
             report = verify_base_sheaf_axioms(sheaf)
         assert phis and eliminated
         assert not any(m is phi for m in eliminated for phi in phis)
@@ -1385,6 +1435,51 @@ class TestCoverCheck:
                                               open_budget=budget)
         assert [(c.target, c.cover, c.injective, c.exact_middle) for c in report.checks] == \
             oracles.extended_cover_checks_by_loop(sheaf, 6, seed % 7, budget)
+
+
+class TestVerdictTables:
+    """A verdict is kept for one open of the extended verifier, or one star
+    of the basic one. Each case holds data whose squares do not all commute,
+    written into the sheaf's memos, which the loops of `tests/oracles.py`
+    read too: a band with the same key in two opens, or stars, holds in
+    one and fails in the other, so a table kept past its open answers
+    wrongly in the second."""
+
+    def test_two_opens_with_equal_band_masks(self):
+        # a, b, d < c: U1 = {a b c} comes before U2 = {a b c d}, and both
+        # canonical covers have the bands of {c}, {a c} and {b c}. R(U1 ->
+        # {a c}) doubled fails two of them in U1 alone: U1 is no part of a
+        # canonical cover, so no other cover reads that map.
+        sheaf = constant_sheaf(build_poset("abcd", [("a", "c"), ("b", "c"), ("d", "c")]), 1)
+        U1, U2 = (OpenSet(sheaf.base, members) for members in ("abc", "abcd"))
+        twice = restriction_matrix(sheaf, U1, open_star(sheaf.base, "a")).scale(2)
+        sheaf._restriction_cache[U1.mask, open_star(sheaf.base, "a").mask] = twice
+        report = verify_sheaf_axioms_extended(sheaf, covers_per_open=0)
+        canonical = {c.target: c.ok for c in report.checks}
+        assert canonical[U1.sorted_members] is False
+        assert canonical[U2.sorted_members] is True
+        assert [(c.target, c.cover, c.injective, c.exact_middle) for c in report.checks] == \
+            oracles.extended_cover_checks_by_loop(sheaf, 0, 0)
+
+    def test_two_stars_with_equal_band_keys(self):
+        # p1 < p2 < x, y < w: both stars hold covers with the band (x, y, w).
+        # F(p1 -> x) doubled, after every map is derived, fails it under p1
+        # only; under p2, with p2, x and y as centers, every square holds.
+        # x and y come first in the carrier, so that the band (x, y, w) is
+        # the first one tested in a cover with both.
+        base = build_poset(["x", "y", "p1", "p2", "w"],
+                           [("p1", "p2"), ("p2", "x"), ("p2", "y"), ("x", "w"), ("y", "w")])
+        sheaf = constant_sheaf(base, 1)
+        for p in base.elements:
+            for q in open_star(base, p).sorted_members:
+                sheaf.restriction(p, q)
+        sheaf._maps[base.index("p1"), base.index("x")] = Matrix.build(QQ, [[2]])
+        report = verify_base_sheaf_axioms(sheaf)
+        checks = [(c.target, c.cover, c.injective, c.exact_middle) for c in report.checks]
+        star_p2 = open_star(base, "p2").sorted_members
+        assert (star_p2, (("x", "w"), ("y", "w"), star_p2), True, True) in checks
+        assert not report.ok
+        assert checks == oracles.base_cover_checks_by_loop(sheaf)
 
 
 def covers_drawn_by_stdlib(rng, up, u, sub_opens, draws):
