@@ -445,9 +445,7 @@ class Matrix:
 
     def rank(self) -> int:
         if self._rank is None:
-            p = self.field.characteristic
-            self._rank = (_rank_mod(list(self._ints), self.cols, p) if p
-                          else len(_rref(self.field, list(self._ints), self.cols, False)))
+            self._rank = len(_rref(self.field, list(self._ints), self.cols, False))
         return self._rank
 
     def rref(self) -> "Matrix":
@@ -548,32 +546,6 @@ def _rref(field, rows: list, cols: int, full: bool = True) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
-
-
-def _rank_mod(rows: list, cols: int, p: int) -> int:
-    """The rank of residue rows mod the prime p, by fraction-free forward
-    elimination: each row below a pivot row is replaced by
-    pv * row - f * lead mod p, for pv the pivot and f the row's entry in
-    the pivot column. pv is a unit, so that is a row operation; no pivot is
-    inverted and no row is scaled to a leading 1."""
-    n, r = len(rows), 0
-    for c in range(cols):
-        if r == n:
-            break
-        for i in range(r, n):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        lead = rows[i]
-        rows[i] = rows[r]
-        pv = lead[c]
-        for i in range(r + 1, n):
-            f = rows[i][c]
-            if f:
-                rows[i] = [(pv * a - f * b) % p for a, b in zip(rows[i], lead)]
-        r += 1
-    return r
 
 
 class SubspaceBasis:

@@ -59,8 +59,7 @@ class CellularSheaf:
     is its carrier index: `_dims` is a tuple, `_lower` lists each point's
     lower covers, and the memo of `_restrict` is keyed by index pairs. The
     matrix for any other pair p <= q is derived when first asked for and
-    memoised, as are section spaces, restriction matrices and the outcomes
-    of the gluing verifiers' exact sequences. `_order`, the
+    memoised, as are section spaces and restriction matrices. `_order`, the
     base's `linear_extension`, is the order in which the chain check and
     the section solve visit the points. Names are only for the public
     arguments, messages and reports.
@@ -85,7 +84,6 @@ class CellularSheaf:
         self._order = linear_extension(base._down)
         self._section_cache: dict = {}
         self._restriction_cache: dict = {}
-        self._exactness_cache: dict = {}
 
     @property
     def dims(self) -> dict[str, int]:
@@ -809,12 +807,12 @@ def _exact_by_bands(phi: Matrix, psi: Matrix, bands: Sequence[tuple], verdicts: 
     with that column of maps[i] (phi's block i) and of from_j's row with
     that column of maps[j], each scaled by a positive factor, with opposite
     signs: the band vanishes on phi exactly when from_i maps[i] =
-    from_j maps[j]. That verdict is made from
-    the same dots as in `is_exact_at`, on the band's rows, and kept in
-    `verdicts` under the band's key, which the caller makes name these four
-    matrices among all the bands that share the dict; it is read again for
-    every later sequence with that band. psi phi = 0 when every verdict
-    holds, and then exactness is rank phi + rank psi = psi.cols.
+    from_j maps[j]. That verdict is made from the same dots as in
+    `is_exact_at`, on the band's rows, and kept in `verdicts` under the
+    band's key, which the caller makes name these four matrices among all
+    the bands that share the dict; it is read again for every later
+    sequence with that band. psi phi = 0 when every verdict holds, and then
+    exactness is rank phi + rank psi = psi.cols.
     """
     columns = None
     p = phi.field.characteristic
@@ -844,19 +842,18 @@ def verify_base_sheaf_axioms(sheaf: CellularSheaf,
     indicates a bug in the assembly, so callers should treat any failure as
     fatal.
 
-    Every map is read through `sheaf._restrict`, whose memo holds it once.
-    An exact sequence met again, here or in `verify_sheaf_axioms_extended`,
-    is not decided again: both share the sheaf's `_exactness_cache`. Within
-    the star of p, a band's product test is made once, keyed by (x, y, w):
-    the maps p -> x, p -> y, x -> w and y -> w. phi, which holds the
-    identity of the star of p, is not eliminated (see `_check_cover`).
+    Every map is read through `sheaf._restrict`, whose memo holds it once,
+    and an exact sequence met again is not decided again. Within the star
+    of p, a band's product test is made once, keyed by (x, y, w): the maps
+    p -> x, p -> y, x -> w and y -> w. phi, which holds the identity of the
+    star of p, is not eliminated (see `_check_cover`).
     """
     base = sheaf.base
     if len(base) > max_elements:
         raise EnumerationLimitError(len(base), max_elements)
     up, dims, restrict = base._up, sheaf._dims, sheaf._restrict
     stars = [tuple(map(base.elements.__getitem__, iter_bits(row))) for row in up]
-    memo = sheaf._exactness_cache
+    memo: dict = {}
     checks = []
     for pi in range(len(base)):
         others = [i for i in iter_bits(up[pi]) if i != pi]
@@ -886,10 +883,7 @@ def _drawn_covers(rng, up, u: int, sub_opens: list[int], draws: int) -> dict:
     `sample(sub_opens, size)` take them: an index below m takes
     m.bit_length() bits, drawn again until it is below m, and the sample is
     a partial Fisher-Yates over a copy of the list. That copy holds for n
-    at most 21; above that the draw calls `rng.sample` itself. A draw of
-    one pick takes its one index, as `sample` does for any n, and copies
-    nothing; an open whose one sub-open is itself takes its draws' bits
-    and makes no cover from them but itself. So a seed
+    at most 21; above that the draw calls `rng.sample` itself. So a seed
     draws the same covers as those calls and leaves the generator in the
     same state; `tests/test_sheaf.py` checks it against them.
     """
@@ -898,26 +892,13 @@ def _drawn_covers(rng, up, u: int, sub_opens: list[int], draws: int) -> dict:
     if not n:
         return covers
     bits = rng.getrandbits
-    if n == 1:  # every draw is u alone, from two indices below 1 of one bit each
-        for _ in range(2 * draws):
-            while bits(1):
-                pass
-        if draws:
-            covers.setdefault(frozenset(sub_opens))
-        return covers
     most = min(4, n)
     most_bits = most.bit_length()
-    n_bits = n.bit_length()
     for _ in range(draws):
         size = bits(most_bits)
         while size >= most:
             size = bits(most_bits)
-        if not size:  # one pick takes one index below n, and needs no pool
-            j = bits(n_bits)
-            while j >= n:
-                j = bits(n_bits)
-            picked = [sub_opens[j]]
-        elif n <= 21:
+        if n <= 21:
             pool = sub_opens.copy()
             picked = []
             for m in range(n, n - size - 1, -1):
@@ -958,12 +939,10 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
 
     Every map, F(U) -> F(V) and each band (F(V) -> F(V & W),
     F(W) -> F(V & W)), is read through `restriction_matrix`, whose memo
-    holds it once. An exact sequence met again, here or in
-    `verify_base_sheaf_axioms`, is not decided again: both share the
-    sheaf's `_exactness_cache`. Within U, a band's product test is made
-    once, keyed by the masks (V, W), which name its four maps while U is
-    fixed. phi is not eliminated when U is itself a part of the cover (see
-    `_check_cover`).
+    holds it once, and an exact sequence met again is not decided again.
+    Within U, a band's product test is made once, keyed by the masks
+    (V, W), which name its four maps while U is fixed. phi is not
+    eliminated when U is itself a part of the cover (see `_check_cover`).
     """
     up = sheaf.base._up
     opens = enumerate_opens(sheaf.base, max_elements)
@@ -975,7 +954,7 @@ def verify_sheaf_axioms_extended(sheaf: CellularSheaf, covers_per_open: int = 50
     considered = opens
     if open_budget is not None and len(opens) > open_budget:
         considered = sorted(rng.sample(opens, open_budget), key=OpenSet.sort_key)
-    memo = sheaf._exactness_cache
+    memo: dict = {}
     checks = []
     for U in considered:
         u = U.mask
