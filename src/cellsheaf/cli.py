@@ -39,11 +39,10 @@ from .topology import DEFAULT_MAX_ELEMENTS, OpenSet, union_of_stars
 
 
 class Report:
-    """The report of one command; `seed` is echoed when the command takes one."""
+    """The report of one command."""
 
-    def __init__(self, command: str, seed: int | None):
+    def __init__(self, command: str):
         self.command = command
-        self.seed = seed
         self.checks: list[dict] = []
         self.data: dict = {}
         self.error: str | None = None
@@ -60,13 +59,11 @@ class Report:
     def emit(self, as_json: bool) -> None:
         if as_json:
             import json  # here, so that a text report does not load it
-            payload = {"command": self.command, "seed": self.seed, "checks": self.checks,
-                       "data": self.data, "error": self.error}
+            payload = {"command": self.command, "checks": self.checks, "data": self.data,
+                       "error": self.error}
             print(json.dumps({k: v for k, v in payload.items() if v is not None}, indent=2))
             return
         print(f"command: {self.command}")
-        if self.seed is not None:
-            print(f"seed: {self.seed}")
         if self.error is not None:
             print(f"error: {self.error}")
             return
@@ -130,8 +127,7 @@ def cmd_check(report: Report, doc: SheafDocument, args) -> None:
                      f"field {sheaf.field.name}")
         for axioms in (
             verify_base_sheaf_axioms(sheaf, args.max_elements),
-            verify_sheaf_axioms_extended(sheaf, seed=args.seed,
-                                         max_elements=args.max_elements),
+            verify_sheaf_axioms_extended(sheaf, args.max_elements),
         ):
             detail = axioms.summary()
             failures = axioms.failures()
@@ -255,8 +251,9 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     # (name, help, run, the arguments after --json as (flag, keywords)).
     # Built per call, so each `run` is the cmd_* the module holds then, and
     # a wrapper put on the module (perfbench's tracer) sees every command.
-    # Only the two commands that enumerate opens take the guard, and only
-    # check, which samples covers, takes a seed.
+    # Only the two commands that enumerate opens take the guard. check takes
+    # --seed and ignores it, so that command lines written when it sampled
+    # covers still parse.
     guard = ("--max-elements", dict(type=_int_from(1, "a positive integer"),
                                     default=DEFAULT_MAX_ELEMENTS,
                                     dest="max_elements",
@@ -266,8 +263,8 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
                              help="override the document field: q or fp:<prime>"))
     commands = [
         ("check", "validate the document and verify the gluing laws", cmd_check, [
-            ("--seed", dict(type=_int_from(0, "a non-negative integer"), default=0,
-                            help="seed for the sampled covers (default 0)")),
+            ("--seed", dict(type=_int_from(0, "a non-negative integer"),
+                            help="accepted, no effect")),
             guard, field,
         ]),
         ("sections", "basis of the sections over an open set", cmd_sections, [
@@ -314,11 +311,11 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser(argv).parse_args(argv)
-    report = Report(args.command, getattr(args, "seed", None))  # only check takes one
+    report = Report(args.command)
     try:
         args.run(report, parse_document(_load(args.file)), args)
     except (DocumentError, UnknownElementError, EnumerationLimitError) as exc:
-        report = Report(args.command, report.seed)
+        report = Report(args.command)
         report.error = str(exc)
     except CellSheafError as exc:
         report.check(exc.check, False, str(exc))

@@ -16,6 +16,7 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from cellsheaf import (
     build_poset,
     build_preorder,
     build_sheaf,
+    enumerate_opens,
     hasse_edges,
     kernel_basis,
 )
@@ -136,6 +138,29 @@ def posets(draw, max_n: int = 5, shuffled: bool = False) -> Poset:
         if draw(st.booleans())
     ]
     return build_poset(draw(st.permutations(names)) if shuffled else names, pairs)
+
+
+# at most 7 opens: every cover of every open is one of 2^6 = 64 sets of
+# nonempty opens
+FEW_OPENS = 7
+
+
+@st.composite
+def few_opens(draw) -> Poset:
+    """Hypothesis strategy: a poset on at most 5 points with at most
+    FEW_OPENS opens. Generating pairs are drawn up the label order, then the
+    first incomparable pairs in label order are added until the opens are
+    few enough (a chain has few)."""
+    names = _NAMES[:draw(st.integers(1, 5))]
+    pairs = [pair for pair in combinations(names, 2) if draw(st.booleans())]
+    base = build_poset(names, pairs)
+    for a, b in combinations(names, 2):
+        if len(enumerate_opens(base)) <= FEW_OPENS:
+            break
+        if not base.leq(a, b):
+            pairs.append((a, b))
+            base = build_poset(names, pairs)
+    return base
 
 
 @st.composite

@@ -6,13 +6,13 @@ and shares no code with the production path it cross-checks.
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
 from operator import mul
 
+import cellsheaf.sheaf as sheaf_module
 from cellsheaf import (
     DocumentError,
     FunctorialityError,
@@ -316,53 +316,30 @@ def base_cover_checks_by_loop(sheaf) -> list[tuple]:
     return out
 
 
-def extended_cover_checks_by_loop(sheaf, covers_per_open: int, seed: int,
-                                  open_budget: int | None = None) -> list[tuple]:
-    """(target, cover, injective, exact_middle) of each check that
-    `verify_sheaf_axioms_extended` makes, drawn by its seeded loop over
-    lists of opens, every map read and every cover decided afresh by the
-    dense assembly."""
-    base = sheaf.base
-    opens = enumerate_opens(base)
-    position = {V.mask: k for k, V in enumerate(opens)}
-    star_mask = {x: open_star(base, x).mask for x in base.elements}
-    rng = random.Random(seed)
-    considered = opens
-    if open_budget is not None and len(opens) > open_budget:
-        considered = sorted(rng.sample(opens, open_budget), key=OpenSet.sort_key)
+def all_cover_checks_by_loop(sheaf) -> list[tuple]:
+    """(target, cover, injective, exact_middle) of every cover of every open.
+
+    Any set of nonempty opens covers its union, and the empty set covers
+    the empty open, so the covers are the 2^(n - 1) sets of the n - 1
+    nonempty opens, taken in the order of their bitmasks over the list of
+    opens; every map is read and every cover decided afresh by the dense
+    assembly. Written for spaces of at most 5 points with few opens."""
+    if len(sheaf.base) > 5:
+        raise ValueError("every cover is enumerated only on spaces of at most 5 points")
+    # read through the module, so that a patch of either (tests/mutants.py)
+    # shows here too
+    restrict, solve = sheaf_module.restriction_matrix, sheaf_module.sections_over
+    nonempty = enumerate_opens(sheaf.base)[1:]
     out = []
-    for U in considered:
-        sub_opens = [V for V in opens if V.mask and not V.mask & ~U.mask]
-        covers, seen = [], set()
-
-        def add_cover(masks):
-            key = frozenset(masks)
-            if key not in seen:
-                seen.add(key)
-                covers.append(tuple(opens[k] for k in sorted(map(position.__getitem__, key))))
-
-        add_cover(star_mask[x] for x in U.sorted_members)
-        for _ in range(covers_per_open):
-            if not sub_opens:
-                break
-            count = rng.randint(1, min(4, len(sub_opens)))
-            picked = [V.mask for V in rng.sample(sub_opens, count)]
-            covered = 0
-            for m in picked:
-                covered |= m
-            picked.extend(star_mask[x] for x in U.sorted_members
-                          if not covered >> base.index(x) & 1)
-            add_cover(picked)
-        dim_U = sections_over(sheaf, U).dim
-        for cover in covers:
-            overlaps = [
-                (i, j, restriction_matrix(sheaf, Ui, Ui.intersection(Uj)),
-                 restriction_matrix(sheaf, Uj, Ui.intersection(Uj)))
-                for (i, Ui), (j, Uj) in combinations(enumerate(cover), 2)]
-            out.append((U.sorted_members, tuple(V.sorted_members for V in cover),
-                        *cover_check_by_field_ops(
-                            sheaf.field, dim_U, [restriction_matrix(sheaf, U, V) for V in cover],
-                            overlaps)))
+    for bits in range(1 << len(nonempty)):
+        cover = [V for k, V in enumerate(nonempty) if bits >> k & 1]
+        U = OpenSet(sheaf.base, frozenset().union(*(V.members for V in cover)))
+        overlaps = [(i, j, restrict(sheaf, Ui, Ui.intersection(Uj)),
+                     restrict(sheaf, Uj, Ui.intersection(Uj)))
+                    for (i, Ui), (j, Uj) in combinations(enumerate(cover), 2)]
+        out.append((U.sorted_members, tuple(V.sorted_members for V in cover),
+                    *cover_check_by_field_ops(sheaf.field, solve(sheaf, U).dim,
+                                              [restrict(sheaf, U, V) for V in cover], overlaps)))
     return out
 
 

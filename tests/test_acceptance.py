@@ -208,9 +208,9 @@ def test_criterion_2_stalks_match_direct_limits(sheaf_corpus):
 
 def test_criterion_3_axiom_suites_on_corpus(sheaf_corpus):
     ok = True
-    for i, sheaf in enumerate(sheaf_corpus):
+    for sheaf in sheaf_corpus:
         ok &= verify_base_sheaf_axioms(sheaf).ok
-        ok &= verify_sheaf_axioms_extended(sheaf, covers_per_open=50, seed=i).ok
+        ok &= verify_sheaf_axioms_extended(sheaf).ok
     report(3, "gluing-axioms-zero-failures-on-corpus", ok)
 
 

@@ -58,12 +58,12 @@ class TestCheck:
         with mock.patch.object(cellsheaf.sheaf, "_exact_by_bands", lambda *args: False):
             code, out = run(capsys, "check", fixture("square.sheaf"))
         assert code == 1
-        assert out.split("\n")[5:7] == [
+        assert out.split("\n")[4:6] == [
             "check basic-cover-exactness:main: fail (basic-cover-exactness: 13 covers"
             " checked, 13 failures; first: {p q1 q2 r} covered by [{p q1 q2 r}]:"
             " gluing failed)",
-            "check open-cover-exactness:main: fail (open-cover-exactness: 31 covers"
-            " checked, 31 failures; first: {} covered by []: gluing failed)",
+            "check open-cover-exactness:main: fail (open-cover-exactness: 6 covers"
+            " checked, 6 failures; first: {} covered by []: gluing failed)",
         ]
         assert out.endswith("result: FAIL\n")
 
@@ -432,7 +432,7 @@ _PARSER_ARGVS = (
        ["sections", _SQUARE, "--open", "star:p", "--max-elements", "1"],
        # quotient builds no sheaf, so it takes no field
        ["quotient", _SQUARE, "--field", "q"],
-       # only check samples covers, so only it takes a seed, and not a negative one
+       # only check takes a seed, which it ignores, and not a negative one
        ["sections", _SQUARE, "--open", "star:p", "--seed", "0"],
        ["stalk", _SQUARE, "--point", "p", "--seed", "0"], ["quotient", _SQUARE, "--seed", "0"],
        ["morphism", _SQUARE, "--seed", "0"], ["check", _SQUARE, "--seed", "-1"]]
@@ -641,11 +641,7 @@ def _check(name, status, detail=""):
 
 
 def _exit_two(command, error):
-    """Text and JSON of a report that holds only an error; only check's
-    report echoes a seed."""
-    if command == "check":
-        return (f"command: check\nseed: 0\nerror: {error}\n",
-                {"command": "check", "seed": 0, "checks": [], "data": {}, "error": error})
+    """Text and JSON of a report that holds only an error."""
     return (f"command: {command}\nerror: {error}\n",
             {"command": command, "checks": [], "data": {}, "error": error})
 
@@ -682,8 +678,8 @@ PINNED_EXITS = [
                 "set is not open: contains p but not its successor q1")],
       "data": {}}),
     ("non-open [open] in check", _NOT_OPEN_DOC, ["check"], 1,
-     "command: check\nseed: 0\n" + _NOT_OPEN_TEXT,
-     {"command": "check", "seed": 0, "checks": _NOT_OPEN_CHECKS, "data": {}}),
+     "command: check\n" + _NOT_OPEN_TEXT,
+     {"command": "check", "checks": _NOT_OPEN_CHECKS, "data": {}}),
     ("non-open [open] in sections", _NOT_OPEN_DOC, ["sections", "--open", "set:U"], 1,
      "command: sections\n" + _NOT_OPEN_TEXT,
      {"command": "sections", "checks": _NOT_OPEN_CHECKS, "data": {}}),

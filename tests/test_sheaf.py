@@ -53,6 +53,7 @@ from cellsheaf import (
 from helpers import (
     CORE_FIELDS,
     assert_value_record,
+    few_opens,
     posets,
     random_matrix,
     random_natural_components,
@@ -940,6 +941,22 @@ class TestDirectLimitElimination:
         assert stalk_holds(report)
 
 
+# the checks of the extended verifier on double_target.sheaf
+CANONICAL = [
+    "{} covered by []: ok",
+    "{q1} covered by [{q1}]: ok",
+    "{q2} covered by [{q2}]: ok",
+    "{q1 q2} covered by [{q1}, {q2}]: ok",
+    "{p1 q1 q2} covered by [{q1}, {q2}, {p1 q1 q2}]: ok",
+    "{p2 q1 q2} covered by [{q1}, {q2}, {p2 q1 q2}]: ok",
+    "{p3 q1 q2} covered by [{q1}, {q2}, {p3 q1 q2}]: ok",
+    "{p1 p2 q1 q2} covered by [{q1}, {q2}, {p1 q1 q2}, {p2 q1 q2}]: ok",
+    "{p1 p3 q1 q2} covered by [{q1}, {q2}, {p1 q1 q2}, {p3 q1 q2}]: ok",
+    "{p2 p3 q1 q2} covered by [{q1}, {q2}, {p2 q1 q2}, {p3 q1 q2}]: ok",
+    "{p1 p2 p3 q1 q2} covered by [{q1}, {q2}, {p1 q1 q2}, {p2 q1 q2}, {p3 q1 q2}]: ok",
+]
+
+
 class TestAxiomReports:
     def test_square_counts_and_passes(self):
         report = verify_base_sheaf_axioms(square_sheaf())
@@ -948,15 +965,15 @@ class TestAxiomReports:
         assert report.ok
 
     # (fixture, sheaf, section spaces solved, restriction matrices made) by
-    # both verifiers at seed 0, as `check` runs them: a change that solves
-    # more fails here by name, with no timing in the way
+    # both verifiers, as `check` runs them: a change that solves more fails
+    # here by name, with no timing in the way
     @pytest.mark.parametrize("name, sheaf_name, sections, restrictions", [
-        ("square", "main", 6, 14),
-        ("span", "main", 9, 27),
-        ("double_target", "main", 11, 47),
-        ("fan", "main", 9, 33),
-        ("fractions", "main", 6, 14),
-        ("fractions", "twisted", 6, 14),
+        ("square", "main", 6, 12),
+        ("span", "main", 9, 20),
+        ("double_target", "main", 11, 35),
+        ("fan", "main", 9, 19),
+        ("fractions", "main", 6, 12),
+        ("fractions", "twisted", 6, 12),
     ])
     def test_the_work_of_both_verifiers_is_pinned(self, name, sheaf_name, sections,
                                                   restrictions):
@@ -964,7 +981,7 @@ class TestAxiomReports:
         from helpers import FIXTURES
         sheaf = parse_text((FIXTURES / f"{name}.sheaf").read_text()).sheaves[sheaf_name]
         verify_base_sheaf_axioms(sheaf)
-        verify_sheaf_axioms_extended(sheaf, seed=0)
+        verify_sheaf_axioms_extended(sheaf)
         assert (len(sheaf._section_cache), len(sheaf._restriction_cache)) == (
             sections, restrictions)
 
@@ -999,83 +1016,26 @@ class TestAxiomReports:
 
     def test_extended_passes_and_is_deterministic(self):
         sheaf = square_sheaf()
-        r1 = verify_sheaf_axioms_extended(sheaf, covers_per_open=20, seed=3)
-        r2 = verify_sheaf_axioms_extended(sheaf, covers_per_open=20, seed=3)
+        r1 = verify_sheaf_axioms_extended(sheaf)
+        r2 = verify_sheaf_axioms_extended(sheaf)
         assert r1.checks == r2.checks
         assert r1.ok
 
-    def test_drawn_covers_are_pinned(self):
-        """The covers each seed draws, in report order, as 'target | cover':
-        a change to how the draws consume the generator shows here."""
+    def test_one_canonical_cover_per_open_is_pinned(self):
+        """Each open, in sort_key order, covered by the stars of its members,
+        in the same order: the empty open by the empty cover."""
         from cellsheaf import parse_text
         from helpers import FIXTURES
 
         sheaf = parse_text((FIXTURES / "double_target.sheaf").read_text()).sheaves["main"]
-        drawn = {seed: [
-            " ".join(c.target) + " | " + ", ".join(" ".join(o) for o in c.cover)
-            for c in verify_sheaf_axioms_extended(sheaf, covers_per_open=2, seed=seed).checks
-        ] for seed in (0, 3)}
-        assert drawn[0] == [
-            " | ",
-            "q1 | q1",
-            "q2 | q2",
-            "q1 q2 | q1, q2",
-            "q1 q2 | q1, q1 q2",
-            "q1 q2 | q1, q2, q1 q2",
-            "p1 q1 q2 | q1, q2, p1 q1 q2",
-            "p1 q1 q2 | q1 q2, p1 q1 q2",
-            "p1 q1 q2 | q1, q1 q2, p1 q1 q2",
-            "p2 q1 q2 | q1, q2, p2 q1 q2",
-            "p2 q1 q2 | q1 q2, p2 q1 q2",
-            "p2 q1 q2 | q1, q2, q1 q2, p2 q1 q2",
-            "p3 q1 q2 | q1, q2, p3 q1 q2",
-            "p3 q1 q2 | q2, p3 q1 q2",
-            "p3 q1 q2 | q1, q1 q2, p3 q1 q2",
-            "p1 p2 q1 q2 | q1, q2, p1 q1 q2, p2 q1 q2",
-            "p1 p2 q1 q2 | p1 p2 q1 q2",
-            "p1 p2 q1 q2 | q1, q2, p1 q1 q2, p1 p2 q1 q2",
-            "p1 p3 q1 q2 | q1, q2, p1 q1 q2, p3 q1 q2",
-            "p1 p3 q1 q2 | q1 q2, p1 p3 q1 q2",
-            "p2 p3 q1 q2 | q1, q2, p2 q1 q2, p3 q1 q2",
-            "p2 p3 q1 q2 | q2, p2 p3 q1 q2",
-            "p2 p3 q1 q2 | q1, q1 q2, p2 q1 q2, p2 p3 q1 q2",
-            "p1 p2 p3 q1 q2 | q1, q2, p1 q1 q2, p2 q1 q2, p3 q1 q2",
-            "p1 p2 p3 q1 q2 | q2, p1 q1 q2, p2 q1 q2, p3 q1 q2, p2 p3 q1 q2",
-            "p1 p2 p3 q1 q2 | p1 q1 q2, p2 p3 q1 q2",
-        ]
-        assert drawn[3] == [
-            " | ",
-            "q1 | q1",
-            "q2 | q2",
-            "q1 q2 | q1, q2",
-            "q1 q2 | q1, q2, q1 q2",
-            "p1 q1 q2 | q1, q2, p1 q1 q2",
-            "p1 q1 q2 | q2, q1 q2, p1 q1 q2",
-            "p1 q1 q2 | q1 q2, p1 q1 q2",
-            "p2 q1 q2 | q1, q2, p2 q1 q2",
-            "p3 q1 q2 | q1, q2, p3 q1 q2",
-            "p3 q1 q2 | q1 q2, p3 q1 q2",
-            "p3 q1 q2 | q1, q2, q1 q2, p3 q1 q2",
-            "p1 p2 q1 q2 | q1, q2, p1 q1 q2, p2 q1 q2",
-            "p1 p2 q1 q2 | q1, q2, q1 q2, p1 q1 q2, p2 q1 q2",
-            "p1 p2 q1 q2 | q2, p1 q1 q2, p2 q1 q2",
-            "p1 p3 q1 q2 | q1, q2, p1 q1 q2, p3 q1 q2",
-            "p1 p3 q1 q2 | q1 q2, p1 q1 q2, p1 p3 q1 q2",
-            "p1 p3 q1 q2 | q1 q2, p1 q1 q2, p3 q1 q2, p1 p3 q1 q2",
-            "p2 p3 q1 q2 | q1, q2, p2 q1 q2, p3 q1 q2",
-            "p2 p3 q1 q2 | q2, q1 q2, p2 q1 q2, p3 q1 q2",
-            "p2 p3 q1 q2 | q1 q2, p2 q1 q2, p3 q1 q2",
-            "p1 p2 p3 q1 q2 | q1, q2, p1 q1 q2, p2 q1 q2, p3 q1 q2",
-            "p1 p2 p3 q1 q2 | p1 q1 q2, p3 q1 q2, p2 p3 q1 q2",
-            "p1 p2 p3 q1 q2 | p1 q1 q2, p2 q1 q2, p3 q1 q2",
-        ]
+        assert [c.describe() for c in verify_sheaf_axioms_extended(sheaf).checks] == CANONICAL
 
     def test_extended_on_random_sheaves(self):
         rng = random.Random(10)
-        for i in range(10):
+        for _ in range(10):
             sheaf = random_sheaf(rng, random_poset(rng, rng.randint(1, 5)))
             assert verify_base_sheaf_axioms(sheaf).ok
-            assert verify_sheaf_axioms_extended(sheaf, covers_per_open=25, seed=i).ok
+            assert verify_sheaf_axioms_extended(sheaf).ok
 
     def test_restriction_matrices_compose(self):
         rng = random.Random(11)
@@ -1424,42 +1384,26 @@ class TestCoverCheck:
             oracles.base_cover_checks_by_loop(sheaf)
 
     @settings(max_examples=60, deadline=None)
-    @given(posets(), st.sampled_from(CORE_FIELDS), st.integers(0, 2**32 - 1),
-           st.sampled_from([None, 1, 4]))
-    def test_verifiers_match_the_loops_that_decide_every_cover(self, base, field, seed, budget):
+    @given(few_opens(), st.sampled_from(CORE_FIELDS), st.integers(0, 2**32 - 1))
+    def test_verifiers_match_the_loops_that_decide_every_cover(self, base, field, seed):
         sheaf = random_sheaf(random.Random(seed), base, field=field)
         report = verify_base_sheaf_axioms(sheaf)
         assert [(c.target, c.cover, c.injective, c.exact_middle) for c in report.checks] == \
             oracles.base_cover_checks_by_loop(sheaf)
-        report = verify_sheaf_axioms_extended(sheaf, covers_per_open=6, seed=seed % 7,
-                                              open_budget=budget)
-        assert [(c.target, c.cover, c.injective, c.exact_middle) for c in report.checks] == \
-            oracles.extended_cover_checks_by_loop(sheaf, 6, seed % 7, budget)
+        # one check per open, its canonical cover, decided as the loop decides it
+        checks = [(c.target, c.cover, c.injective, c.exact_middle)
+                  for c in verify_sheaf_axioms_extended(sheaf).checks]
+        assert [target for target, *_ in checks] == \
+            [U.sorted_members for U in enumerate_opens(base)]
+        assert set(checks) <= set(oracles.all_cover_checks_by_loop(sheaf))
 
 
 class TestVerdictTables:
-    """A verdict is kept for one open of the extended verifier, or one star
-    of the basic one. Each case holds data whose squares do not all commute,
-    written into the sheaf's memos, which the loops of `tests/oracles.py`
-    read too: a band with the same key in two opens, or stars, holds in
-    one and fails in the other, so a table kept past its open answers
-    wrongly in the second."""
-
-    def test_two_opens_with_equal_band_masks(self):
-        # a, b, d < c: U1 = {a b c} comes before U2 = {a b c d}, and both
-        # canonical covers have the bands of {c}, {a c} and {b c}. R(U1 ->
-        # {a c}) doubled fails two of them in U1 alone: U1 is no part of a
-        # canonical cover, so no other cover reads that map.
-        sheaf = constant_sheaf(build_poset("abcd", [("a", "c"), ("b", "c"), ("d", "c")]), 1)
-        U1, U2 = (OpenSet(sheaf.base, members) for members in ("abc", "abcd"))
-        twice = restriction_matrix(sheaf, U1, open_star(sheaf.base, "a")).scale(2)
-        sheaf._restriction_cache[U1.mask, open_star(sheaf.base, "a").mask] = twice
-        report = verify_sheaf_axioms_extended(sheaf, covers_per_open=0)
-        canonical = {c.target: c.ok for c in report.checks}
-        assert canonical[U1.sorted_members] is False
-        assert canonical[U2.sorted_members] is True
-        assert [(c.target, c.cover, c.injective, c.exact_middle) for c in report.checks] == \
-            oracles.extended_cover_checks_by_loop(sheaf, 0, 0)
+    """A verdict is kept for one star of the basic verifier. The case holds
+    data whose squares do not all commute, written into the sheaf's memo,
+    which the loop of `tests/oracles.py` reads too: a band with the same key
+    in two stars holds in one and fails in the other, so a table kept past
+    its star answers wrongly in the second."""
 
     def test_two_stars_with_equal_band_keys(self):
         # p1 < p2 < x, y < w: both stars hold covers with the band (x, y, w).
@@ -1482,117 +1426,41 @@ class TestVerdictTables:
         assert checks == oracles.base_cover_checks_by_loop(sheaf)
 
 
-def covers_drawn_by_stdlib(rng, up, u, sub_opens, draws):
-    """The covers dict that `_drawn_covers` makes, drawn by
-    `rng.randint` and `rng.sample` and patched with the stars left out."""
-    def stars(mask):
-        return [up[x] for x in range(mask.bit_length()) if mask >> x & 1]
+class TestProjections:
+    """`restriction_matrix` is the coordinate projection of section
+    families, `_projects` accepts exactly that matrix, and the extended
+    verifier refuses a map it reads that is not one."""
 
-    covers = {frozenset(stars(u)): None}
-    for _ in range(draws):
-        picked = rng.sample(sub_opens, rng.randint(1, min(4, len(sub_opens))))
-        left_out = u
-        for m in picked:
-            left_out &= ~m
-        covers.setdefault(frozenset(picked + stars(left_out)))
-    return covers
+    @settings(max_examples=40, deadline=None)
+    @given(posets(max_n=4), st.sampled_from(CORE_FIELDS), st.integers(0, 2**32 - 1))
+    def test_only_the_projection_projects(self, base, field, seed):
+        rng = random.Random(seed)
+        sheaf = random_sheaf(rng, base, field=field)
+        opens = enumerate_opens(base)
+        for U, V in itertools.product(opens, opens):
+            if V.mask & ~U.mask:
+                continue
+            m = restriction_matrix(sheaf, U, V)
+            assert m == oracles.restriction_matrix_by_field_ops(sheaf, U, V)
+            assert cellsheaf.sheaf._projects(sheaf, U, V, m)
+            if m.rows and m.cols:  # the projection is unique: one entry off fails
+                data = [list(row) for row in m.data]
+                data[rng.randrange(m.rows)][rng.randrange(m.cols)] += field.one
+                assert not cellsheaf.sheaf._projects(sheaf, U, V,
+                                                     Matrix(field, m.rows, m.cols, data))
+            if m.rows != m.cols:
+                assert not cellsheaf.sheaf._projects(sheaf, U, V, m.transpose())
 
-
-class TestCoverDraws:
-    """`_drawn_covers` takes the generator's bits as `randint` and `sample`
-    take them. It copies `sample`'s partial Fisher-Yates for at most 21
-    sub-opens and calls `sample` itself for more, which picks by rejection."""
-
-    def test_the_draws_are_those_of_randint_and_sample(self):
-        up = [1 << x for x in range(12)]  # the stars of 12 unordered points
-        for seed in range(100):
-            masks = random.Random(10**6 + seed).sample(range(1, 1 << 12), 45)
-            for n in range(1, 46):
-                sub_opens = masks[:n]
-                u = functools.reduce(int.__or__, sub_opens)
-                ours, stdlib = random.Random(seed), random.Random(seed)
-                drawn = cellsheaf.sheaf._drawn_covers(ours, up, u, sub_opens, 20)
-                assert list(drawn) == list(covers_drawn_by_stdlib(stdlib, up, u, sub_opens, 20))
-                assert ours.getstate() == stdlib.getstate()
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    @pytest.mark.parametrize("budget", [None, 8])
-    def test_the_rejection_draws_match_the_loop(self, seed, budget):
-        # the top open of the 5-point antichain has 31 nonempty sub-opens
-        sheaf = random_sheaf(random.Random(seed), build_poset("abcde", []))
-        report = verify_sheaf_axioms_extended(sheaf, covers_per_open=50, seed=seed,
-                                              open_budget=budget)
-        checks = [(c.target, c.cover, c.injective, c.exact_middle) for c in report.checks]
-        assert ("a", "b", "c", "d", "e") in {target for target, *_ in checks}
-        assert checks == oracles.extended_cover_checks_by_loop(sheaf, 50, seed, budget)
-
-    def test_a_negative_seed_draws_as_its_absolute_value(self):
-        # `random.Random` seeds an int by its absolute value
-        from cellsheaf import parse_text
-        from helpers import FIXTURES
-
-        sheaf = parse_text((FIXTURES / "double_target.sheaf").read_text()).sheaves["main"]
-        checks = {seed: [(c.target, c.cover, c.injective, c.exact_middle)
-                         for c in verify_sheaf_axioms_extended(sheaf, seed=seed).checks]
-                  for seed in (3, -3, 4)}
-        assert checks[3] == checks[-3] != checks[4]
-        assert (len(checks[3]), len(checks[4])) == (132, 136)
-
-
-class TestOpenBudget:
-    """`open_budget` samples the opens to check when there are more of them."""
-
-    @staticmethod
-    def considered(report):
-        """The target of each run of checks, in report order."""
-        targets = []
-        for c in report.checks:
-            if not targets or targets[-1] != c.target:
-                targets.append(c.target)
-        return targets
-
-    def test_budgeted_run_of_a_fixture_is_pinned(self):
-        from cellsheaf import parse_text
-        from helpers import FIXTURES
-
-        sheaf = parse_text((FIXTURES / "double_target.sheaf").read_text()).sheaves["main"]
-        report = verify_sheaf_axioms_extended(sheaf, covers_per_open=3, seed=7, open_budget=4)
-        assert [c.describe() for c in report.checks] == [
-            "{} covered by []: ok",
-            "{q2} covered by [{q2}]: ok",
-            "{p2 q1 q2} covered by [{q1}, {q2}, {p2 q1 q2}]: ok",
-            "{p2 q1 q2} covered by [{p2 q1 q2}]: ok",
-            "{p2 q1 q2} covered by [{q1}, {q2}, {q1 q2}, {p2 q1 q2}]: ok",
-            "{p3 q1 q2} covered by [{q1}, {q2}, {p3 q1 q2}]: ok",
-            "{p3 q1 q2} covered by [{q1}, {q1 q2}, {p3 q1 q2}]: ok",
-            "{p3 q1 q2} covered by [{q1}, {q2}, {q1 q2}, {p3 q1 q2}]: ok",
-        ]
-
-    def test_same_seed_same_checks_in_sort_key_order(self):
-        rng = random.Random(21)
-        for i in range(8):
-            sheaf = random_sheaf(rng, random_poset(rng, rng.randint(3, 5)))
-            opens = enumerate_opens(sheaf.base)
-            budget = len(opens) // 2
-            runs = [verify_sheaf_axioms_extended(sheaf, covers_per_open=5, seed=i,
-                                                 open_budget=budget) for _ in range(2)]
-            assert runs[0].checks == runs[1].checks
-            targets = self.considered(runs[0])
-            assert len(targets) == budget
-            keys = [OpenSet(sheaf.base, t).sort_key() for t in targets]
-            assert keys == sorted(keys)
-            assert runs[0].ok
-
-    def test_budget_covering_every_open_changes_nothing(self):
-        rng = random.Random(22)
-        for i in range(6):
-            sheaf = random_sheaf(rng, random_poset(rng, rng.randint(1, 5)))
-            n = len(enumerate_opens(sheaf.base))
-            full = verify_sheaf_axioms_extended(sheaf, covers_per_open=5, seed=i)
-            for budget in (n, n + 3):
-                budgeted = verify_sheaf_axioms_extended(
-                    sheaf, covers_per_open=5, seed=i, open_budget=budget)
-                assert budgeted.checks == full.checks
+    def test_the_extended_verifier_refuses_a_map_that_does_not_project(self):
+        # a, b, d < c: R({a b c} -> star of a) doubled, written into the
+        # sheaf's memo, is read by the canonical cover of {a b c}
+        sheaf = constant_sheaf(build_poset("abcd", [("a", "c"), ("b", "c"), ("d", "c")]), 1)
+        U, star = OpenSet(sheaf.base, "abc"), open_star(sheaf.base, "a")
+        sheaf._restriction_cache[U.mask, star.mask] = restriction_matrix(sheaf, U, star).scale(2)
+        with pytest.raises(ValidationError) as err:
+            verify_sheaf_axioms_extended(sheaf)
+        assert str(err.value) == (
+            "restriction from {a, b, c} to {a, c} is not the projection of its families")
 
 
 class TestNegativeControls:
@@ -1669,7 +1537,7 @@ class TestPrimeFieldPipeline:
             for point in sheaf.base.elements:
                 assert stalk_holds(stalk_at(sheaf, point))
             assert verify_base_sheaf_axioms(sheaf).ok
-            assert verify_sheaf_axioms_extended(sheaf, covers_per_open=15).ok
+            assert verify_sheaf_axioms_extended(sheaf).ok
 
     def test_gf5_dimensions_can_differ_from_rational_ones(self):
         # the restriction 5 becomes the zero map mod 5, freeing the top value
@@ -1706,4 +1574,4 @@ class TestDegenerate:
         for p in base.elements:
             assert stalk_holds(stalk_at(sheaf, p))
         assert verify_base_sheaf_axioms(sheaf).ok
-        assert verify_sheaf_axioms_extended(sheaf, covers_per_open=10).ok
+        assert verify_sheaf_axioms_extended(sheaf).ok
